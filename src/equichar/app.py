@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -99,6 +99,11 @@ def load_config(path) -> RunConfig:
         tau_samples=int(num.get("tau_samples", 101)),
     )
     _require(numerics.series_order >= 4, "series_order must be >= 4")
+    _require(
+        numerics.series_order <= skr.MAX_SERIES_ORDER,
+        f"series_order must be <= {skr.MAX_SERIES_ORDER}, "
+        "the highest order the precomputed germ coefficients support",
+    )
     _require(numerics.quad_nodes >= 2, "quad_nodes must be >= 2")
     _require(numerics.fd_step > 0, "fd_step must be positive")
     _require(numerics.tau_samples >= 2, "tau_samples must be >= 2")
@@ -352,9 +357,13 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    report = eta_invariant(cfg, profile=p) if "report" in which else None
 
     if "lform" in which:
-        rows = [_lform_row(p, t) for t in _lform_taus(p, cfg.numerics.tau_samples)]
+        if report is not None:
+            rows = report.lform_table
+        else:
+            rows = [_lform_row(p, t) for t in _lform_taus(p, cfg.numerics.tau_samples)]
         path = out / "lform.csv"
         with open(path, "w", newline="\n") as fh:
             fh.write("tau,alpha,beta,gamma,delta,L4\n")
@@ -381,8 +390,7 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
                 fh.write(f"{_fmt(float(t))},{_fmt(val)}\n")
         written.append(path)
 
-    if "report" in which:
-        report = eta_invariant(cfg, profile=p)
+    if report is not None:
         path = out / "report.json"
         with open(path, "w", newline="\n") as fh:
             fh.write(report.to_json())
@@ -460,9 +468,10 @@ def run_check(cfg: RunConfig, stream=None) -> list:
         res = max(res, (wedge(root, root) - skr.eigenvalue_square(d.phi, d.psi, cc)).max_abs())
     results.append(_check("sqrt-a-square-identity", res, 1e-13))
 
-    # transgression routes
-    closed = skr.transgression_pullback_closed(p, order, quad).coefficient((1, 2, 3))
-    direct = skr.transgression_pullback_direct(p, order, quad).coefficient((1, 2, 3))
+    # transgression routes, as computed by the report at the configured nodes
+    report = eta_invariant(cfg, profile=p)
+    closed = report.tl3_closed["value"]
+    direct = report.tl3_direct["value"]
     scale = max(abs(closed), abs(direct), 1e-12)
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
 
@@ -482,7 +491,6 @@ def run_check(cfg: RunConfig, stream=None) -> list:
         )
 
     # eta stability under quadrature refinement
-    report = eta_invariant(cfg, profile=p)
     cfg_fine = RunConfig(
         profile=cfg.profile,
         numerics=Numerics(
@@ -541,25 +549,7 @@ def run_check(cfg: RunConfig, stream=None) -> list:
 
 def _flat_base_variant(p: SKRProfile) -> SKRProfile:
     """Copy of the profile with base curvature zero, as realized by the chart."""
-    if p.base_curv == 0.0:
-        return p
-    kwargs = dict(
-        mode=p.mode,
-        c_bar=p.c_bar,
-        a_const=p.a_const,
-        base_curv=0.0,
-        tau_min=p.tau_min,
-        base_area=p.base_area,
-        fiber_period=p.fiber_period,
-        phi=p.phi,
-        phi_d=p.phi_d,
-        phi_dd=p.phi_dd,
-        q_fun=p.q_fun,
-        q_fun_d=p.q_fun_d,
-        q_fun_dd=p.q_fun_dd,
-        label=p.label,
-    )
-    return SKRProfile(**kwargs)
+    return p if p.base_curv == 0.0 else replace(p, base_curv=0.0)
 
 
 def _oracle_points(p: SKRProfile, n: int) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,8 +23,6 @@ __all__ = [
     "AnalyticGerm",
     "FormMatrix",
     "mat_mul",
-    "mat_add",
-    "mat_scale",
     "trace",
     "identity",
     "apply_germ",
@@ -285,24 +284,30 @@ def _log_germ(inner, bar_evals, n_coeffs, radius, name) -> AnalyticGerm:
     )
 
 
+# The germ factories are cached: an AnalyticGerm is frozen with a tuple of
+# coefficients, so every caller can share the one object per coefficient count.
+@lru_cache(maxsize=None)
 def hirzebruch_l_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of (x/2)/tanh(x/2); restricted to the imaginary axis it is x/(2 tan(x/2))."""
     inner = _l_inner_series(n_coeffs)
     return _inner_germ(inner, _l_bar_evaluators(inner), n_coeffs, 2.0 * math.pi, "l_inner")
 
 
+@lru_cache(maxsize=None)
 def hirzebruch_l_log_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of log((x/2)/tanh(x/2))/2; the exp-of-trace kernel of the L-form."""
     inner = _l_inner_series(n_coeffs)
     return _log_germ(inner, _l_bar_evaluators(inner), n_coeffs, math.pi, "l_log")
 
 
+@lru_cache(maxsize=None)
 def a_hat_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of (x/2)/sinh(x/2); on the imaginary axis (x/2)/sin(x/2)."""
     inner = _a_hat_inner_series(n_coeffs)
     return _inner_germ(inner, _a_hat_bar_evaluators(inner), n_coeffs, 2.0 * math.pi, "a_hat_inner")
 
 
+@lru_cache(maxsize=None)
 def a_hat_log_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of log((x/2)/sinh(x/2))/2; the exp-of-trace kernel of the A-hat form."""
     inner = _a_hat_inner_series(n_coeffs)
@@ -428,14 +433,6 @@ def identity(size: int, dimension: int) -> FormMatrix:
     return FormMatrix.from_scalar_matrix(np.eye(size), dimension)
 
 
-def mat_add(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    return a + b
-
-
-def mat_scale(a: FormMatrix, scalar: float) -> FormMatrix:
-    return a * scalar
-
-
 def mat_mul(a: FormMatrix, b: FormMatrix) -> FormMatrix:
     """Matrix product with entries combined by wedge: (AB)_ik = sum_j A_ij ^ B_jk."""
     a._check(b)
@@ -498,6 +495,17 @@ def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_OR
     accepted radius is available via :func:`germ_tail_estimate`.
     """
     _check_radius(germ, m)
+    if m.is_degree0():
+        # numeric series on the scalar parts; one FormMatrix at the end
+        m0 = m.data[:, :, 0]
+        acc = np.eye(m.size) * germ.coeff(0)
+        power = np.eye(m.size)
+        for k in range(1, order + 1):
+            power = np.einsum("ij,jk->ik", power, m0)
+            c = germ.coeff(k)
+            if c != 0.0:
+                acc = acc + power * c
+        return FormMatrix.from_scalar_matrix(acc, m.dimension)
     acc = identity(m.size, m.dimension) * germ.coeff(0)
     power = identity(m.size, m.dimension)
     for k in range(1, order + 1):
@@ -524,19 +532,17 @@ def star_second(
         raise ValueError("star_second requires a purely degree-0 first argument")
     _check_radius(germ, a)
     a0 = a.data[:, :, 0]
-    # powers of the numeric part, a^0 .. a^(order-1)
-    powers = [np.eye(a.size)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] @ a0)
+    # h_n = sum_q a^q b a^(n-1-q) by the recurrence h_n = a h_(n-1) + b a^(n-1)
+    h_n = b.data
+    a_pow = np.eye(a.size)  # a^(n-1)
     out = np.zeros_like(b.data)
     for n in range(1, order + 1):
+        if n > 1:
+            a_pow = a_pow @ a0
+            h_n = np.einsum("ij,jkc->ikc", a0, h_n) + np.einsum("ijc,jk->ikc", b.data, a_pow)
         c = germ.coeff(n + 1) * (n + 1)  # f^(n+1)(0)/n!
-        if c == 0.0:
-            continue
-        h_n = np.zeros_like(b.data)
-        for q in range(n):
-            h_n += np.einsum("ij,jkc,kl->ilc", powers[q], b.data, powers[n - 1 - q])
-        out += c * h_n
+        if c != 0.0:
+            out += c * h_n
     return FormMatrix(b.size, b.dimension, out)
 
 

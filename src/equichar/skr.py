@@ -27,9 +27,11 @@ from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
 from .errors import ProfileError, SingularInputError
 from .exterior import ExteriorForm
 from .matforms import (
+    _GERM_COEFFS,
     DEFAULT_SERIES_ORDER,
     AnalyticGerm,
     FormMatrix,
+    _horner,
     hirzebruch_l_log_germ,
     mat_mul,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "transgression_pullback_closed",
     "transgression_pullback_direct",
     "closed_transgression_integrand",
+    "MAX_SERIES_ORDER",
 ]
 
 _FD_STEP = 1e-5  # central-difference step for missing second derivatives
@@ -127,32 +130,25 @@ class SKRProfile:
     @classmethod
     def irreducible_polynomial(cls, phi_coeffs, c_bar, **kw) -> "SKRProfile":
         """Irreducible profile with phi a polynomial (coefficients lowest first)."""
-        poly = np.polynomial.Polynomial(tuple(float(c) for c in phi_coeffs))
-        d1 = poly.deriv(1)
-        d2 = poly.deriv(2)
+        phi, phi_d, phi_dd = _polynomial_evaluators(phi_coeffs)
         return cls(
-            mode="irreducible",
-            c_bar=float(c_bar),
-            phi=lambda t: float(poly(t)),
-            phi_d=lambda t: float(d1(t)),
-            phi_dd=lambda t: float(d2(t)),
-            **kw,
+            mode="irreducible", c_bar=float(c_bar), phi=phi, phi_d=phi_d, phi_dd=phi_dd, **kw
         )
 
     @classmethod
     def reducible_polynomial(cls, q_coeffs, **kw) -> "SKRProfile":
         """Reducible profile with Q a positive polynomial (coefficients lowest first)."""
-        poly = np.polynomial.Polynomial(tuple(float(c) for c in q_coeffs))
-        d1 = poly.deriv(1)
-        d2 = poly.deriv(2)
+        q_fun, q_fun_d, q_fun_dd = _polynomial_evaluators(q_coeffs)
         kw.setdefault("c_bar", 1.0)
-        return cls(
-            mode="reducible",
-            q_fun=lambda t: float(poly(t)),
-            q_fun_d=lambda t: float(d1(t)),
-            q_fun_dd=lambda t: float(d2(t)),
-            **kw,
-        )
+        return cls(mode="reducible", q_fun=q_fun, q_fun_d=q_fun_d, q_fun_dd=q_fun_dd, **kw)
+
+
+def _polynomial_evaluators(coeffs) -> tuple:
+    """Horner evaluators of a polynomial (coefficients lowest first) and of its
+    first two derivatives."""
+    poly = np.polynomial.Polynomial(tuple(float(c) for c in coeffs))
+    tables = [tuple(float(c) for c in poly.deriv(m).coef) for m in (0, 1, 2)]
+    return tuple((lambda t, tab=tab: float(_horner(tab, t))) for tab in tables)
 
 
 class DerivedFunctions(NamedTuple):
@@ -523,6 +519,10 @@ def closed_transgression_integrand(
 
     term3 = -2.0 * t * bd.l * bd.r_1234 * f2_tpsi
     return weight * (term1 + term2 + term3)
+
+
+# closed_transgression_tail reads Taylor coefficients up to index 2 order + 10
+MAX_SERIES_ORDER = (_GERM_COEFFS - 11) // 2
 
 
 def closed_transgression_tail(bd: BoundaryData, order: int, germ=None) -> float:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from equichar import app, skr
 from equichar.app import (
     build_profile,
     emit_tables,
@@ -67,6 +68,23 @@ def test_config_rejects_nonpositive_q(tmp_path):
     bad = {"profile": {"mode": "reducible", "q_coeffs": [-1.0], "tau_min": -0.5}}
     with pytest.raises(ConfigError):
         build_profile(load_config(write_cfg(tmp_path, bad)))
+
+
+def test_config_rejects_series_order_beyond_germ_coefficients(tmp_path, capsys):
+    """The closed tail bound reads Taylor coefficients up to 2 order + 10; an
+    order past the precomputed germs used to report a zero tail and exit 0."""
+    payload = json.loads(json.dumps(IRRED))
+    payload["numerics"]["series_order"] = skr.MAX_SERIES_ORDER
+    cfg = load_config(write_cfg(tmp_path, payload, "max.json"))
+    assert cfg.numerics.series_order == skr.MAX_SERIES_ORDER
+    payload["numerics"]["series_order"] = skr.MAX_SERIES_ORDER + 1
+    with pytest.raises(ConfigError):
+        load_config(write_cfg(tmp_path, payload, "over.json"))
+    payload["numerics"]["series_order"] = 20
+    cfg = write_cfg(tmp_path, payload, "order20.json")
+    assert main(["eta", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert "series_order" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tabulated_profile_round_trip(tmp_path):
@@ -183,6 +201,32 @@ def test_lform_csv_format(tmp_path):
         assert "." in cells[0]
 
 
+def test_lform_csv_matches_report_table(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, IRRED)
+    assert main(["eta", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out" / "lform.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    table = json.loads((tmp_path / "out" / "report.json").read_text())["lform_table"]
+    assert len(lines) - 1 == len(table) == IRRED["numerics"]["tau_samples"]
+    for line, row in zip(lines[1:], table):
+        assert [float(c) for c in line.split(",")] == [row[c] for c in header]
+
+
+def test_emit_tables_builds_lform_table_once(tmp_path, monkeypatch):
+    calls = []
+    original = app._lform_row
+
+    def counting(p, tau):
+        calls.append(tau)
+        return original(p, tau)
+
+    monkeypatch.setattr(app, "_lform_row", counting)
+    cfg = load_config(write_cfg(tmp_path, IRRED))
+    emit_tables(cfg, tmp_path / "out")
+    assert len(calls) == cfg.numerics.tau_samples
+
+
 def test_lform_csv_reducible_l4_column(tmp_path):
     cfg = load_config(write_cfg(tmp_path, RED))
     emit_tables(cfg, tmp_path / "out", which=("lform",))
@@ -219,6 +263,23 @@ def test_run_check_passes(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert all(r.passed for r in results)
     assert captured.count("PASS") == len(results)
+
+
+def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch, capsys):
+    """The 32-node routes come from the report; only the 64-node refinement
+    evaluates them again."""
+    nodes = {"closed": [], "direct": []}
+    for name in nodes:
+        original = getattr(skr, f"transgression_pullback_{name}")
+
+        def counting(p, order, quad, _original=original, _seen=nodes[name]):
+            _seen.append(quad.nodes)
+            return _original(p, order, quad)
+
+        monkeypatch.setattr(skr, f"transgression_pullback_{name}", counting)
+    cfg = load_config(write_cfg(tmp_path, IRRED))
+    assert all(r.passed for r in run_check(cfg))
+    assert nodes == {"closed": [32, 64], "direct": [32, 64]}
 
 
 def test_run_oracle_passes(tmp_path, capsys):

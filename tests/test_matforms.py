@@ -8,6 +8,8 @@ from equichar.errors import ConvergenceRadiusError
 from equichar.exterior import ExteriorForm, degree_component, wedge
 from equichar.matforms import (
     FormMatrix,
+    a_hat_inner_germ,
+    a_hat_log_germ,
     apply_germ,
     char_poly,
     exp_trace_germ,
@@ -125,6 +127,43 @@ def test_apply_germ_trace_degree0():
         assert abs(tr.coefficient(()) - want) < 1e-10
 
 
+def mat_mul_series(germ, m, order):
+    """sum_k c_k M^k with the powers built by mat_mul: the generic route."""
+    acc = identity(m.size, m.dimension) * germ.coeff(0)
+    power = identity(m.size, m.dimension)
+    for k in range(1, order + 1):
+        power = mat_mul(power, m)
+        acc = acc + power * germ.coeff(k)
+    return acc
+
+
+@pytest.mark.parametrize("germ", [hirzebruch_l_log_germ(), a_hat_inner_germ().derivative()])
+@pytest.mark.parametrize("size,dimension", [(4, 4), (4, 3), (3, 2)])
+def test_apply_germ_degree0_matches_mat_mul_series(germ, size, dimension):
+    rng = np.random.default_rng(29 + size + dimension)
+    for antisymmetric in (True, False):
+        mat = rng.uniform(-0.3, 0.3, (size, size))
+        if antisymmetric:
+            mat = mat - mat.T
+        m = FormMatrix.from_scalar_matrix(mat, dimension)
+        for order in (1, 2, 7, 16, 30):
+            got = apply_germ(germ, m, order)
+            want = mat_mul_series(germ, m, order)
+            assert (got.size, got.dimension) == (size, dimension)
+            assert got.is_degree0()
+            # same products summed in the same order: equal to the last bit
+            assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize(
+    "factory", [hirzebruch_l_inner_germ, hirzebruch_l_log_germ, a_hat_inner_germ, a_hat_log_germ]
+)
+def test_germ_factories_return_one_shared_object(factory):
+    assert factory() is factory()
+    assert factory(20) is factory(20)
+    assert factory(20) is not factory()
+
+
 def test_apply_germ_radius_violation():
     g = hirzebruch_l_log_germ()  # radius pi
     with pytest.raises(ConvergenceRadiusError) as err:
@@ -186,6 +225,36 @@ def test_star_second_linear_in_b(c1, c2):
     lhs = star_second(g, a, b1 * c1 + b2 * c2)
     rhs = star_second(g, a, b1) * c1 + star_second(g, a, b2) * c2
     assert (lhs - rhs).max_abs() < 1e-12
+
+
+def star_second_double_sum(germ, a0, b_data, order):
+    """sum_n f^(n+1)(0)/n! sum_q a^q b a^(n-1-q), every word formed afresh."""
+    out = np.zeros_like(b_data)
+    for n in range(1, order + 1):
+        c = (n + 1) * germ.coeff(n + 1)
+        for q in range(n):
+            left = np.linalg.matrix_power(a0, q)
+            right = np.linalg.matrix_power(a0, n - 1 - q)
+            out += c * np.einsum("ij,jkc,kl->ilc", left, b_data, right)
+    return out
+
+
+@pytest.mark.parametrize("germ", [hirzebruch_l_log_germ(), hirzebruch_l_log_germ().derivative()])
+def test_star_second_matches_double_sum(germ):
+    """Odd and even germs, so words of every length n enter; b carries
+    degree-1 and degree-2 entries over a 4-dimensional coframe."""
+    rng = np.random.default_rng(41)
+    a0 = rng.uniform(-0.5, 0.5, (4, 4))
+    a0 = a0 - a0.T
+    a = FormMatrix.from_scalar_matrix(a0, 4)
+    b_data = np.zeros((4, 4, 16))
+    for mask in (1, 2, 4, 8, 3, 5, 6, 9, 10, 12):  # degree 1, then degree 2
+        b_data[:, :, mask] = rng.uniform(-1, 1, (4, 4))
+    b = FormMatrix(4, 4, b_data)
+    for order in range(1, 31):
+        got = star_second(germ, a, b, order).data
+        want = star_second_double_sum(germ, a0, b_data, order)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), order
 
 
 def test_star_second_requires_degree0():

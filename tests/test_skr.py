@@ -34,6 +34,19 @@ def test_derived_functions_constant_phi():
     assert d.phi_d == 0.0 and d.psi_d == 0.0
 
 
+def test_polynomial_profiles_match_numpy_polynomial():
+    """The Horner evaluators do the arithmetic of numpy's Polynomial exactly."""
+    coeffs = [0.7, -0.3, 0.45, 0.2, -0.05]
+    poly = np.polynomial.Polynomial(coeffs)
+    irred = SKRProfile.irreducible_polynomial(coeffs, c_bar=-2.0, tau_min=-0.4)
+    red = SKRProfile.reducible_polynomial(coeffs, tau_min=-0.4)
+    for tau in np.linspace(-0.4, 0.0, 17):
+        tau = float(tau)
+        want = [float(poly.deriv(m)(tau)) for m in (0, 1, 2)]
+        assert [irred.phi(tau), irred.phi_d(tau), irred.phi_dd(tau)] == want
+        assert [red.q_fun(tau), red.q_fun_d(tau), red.q_fun_dd(tau)] == want
+
+
 def test_derived_functions_reducible():
     p = SKRProfile.reducible_polynomial([1.0, 2.0], tau_min=-0.4)
     d = skr.derived_functions(p, 0.0)
