@@ -8,9 +8,8 @@ The command line exposes five subcommands over a single JSON config:
     equichar eta CONFIG -o DIR       write report.json (+ the two CSV tables)
     equichar oracle CONFIG           finite-difference chart validation
 
-Exit codes: 0 success, 1 numerical failure, 2 config error.  The environment
-variable EQUICHAR_THREADS caps worker threads for the embarrassingly parallel
-sweeps; outputs are byte-identical for identical configs regardless.
+Exit codes: 0 success, 1 numerical failure, 2 config error.  Outputs are
+byte-identical for identical configs.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -29,7 +26,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import skr
-from .charforms import QuadratureSpec
+from .charforms import QuadratureSpec, gauss_legendre
 from .errors import ConfigError, EquicharError, ProfileError
 from .matforms import DEFAULT_SERIES_ORDER, hirzebruch_l_log_germ
 from .skr import SKRProfile
@@ -178,15 +175,6 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
         raise ConfigError(f"invalid profile: {exc}") from exc
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("EQUICHAR_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 # --------------------------------------------------------------------------- report
 
 def _measured(value: float, error: float) -> dict:
@@ -241,13 +229,8 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 # --------------------------------------------------------------------------- eta assembly
 
-def _gauss_nodes(n: int, a: float, b: float):
-    xs, ws = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * xs + 0.5 * (a + b), 0.5 * (b - a) * ws
-
-
 def _bulk_quadrature(p: SKRProfile, n_nodes: int, tau_lo: float) -> float:
-    xs, ws = _gauss_nodes(n_nodes, tau_lo, 0.0)
+    xs, ws = gauss_legendre(n_nodes, tau_lo, 0.0)
     acc = 0.0
     for t, w in zip(xs, ws):
         acc += float(w) * skr.l4_coefficient(p, float(t)) * skr.volume_weight(p, float(t))
@@ -335,15 +318,14 @@ def _lform_taus(p: SKRProfile, n: int) -> list:
 
 def _lform_row(p: SKRProfile, tau: float) -> dict:
     d = skr.derived_functions(p, tau)
-    cc = skr.curvature_components(p, tau)
-    sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
+    sq = skr.sqrt_a_coeffs(d.phi, d.psi, skr.curvature_components(p, d))
     return {
         "tau": tau,
         "alpha": sq.alpha,
         "beta": sq.beta,
         "gamma": sq.gamma,
         "delta": sq.delta,
-        "L4": skr.l4_coefficient(p, tau),
+        "L4": skr.l_form_from_sqrt(sq).coefficient((1, 2, 3, 4)),
     }
 
 
@@ -444,7 +426,7 @@ def run_check(cfg: RunConfig, stream=None) -> list:
     # curvature structure
     res = 0.0
     for t in taus[:: max(1, len(taus) // 10)]:
-        cc = skr.curvature_components(p, t)
+        cc = skr.curvature_components(p, skr.derived_functions(p, t))
         if p.mode == "irreducible":
             res = max(res, abs(cc.r - 0.5 * cc.c))
         else:
@@ -455,7 +437,7 @@ def run_check(cfg: RunConfig, stream=None) -> list:
     res = 0.0
     for t in taus[:: max(1, len(taus) // 10)]:
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, t)
+        cc = skr.curvature_components(p, d)
         try:
             sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
         except EquicharError:
@@ -491,16 +473,8 @@ def run_check(cfg: RunConfig, stream=None) -> list:
         )
 
     # eta stability under quadrature refinement
-    cfg_fine = RunConfig(
-        profile=cfg.profile,
-        numerics=Numerics(
-            series_order=order,
-            quad_nodes=2 * cfg.numerics.quad_nodes,
-            fd_step=cfg.numerics.fd_step,
-            tau_samples=cfg.numerics.tau_samples,
-        ),
-        topology=cfg.topology,
-    )
+    fine_numerics = replace(cfg.numerics, quad_nodes=2 * cfg.numerics.quad_nodes)
+    cfg_fine = replace(cfg, numerics=fine_numerics)
     report_fine = eta_invariant(cfg_fine, profile=p)
     eta_scale = max(abs(report.eta["value"]), abs(report_fine.eta["value"]), 1.0)
     results.append(
@@ -514,30 +488,11 @@ def run_check(cfg: RunConfig, stream=None) -> list:
     # finite-difference oracle on the flat-base chart variant of this profile
     flat = _flat_base_variant(p)
     pts = _oracle_points(flat, 8)
-    threads = _thread_cap()
-
-    def curvature_residual(pt):
-        r_fd = oracle_mod.riemann_frame_fd(flat, pt, cfg.numerics.fd_step)
-        cc = skr.curvature_components(flat, pt.tau)
-        want = {
-            (0, 1, 0, 1): cc.b,
-            (0, 1, 2, 3): cc.c,
-            (2, 3, 2, 3): cc.d,
-            (0, 2, 0, 2): cc.r,
-            (0, 2, 1, 3): cc.r,
-            (1, 2, 0, 3): -cc.r,
-        }
-        rel = 0.0
-        for idx, val in want.items():
-            rel = max(rel, abs(r_fd[idx] - val) / max(abs(val), 1e-3))
-        return rel
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rels = list(pool.map(curvature_residual, pts))
-    else:
-        rels = [curvature_residual(pt) for pt in pts]
-    results.append(_check("oracle-curvature-match", max(rels), 1e-5))
+    rel = max(
+        _oracle_mismatch(flat, pt, oracle_mod.riemann_frame_fd(flat, pt, cfg.numerics.fd_step))
+        for pt in pts
+    )
+    results.append(_check("oracle-curvature-match", rel, 1e-5))
 
     kd = max(oracle_mod.kahler_defect_fd(flat, pt, cfg.numerics.fd_step) for pt in pts[:3])
     results.append(_check("oracle-kahler-parallel", kd, 1e-6))
@@ -550,6 +505,21 @@ def run_check(cfg: RunConfig, stream=None) -> list:
 def _flat_base_variant(p: SKRProfile) -> SKRProfile:
     """Copy of the profile with base curvature zero, as realized by the chart."""
     return p if p.base_curv == 0.0 else replace(p, base_curv=0.0)
+
+
+def _oracle_mismatch(p: SKRProfile, pt, r_fd: np.ndarray) -> float:
+    """Worst relative mismatch between the oracle's frame curvature r_fd at pt
+    and the closed curvature components, floored at 1e-3 in the denominator."""
+    cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
+    want = {
+        (0, 1, 0, 1): cc.b,
+        (0, 1, 2, 3): cc.c,
+        (2, 3, 2, 3): cc.d,
+        (0, 2, 0, 2): cc.r,
+        (0, 2, 1, 3): cc.r,
+        (1, 2, 0, 3): -cc.r,
+    }
+    return max(abs(r_fd[idx] - val) / max(abs(val), 1e-3) for idx, val in want.items())
 
 
 def _oracle_points(p: SKRProfile, n: int) -> list:
@@ -578,15 +548,7 @@ def run_oracle(cfg: RunConfig, stream=None) -> list:
     worst_rel, worst_vanish, worst_sym = 0.0, 0.0, 0.0
     for pt in pts:
         r_fd = oracle_mod.riemann_frame_fd(p, pt, cfg.numerics.fd_step)
-        cc = skr.curvature_components(p, pt.tau)
-        pairs = [
-            (r_fd[0, 1, 0, 1], cc.b),
-            (r_fd[0, 1, 2, 3], cc.c),
-            (r_fd[2, 3, 2, 3], cc.d),
-            (r_fd[0, 2, 0, 2], cc.r),
-        ]
-        for got, want in pairs:
-            worst_rel = max(worst_rel, abs(got - want) / max(abs(want), 1e-3))
+        worst_rel = max(worst_rel, _oracle_mismatch(p, pt, r_fd))
         # exactly three indices drawn from the vertical pair
         for idx in ((2, 3, 2, 0), (2, 3, 2, 1), (0, 2, 2, 3), (1, 3, 2, 3)):
             worst_vanish = max(worst_vanish, abs(r_fd[idx]))

@@ -31,6 +31,7 @@ from .matforms import (
 )
 
 __all__ = [
+    "gauss_legendre",
     "QuadratureSpec",
     "ConnectionFamily",
     "equivariant_curvature",
@@ -44,11 +45,14 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre_01(n: int):
+@lru_cache(maxsize=128)
+def gauss_legendre(n: int, a: float, b: float):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [a, b]; every
+    caller shares the cached arrays, so they are read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    # ascending nodes mapped from [-1, 1] to [0, 1]
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    xs, ws = 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class QuadratureSpec:
             raise ValueError("quadrature needs at least 2 nodes")
 
     def rule(self):
-        return _gauss_legendre_01(self.nodes)
+        return gauss_legendre(self.nodes, 0.0, 1.0)
 
     def integrate_forms(self, fn: Callable[[float], ExteriorForm]) -> ExteriorForm:
         """sum_i w_i fn(t_i), accumulated left-to-right over ascending nodes."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charforms import gauss_legendre
 from .errors import ProfileError
 from .skr import SKRProfile, derived_functions
 
@@ -127,23 +128,21 @@ def frame_at(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
     return e
 
 
+def _central_diff(fn, pt: ChartPoint, h_step: float) -> np.ndarray:
+    """Central differences of an array-valued fn, stacked over the chart axis:
+    result[m] = d_m fn at pt."""
+    diffs = [fn(pt.shifted(m, h_step)) - fn(pt.shifted(m, -h_step)) for m in range(4)]
+    return np.stack(diffs) / (2.0 * h_step)
+
+
 def christoffel_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Gamma[k, i, j] = Gamma^k_ij by central differences of the metric."""
-    g = _metric_matrix(p, pt)
-    g_inv = np.linalg.inv(g)
-    dg = np.empty((4, 4, 4))  # dg[m, i, j] = d_m g_ij
-    for m in range(4):
-        gp = _metric_matrix(p, pt.shifted(m, h_step))
-        gm = _metric_matrix(p, pt.shifted(m, -h_step))
-        dg[m] = (gp - gm) / (2.0 * h_step)
-    gamma = np.empty((4, 4, 4))
-    for k in range(4):
-        for i in range(4):
-            for j in range(4):
-                gamma[k, i, j] = 0.5 * sum(
-                    g_inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j]) for l in range(4)
-                )
-    return gamma
+    g_inv = np.linalg.inv(_metric_matrix(p, pt))
+    dg = _central_diff(lambda q: _metric_matrix(p, q), pt, h_step)  # dg[m, i, j] = d_m g_ij
+    # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
+    return 0.5 * np.einsum(
+        "kl,ijl->kij", g_inv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    )
 
 
 def riemann_coord_fd(
@@ -152,24 +151,13 @@ def riemann_coord_fd(
     """Covariant coordinate curvature R[mu, nu, rho, sigma] = <R(d_mu, d_nu) d_rho, d_sigma>
     in the commutator-first convention [nabla_mu, nabla_nu] - nabla_[.,.]."""
     gamma = christoffel_fd(p, pt, h_step)
-    dgamma = np.empty((4, 4, 4, 4))  # dgamma[m, k, i, j] = d_m Gamma^k_ij
-    for m in range(4):
-        gp = christoffel_fd(p, pt.shifted(m, h_step), h_step)
-        gm = christoffel_fd(p, pt.shifted(m, -h_step), h_step)
-        dgamma[m] = (gp - gm) / (2.0 * h_step)
-    # R^sigma_{rho mu nu}
-    r_up = np.empty((4, 4, 4, 4))
-    for sig in range(4):
-        for rho in range(4):
-            for mu in range(4):
-                for nu in range(4):
-                    val = dgamma[mu, sig, nu, rho] - dgamma[nu, sig, mu, rho]
-                    for lam in range(4):
-                        val += (
-                            gamma[sig, mu, lam] * gamma[lam, nu, rho]
-                            - gamma[sig, nu, lam] * gamma[lam, mu, rho]
-                        )
-                    r_up[sig, rho, mu, nu] = val
+    # dgamma[m, k, i, j] = d_m Gamma^k_ij
+    dgamma = _central_diff(lambda q: christoffel_fd(p, q, h_step), pt, h_step)
+    # R^sigma_{rho mu nu} = d_mu Gamma^sigma_{nu rho} - d_nu Gamma^sigma_{mu rho}
+    #                     + Gamma^sigma_{mu lam} Gamma^lam_{nu rho} - (mu <-> nu)
+    d_term = dgamma.transpose(1, 3, 0, 2)  # [sig, rho, mu, nu] = d_mu Gamma^sig_{nu rho}
+    g_term = np.einsum("sml,lnr->srmn", gamma, gamma)
+    r_up = d_term - d_term.transpose(0, 1, 3, 2) + g_term - g_term.transpose(0, 1, 3, 2)
     g = _metric_matrix(p, pt)
     return np.einsum("srmn,st->mnrt", r_up, g)
 
@@ -197,11 +185,7 @@ def connection_oneform_fd(
     gamma = christoffel_fd(p, pt, h_step)
     g = _metric_matrix(p, pt)
     e = frame_at(p, pt)
-    de = np.empty((4, 4, 4))  # de[m, i, a] = d_m (e_i)^a
-    for m in range(4):
-        ep = frame_at(p, pt.shifted(m, h_step))
-        em = frame_at(p, pt.shifted(m, -h_step))
-        de[m] = (ep - em) / (2.0 * h_step)
+    de = _central_diff(lambda q: frame_at(p, q), pt, h_step)  # de[m, i, a] = d_m (e_i)^a
     # nabla_{e_k} e_i = e_k^m ( d_m e_i^a + Gamma^a_{m b} e_i^b )
     cov = np.einsum("km,mia->kia", e, de) + np.einsum("km,amb,ib->kia", e, gamma, e)
     return np.einsum("kia,jb,ab->ijk", cov, e, g)
@@ -223,11 +207,7 @@ def kahler_defect_fd(
 ) -> float:
     """max |nabla J| component; vanishes for a Kahler metric."""
     gamma = christoffel_fd(p, pt, h_step)
-    dj = np.empty((4, 4, 4))
-    for m in range(4):
-        jp = _complex_structure(p, pt.shifted(m, h_step))
-        jm = _complex_structure(p, pt.shifted(m, -h_step))
-        dj[m] = (jp - jm) / (2.0 * h_step)
+    dj = _central_diff(lambda q: _complex_structure(p, q), pt, h_step)
     j = _complex_structure(p, pt)
     grad = dj + np.einsum("aml,lb->mab", gamma, j) - np.einsum("lmb,al->mab", gamma, j)
     return float(np.max(np.abs(grad)))
@@ -269,13 +249,9 @@ def volume_integral_chart(
     tau_lo = p.tau_min if tau_lo is None else tau_lo
     side = math.sqrt(p.base_area)
 
-    def rule(n, a, b):
-        xs, ws = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (b - a) * xs + 0.5 * (a + b), 0.5 * (b - a) * ws
-
-    t_x, t_w = rule(n_tau, tau_lo, 0.0)
-    s_x, s_w = rule(n_fiber, 0.0, p.fiber_period)
-    b_x, b_w = rule(n_base, 0.0, side)
+    t_x, t_w = gauss_legendre(n_tau, tau_lo, 0.0)
+    s_x, s_w = gauss_legendre(n_fiber, 0.0, p.fiber_period)
+    b_x, b_w = gauss_legendre(n_base, 0.0, side)
 
     total = 0.0
     for tau, wt in zip(t_x, t_w):

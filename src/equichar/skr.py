@@ -48,6 +48,7 @@ __all__ = [
     "equivariant_curvature_matrix",
     "eigenvalue_square",
     "sqrt_a_coeffs",
+    "l_form_from_sqrt",
     "l_form_closed",
     "l4_coefficient",
     "volume_weight",
@@ -208,8 +209,8 @@ class CurvatureComponents:
     r: float
 
 
-def curvature_components(p: SKRProfile, tau: float) -> CurvatureComponents:
-    d = derived_functions(p, tau)
+def curvature_components(p: SKRProfile, d: DerivedFunctions) -> CurvatureComponents:
+    """Adapted-frame curvature from the profile values ``d`` at one tau."""
     if p.mode == "irreducible":
         b = -abs(d.phi / d.q) * p.base_curv - 4.0 * d.phi**2 / d.q
         c = -d.phi_d
@@ -266,7 +267,7 @@ def equivariant_curvature_matrix(p: SKRProfile, tau: float) -> FormMatrix:
     the (1,2) entry reads phi + b e^12 + c e^34.
     """
     d = derived_functions(p, tau)
-    cc = curvature_components(p, tau)
+    cc = curvature_components(p, d)
     return curvature_matrix(cc) + nabla_x_matrix(d.phi, d.psi, dimension=4)
 
 
@@ -326,15 +327,12 @@ def _lbar_triple(germ: AnalyticGerm, x: float):
     return value, -2.0 * d1 * value, (4.0 * d1 * d1 - 2.0 * d2) * value
 
 
-def l_form_closed(p: SKRProfile, tau: float) -> ExteriorForm:
-    """Closed-form equivariant L-form via the eigenvalue route:
+def l_form_from_sqrt(sq: SqrtACoeffs) -> ExteriorForm:
+    """Equivariant L-form from the coefficients of sqrt(A):
 
     Lbar(alpha) + Lbar'(alpha)(beta e^12 + gamma e^34 + delta e^1234)
     + Lbar''(alpha) beta gamma e^1234.
     """
-    d = derived_functions(p, tau)
-    cc = curvature_components(p, tau)
-    sq = sqrt_a_coeffs(d.phi, d.psi, cc)
     f0, f1, f2 = _lbar_triple(hirzebruch_l_log_germ(), sq.alpha)
     return ExteriorForm(
         4,
@@ -345,6 +343,12 @@ def l_form_closed(p: SKRProfile, tau: float) -> ExteriorForm:
             (1, 2, 3, 4): f1 * sq.delta + f2 * sq.beta * sq.gamma,
         },
     )
+
+
+def l_form_closed(p: SKRProfile, tau: float) -> ExteriorForm:
+    """Closed-form equivariant L-form at tau via the eigenvalue route."""
+    d = derived_functions(p, tau)
+    return l_form_from_sqrt(sqrt_a_coeffs(d.phi, d.psi, curvature_components(p, d)))
 
 
 def l4_coefficient(p: SKRProfile, tau: float) -> float:
@@ -391,7 +395,7 @@ class BoundaryData:
 
 def boundary_data(p: SKRProfile) -> BoundaryData:
     d = derived_functions(p, 0.0)
-    cc = curvature_components(p, 0.0)
+    cc = curvature_components(p, d)
     sqrt_q0 = math.sqrt(d.q)
     k = d.phi / sqrt_q0
     l = d.psi / sqrt_q0

@@ -119,7 +119,7 @@ def test_criterion_04_eigenvalue_structure():
         p = make_irreducible(rng, scale=1e-5, base_curv=0.0) if i % 2 else make_reducible(rng)
         tau = float(p.tau_min * 0.4)
         d = skr.derived_functions(p, tau)
-        cc = skr.curvature_components(p, tau)
+        cc = skr.curvature_components(p, d)
         coeffs = char_poly(skr.equivariant_curvature_matrix(p, tau))
         a_form = skr.eigenvalue_square(d.phi, d.psi, cc)
         worst = max(
@@ -148,7 +148,7 @@ def test_criterion_05_sqrt_a_identity():
         p = make_irreducible(rng)
         for tau in np.linspace(p.tau_min * 0.9, 0.0, 5):
             d = skr.derived_functions(p, float(tau))
-            cc = skr.curvature_components(p, float(tau))
+            cc = skr.curvature_components(p, d)
             sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
             root = ExteriorForm(
                 4, {(): sq.alpha, (1, 2): sq.beta, (3, 4): sq.gamma, (1, 2, 3, 4): sq.delta}
@@ -174,7 +174,7 @@ def test_criterion_06_oracle_curvature():
                 x=float(rng.uniform(-0.4, 0.4)),
                 y=float(rng.uniform(-0.4, 0.4)),
             )
-            cc = skr.curvature_components(p, pt.tau)
+            cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
             r = oracle.riemann_frame_fd(p, pt)
             for got, want in (
                 (r[0, 1, 0, 1], cc.b),

@@ -1,8 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +227,20 @@ def test_emit_tables_builds_lform_table_once(tmp_path, monkeypatch):
     assert len(calls) == cfg.numerics.tau_samples
 
 
+def test_lform_row_evaluates_profile_once(worked_profile, monkeypatch):
+    calls = []
+    original = skr.derived_functions
+
+    def counting(p, tau):
+        calls.append(tau)
+        return original(p, tau)
+
+    monkeypatch.setattr(skr, "derived_functions", counting)
+    row = app._lform_row(worked_profile, -0.25)
+    assert calls == [-0.25]
+    assert row["L4"] == skr.l4_coefficient(worked_profile, -0.25)
+
+
 def test_lform_csv_reducible_l4_column(tmp_path):
     cfg = load_config(write_cfg(tmp_path, RED))
     emit_tables(cfg, tmp_path / "out", which=("lform",))
@@ -309,25 +323,8 @@ def test_cli_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "equichar.app", "eta", str(cfg), "-o", str(tmp_path / "out")],
         capture_output=True,
         text=True,
-        env={**os.environ, "EQUICHAR_THREADS": "2"},
+        cwd=Path(app.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").exists()
 
-
-def test_threads_env_does_not_change_output(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, IRRED))
-    old = os.environ.get("EQUICHAR_THREADS")
-    try:
-        os.environ["EQUICHAR_THREADS"] = "1"
-        emit_tables(cfg, tmp_path / "t1")
-        os.environ["EQUICHAR_THREADS"] = "4"
-        emit_tables(cfg, tmp_path / "t4")
-    finally:
-        if old is None:
-            os.environ.pop("EQUICHAR_THREADS", None)
-        else:
-            os.environ["EQUICHAR_THREADS"] = old
-    assert (tmp_path / "t1" / "report.json").read_bytes() == (
-        tmp_path / "t4" / "report.json"
-    ).read_bytes()

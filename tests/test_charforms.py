@@ -11,6 +11,7 @@ from equichar.charforms import (
     a_hat_form,
     chern_form,
     equivariant_curvature,
+    gauss_legendre,
     l_form,
     product_transgression,
     transgression,
@@ -65,7 +66,7 @@ def test_equivariant_curvature_skr_display(worked_profile):
     The Killing field's moment enters with the opposite sign of its
     flow generator, hence the minus-signed second argument here."""
     d = skr.derived_functions(worked_profile, 0.0)
-    cc = skr.curvature_components(worked_profile, 0.0)
+    cc = skr.curvature_components(worked_profile, d)
     rg = equivariant_curvature(
         skr.curvature_matrix(cc), skr.nabla_x_matrix(-d.phi, -d.psi)
     )
@@ -220,6 +221,17 @@ def test_transgression_degree3_requires_even_germ(rng):
 def test_quadrature_node_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(1)
+
+
+def test_gauss_legendre_unit_interval_mapping():
+    """On [0, 1] the shared rule is bit-equal to (x + 1)/2, w/2, and the
+    cached arrays cannot be altered by a caller."""
+    for n in range(2, 257):
+        x, w = np.polynomial.legendre.leggauss(n)
+        xs, ws = gauss_legendre(n, 0.0, 1.0)
+        assert np.array_equal(xs, 0.5 * (x + 1.0)) and np.array_equal(ws, 0.5 * w)
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
 
 
 @pytest.mark.parametrize("dim", [3, 4])

@@ -77,7 +77,7 @@ def test_mat_mul_degree_additivity():
 
 
 def test_trace_antisymmetric_vanishes(worked_profile):
-    cc = skr.curvature_components(worked_profile, 0.0)
+    cc = skr.curvature_components(worked_profile, skr.derived_functions(worked_profile, 0.0))
     assert trace(skr.curvature_matrix(cc)).max_abs() == 0.0
 
 

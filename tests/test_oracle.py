@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_irreducible, make_reducible
-from equichar import oracle, skr
+from equichar import app, oracle, skr
 from equichar.errors import ProfileError
 from equichar.skr import SKRProfile
 
@@ -93,7 +93,7 @@ def test_riemann_matches_closed_components(rng):
     p = flat_profile(rng)
     pts = chart_points(p, rng, 4)
     for pt in pts:
-        cc = skr.curvature_components(p, pt.tau)
+        cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
         r = oracle.riemann_frame_fd(p, pt)
         pairs = [
             (r[0, 1, 0, 1], cc.b),
@@ -107,6 +107,79 @@ def test_riemann_matches_closed_components(rng):
         ]
         for got, want in pairs:
             assert abs(got - want) <= 1e-5 * max(abs(want), 1e-2)
+
+
+def _christoffel_loops(p, pt, h):
+    """Reference Gamma^k_ij as the explicit index sum over central differences."""
+    g_inv = np.linalg.inv(oracle._metric_matrix(p, pt))
+    dg = np.empty((4, 4, 4))
+    for m in range(4):
+        gp = oracle._metric_matrix(p, pt.shifted(m, h))
+        gm = oracle._metric_matrix(p, pt.shifted(m, -h))
+        dg[m] = (gp - gm) / (2.0 * h)
+    gamma = np.empty((4, 4, 4))
+    for k in range(4):
+        for i in range(4):
+            for j in range(4):
+                gamma[k, i, j] = 0.5 * sum(
+                    g_inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j]) for l in range(4)
+                )
+    return gamma
+
+
+def _riemann_coord_loops(p, pt, h):
+    """Reference R[mu, nu, rho, sigma] as the explicit index sum."""
+    gamma = _christoffel_loops(p, pt, h)
+    dgamma = np.empty((4, 4, 4, 4))
+    for m in range(4):
+        dgamma[m] = (
+            _christoffel_loops(p, pt.shifted(m, h), h) - _christoffel_loops(p, pt.shifted(m, -h), h)
+        ) / (2.0 * h)
+    r_up = np.empty((4, 4, 4, 4))
+    for sig in range(4):
+        for rho in range(4):
+            for mu in range(4):
+                for nu in range(4):
+                    val = dgamma[mu, sig, nu, rho] - dgamma[nu, sig, mu, rho]
+                    for lam in range(4):
+                        val += (
+                            gamma[sig, mu, lam] * gamma[lam, nu, rho]
+                            - gamma[sig, nu, lam] * gamma[lam, mu, rho]
+                        )
+                    r_up[sig, rho, mu, nu] = val
+    return np.einsum("srmn,st->mnrt", r_up, oracle._metric_matrix(p, pt))
+
+
+def test_tensor_algebra_matches_index_loops(rng):
+    """The vectorized Christoffel and coordinate-curvature formulas agree with
+    the explicit index sums to 1e-13 relative, in both modes."""
+    h = oracle.DEFAULT_FD_STEP
+    for p in (flat_profile(rng), make_irreducible(rng), make_reducible(rng)):
+        for pt in chart_points(p, rng, 3):
+            for got, want in (
+                (oracle.christoffel_fd(p, pt, h), _christoffel_loops(p, pt, h)),
+                (oracle.riemann_coord_fd(p, pt, h), _riemann_coord_loops(p, pt, h)),
+            ):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_run_oracle_compares_mixed_entries(monkeypatch, capsys):
+    """A defect confined to the mixed entry (1, 2, 0, 3) fails the curvature match."""
+    cfg = app.RunConfig(
+        profile={"mode": "irreducible", "phi_coeffs": [0.5, 0.25], "c_bar": -1.0, "tau_min": -0.5}
+    )
+    assert all(r.passed for r in app.run_oracle(cfg))
+    original = oracle.riemann_frame_fd
+
+    def shifted(p, pt, h_step=oracle.DEFAULT_FD_STEP, richardson=False):
+        r = original(p, pt, h_step, richardson).copy()
+        r[1, 2, 0, 3] += 1e-3
+        return r
+
+    monkeypatch.setattr(oracle, "riemann_frame_fd", shifted)
+    match = {r.name: r for r in app.run_oracle(cfg)}["oracle-curvature-match"]
+    assert not match.passed
+    assert "FAIL  oracle-curvature-match" in capsys.readouterr().out
 
 
 def test_riemann_three_index_vanishing(rng):
@@ -134,7 +207,7 @@ def test_riemann_algebraic_symmetries(rng):
 def test_riemann_richardson_improves(worked_profile):
     p = skr.SKRProfile.irreducible_polynomial([0.5, 0.25], c_bar=-1.0, base_curv=0.0, tau_min=-0.5)
     pt = oracle.ChartPoint(-0.27, 0.1, 0.2, 0.3)
-    cc = skr.curvature_components(p, pt.tau)
+    cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
     plain = oracle.riemann_frame_fd(p, pt, 1e-3)
     rich = oracle.riemann_frame_fd(p, pt, 1e-3, richardson=True)
     err_plain = abs(plain[2, 3, 2, 3] - cc.d)
@@ -183,8 +256,8 @@ def test_base_curvature_enters_linearly(rng):
             phi_d=p0.phi_d,
             phi_dd=p0.phi_dd,
         )
-        cc = skr.curvature_components(p, pt.tau)
         d = skr.derived_functions(p, pt.tau)
+        cc = skr.curvature_components(p, d)
         linear_term = -abs(d.phi / d.q) * rh
         assert abs((r_fd[0, 1, 0, 1] + linear_term) - cc.b) < 1e-6
 

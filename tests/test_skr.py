@@ -80,7 +80,7 @@ def test_invalid_profiles_raise():
 # ----------------------------------------------------------------- curvature
 
 def test_curvature_components_worked(worked_profile):
-    cc = skr.curvature_components(worked_profile, 0.0)
+    cc = skr.curvature_components(worked_profile, skr.derived_functions(worked_profile, 0.0))
     assert cc.b == pytest.approx(-2.0, abs=1e-15)
     assert cc.c == pytest.approx(-0.25, abs=1e-15)
     assert cc.d == pytest.approx(-0.5, abs=1e-15)
@@ -89,7 +89,7 @@ def test_curvature_components_worked(worked_profile):
 
 def test_curvature_components_reducible():
     p = SKRProfile.reducible_polynomial([1.0], base_curv=1.0, tau_min=-0.4)
-    cc = skr.curvature_components(p, -0.1)
+    cc = skr.curvature_components(p, skr.derived_functions(p, -0.1))
     assert (cc.b, cc.c, cc.d, cc.r) == (-1.0, 0.0, 0.0, 0.0)
 
 
@@ -97,7 +97,7 @@ def test_half_relation_r_equals_c_over_2(rng):
     for _ in range(10):
         p = make_irreducible(rng)
         for t in np.linspace(p.tau_min * 0.9, 0.0, 7):
-            cc = skr.curvature_components(p, float(t))
+            cc = skr.curvature_components(p, skr.derived_functions(p, float(t)))
             assert cc.r == pytest.approx(0.5 * cc.c, abs=1e-15)
 
 
@@ -106,7 +106,7 @@ def test_curvature_matrix_zero():
 
 
 def test_curvature_matrix_worked_entries(worked_profile):
-    cc = skr.curvature_components(worked_profile, 0.0)
+    cc = skr.curvature_components(worked_profile, skr.derived_functions(worked_profile, 0.0))
     r = skr.curvature_matrix(cc)
     assert r.entry(0, 1).coefficient((3, 4)) == pytest.approx(-0.25)  # R_1234 = -phi'
     assert r.entry(1, 2).coefficient((1, 4)) == pytest.approx(0.125)  # R_2314 = phi'/2
@@ -117,7 +117,8 @@ def test_curvature_matrix_sparsity(rng):
     """Every entry lies in span{e12, e34, e13 + e24, e14 - e23}."""
     for _ in range(5):
         p = make_irreducible(rng)
-        r = skr.curvature_matrix(skr.curvature_components(p, p.tau_min * 0.5))
+        d = skr.derived_functions(p, p.tau_min * 0.5)
+        r = skr.curvature_matrix(skr.curvature_components(p, d))
         for i in range(4):
             for j in range(4):
                 entry = r.entry(i, j)
@@ -141,7 +142,7 @@ def test_nabla_x_matrix_layout():
 
 def test_sqrt_a_worked_values(worked_profile):
     d = skr.derived_functions(worked_profile, 0.0)
-    cc = skr.curvature_components(worked_profile, 0.0)
+    cc = skr.curvature_components(worked_profile, d)
     sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
     root13 = math.sqrt(13.0)
     assert sq.alpha == pytest.approx(root13 / 4.0, abs=1e-15)
@@ -155,7 +156,7 @@ def test_sqrt_a_square_identity(rng):
         p = make_irreducible(rng)
         for t in np.linspace(p.tau_min * 0.9, 0.0, 5):
             d = skr.derived_functions(p, float(t))
-            cc = skr.curvature_components(p, float(t))
+            cc = skr.curvature_components(p, d)
             sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
             root = ExteriorForm(
                 4, {(): sq.alpha, (1, 2): sq.beta, (3, 4): sq.gamma, (1, 2, 3, 4): sq.delta}
@@ -167,7 +168,7 @@ def test_sqrt_a_square_identity(rng):
 def test_sqrt_a_reducible_vanishing():
     p = SKRProfile.reducible_polynomial([1.0, 0.5, -0.3], tau_min=-0.4)
     d = skr.derived_functions(p, -0.1)
-    cc = skr.curvature_components(p, -0.1)
+    cc = skr.curvature_components(p, d)
     sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
     assert sq.beta == 0.0 and sq.delta == 0.0
 
@@ -192,7 +193,7 @@ def test_char_poly_exact_identity_full_scale(rng):
         p = make_irreducible(rng)
         t = float(p.tau_min * 0.4)
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, t)
+        cc = skr.curvature_components(p, d)
         rg = skr.equivariant_curvature_matrix(p, t)
         coeffs = char_poly(rg)
         a_form = skr.eigenvalue_square(d.phi, d.psi, cc)
@@ -211,7 +212,7 @@ def test_char_poly_reduced_form_small_killing(rng):
         p = make_irreducible(rng, scale=1e-5, base_curv=0.0)
         t = float(p.tau_min * 0.4)
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, t)
+        cc = skr.curvature_components(p, d)
         coeffs = char_poly(skr.equivariant_curvature_matrix(p, t))
         a_form = skr.eigenvalue_square(d.phi, d.psi, cc)
         assert coeffs[1].max_abs() < 1e-13
@@ -222,7 +223,7 @@ def test_char_poly_reduced_form_small_killing(rng):
         p = make_reducible(rng)
         t = float(p.tau_min * 0.4)
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, t)
+        cc = skr.curvature_components(p, d)
         coeffs = char_poly(skr.equivariant_curvature_matrix(p, t))
         assert (coeffs[2] - skr.eigenvalue_square(d.phi, d.psi, cc)).max_abs() < 1e-13
         assert coeffs[4].max_abs() == 0.0
@@ -239,7 +240,7 @@ def test_l_form_closed_reducible_degree4_vanishes(rng):
 
 def test_l_form_closed_pole_guard(worked_profile):
     d = skr.derived_functions(worked_profile, 0.0)
-    cc = skr.curvature_components(worked_profile, 0.0)
+    cc = skr.curvature_components(worked_profile, d)
     with pytest.raises(SingularInputError):
         skr._lbar_triple(GERM, 2.0 * math.pi)
 
@@ -292,7 +293,7 @@ def test_l_form_closed_degree0_and_2(worked_profile):
     Lbar'(alpha) (beta e12 + gamma e34) at degree 2."""
     tau = -0.3
     d = skr.derived_functions(worked_profile, tau)
-    cc = skr.curvature_components(worked_profile, tau)
+    cc = skr.curvature_components(worked_profile, d)
     sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
     lf = skr.l_form_closed(worked_profile, tau)
     f0, f1, f2 = skr._lbar_triple(GERM, sq.alpha)
