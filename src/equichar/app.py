@@ -2,7 +2,7 @@
 
 The command line exposes five subcommands over a single JSON config:
 
-    equichar check CONFIG            run the invariant suite, exit 1 on failure
+    equichar check CONFIG            run the invariant and oracle suites, exit 1 on failure
     equichar lform CONFIG -o DIR     write lform.csv
     equichar transgression CONFIG -o DIR   write transgression.csv
     equichar eta CONFIG -o DIR       write report.json (+ the two CSV tables)
@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,8 +26,9 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import skr
-from .charforms import QuadratureSpec, gauss_legendre
+from .charforms import QuadratureSpec, gauss_legendre, transgression_degree3_alt
 from .errors import ConfigError, EquicharError, ProfileError
+from .exterior import ExteriorForm, wedge
 from .matforms import DEFAULT_SERIES_ORDER, hirzebruch_l_log_germ
 from .skr import SKRProfile
 
@@ -76,6 +77,22 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _number(value, name: str, kind=float):
+    """``value`` converted by ``kind``; non-numeric and non-finite values are
+    config errors."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}") from exc
+    _require(math.isfinite(x), f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def _numbers(values, name: str) -> list:
+    _require(isinstance(values, list), f"{name} must be a list of numbers")
+    return [_number(v, name) for v in values]
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -90,10 +107,10 @@ def load_config(path) -> RunConfig:
     for section, name in ((num, "numerics"), (top, "topology")):
         _require(isinstance(section, dict), f"'{name}' must be an object")
     numerics = Numerics(
-        series_order=int(num.get("series_order", DEFAULT_SERIES_ORDER)),
-        quad_nodes=int(num.get("quad_nodes", 32)),
-        fd_step=float(num.get("fd_step", 1e-4)),
-        tau_samples=int(num.get("tau_samples", 101)),
+        series_order=_number(num.get("series_order", DEFAULT_SERIES_ORDER), "series_order", int),
+        quad_nodes=_number(num.get("quad_nodes", 32), "quad_nodes", int),
+        fd_step=_number(num.get("fd_step", 1e-4), "fd_step"),
+        tau_samples=_number(num.get("tau_samples", 101), "tau_samples", int),
     )
     _require(numerics.series_order >= 4, "series_order must be >= 4")
     _require(
@@ -105,9 +122,9 @@ def load_config(path) -> RunConfig:
     _require(numerics.fd_step > 0, "fd_step must be positive")
     _require(numerics.tau_samples >= 2, "tau_samples must be >= 2")
     topology = Topology(
-        signature=int(top.get("signature", 0)),
-        base_area=float(top.get("base_area", 1.0)),
-        fiber_period=float(top.get("fiber_period", 2.0 * math.pi)),
+        signature=_number(top.get("signature", 0), "signature", int),
+        base_area=_number(top.get("base_area", 1.0), "base_area"),
+        fiber_period=_number(top.get("fiber_period", 2.0 * math.pi), "fiber_period"),
     )
     _require(topology.base_area > 0, "base_area must be positive")
     _require(topology.fiber_period > 0, "fiber_period must be positive")
@@ -125,11 +142,11 @@ def _interpolant(samples: dict, what: str):
         isinstance(samples, dict) and "tau" in samples and what in samples,
         f"tabulated profile needs 'tau' and '{what}' arrays",
     )
-    taus = np.asarray(samples["tau"], dtype=float)
-    vals = np.asarray(samples[what], dtype=float)
-    _require(taus.ndim == 1 and taus.shape == vals.shape, "sample arrays must match")
+    taus = np.array(_numbers(samples["tau"], f"{what}_samples.tau"))
+    vals = np.array(_numbers(samples[what], f"{what}_samples.{what}"))
+    _require(taus.shape == vals.shape, "sample arrays must match")
     _require(np.all(np.diff(taus) > 0), "sample tau values must be increasing")
-    order = int(samples.get("interp_order", 3))
+    order = _number(samples.get("interp_order", 3), "interp_order", int)
     _require(1 <= order <= 5, "interp_order must be in 1..5")
     spline = InterpolatedUnivariateSpline(taus, vals, k=order)
     d1 = spline.derivative(1)
@@ -147,18 +164,19 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
     mode = prof.get("mode")
     _require(mode in ("irreducible", "reducible"), "profile.mode must be irreducible|reducible")
     common = dict(
-        a_const=float(prof.get("a_const", 1.0)),
-        base_curv=float(prof.get("base_curv", 0.0)),
-        tau_min=float(prof.get("tau_min", -0.5)),
+        a_const=_number(prof.get("a_const", 1.0), "a_const"),
+        base_curv=_number(prof.get("base_curv", 0.0), "base_curv"),
+        tau_min=_number(prof.get("tau_min", -0.5), "tau_min"),
         base_area=cfg.topology.base_area,
         fiber_period=cfg.topology.fiber_period,
         label=str(prof.get("label", "")),
     )
     try:
         if mode == "irreducible":
-            c_bar = float(prof.get("c_bar", -1.0))
+            c_bar = _number(prof.get("c_bar", -1.0), "c_bar")
             if "phi_coeffs" in prof:
-                return SKRProfile.irreducible_polynomial(prof["phi_coeffs"], c_bar, **common)
+                phi_coeffs = _numbers(prof["phi_coeffs"], "phi_coeffs")
+                return SKRProfile.irreducible_polynomial(phi_coeffs, c_bar, **common)
             if "phi_samples" in prof:
                 f, d1, d2 = _interpolant(prof["phi_samples"], "phi")
                 return SKRProfile(
@@ -166,7 +184,7 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
                 )
             raise ConfigError("irreducible profile needs phi_coeffs or phi_samples")
         if "q_coeffs" in prof:
-            return SKRProfile.reducible_polynomial(prof["q_coeffs"], **common)
+            return SKRProfile.reducible_polynomial(_numbers(prof["q_coeffs"], "q_coeffs"), **common)
         if "q_samples" in prof:
             f, d1, d2 = _interpolant(prof["q_samples"], "q")
             return SKRProfile(mode="reducible", q_fun=f, q_fun_d=d1, q_fun_dd=d2, **common)
@@ -184,7 +202,6 @@ def _measured(value: float, error: float) -> dict:
 @dataclass
 class Report:
     config_echo: dict
-    lform_table: list
     tl3_closed: dict
     tl3_direct: dict
     tl3_discrepancy: float
@@ -193,10 +210,10 @@ class Report:
     boundary_integral: dict
     eta: dict
 
-    def to_json(self) -> str:
+    def to_json(self, lform_table: list) -> str:
         payload = {
             "config": self.config_echo,
-            "lform_table": self.lform_table,
+            "lform_table": lform_table,
             "boundary": {
                 "tl3_closed": self.tl3_closed,
                 "tl3_direct": self.tl3_direct,
@@ -213,17 +230,8 @@ class Report:
 def _config_echo(cfg: RunConfig) -> dict:
     return {
         "profile": cfg.profile,
-        "numerics": {
-            "series_order": cfg.numerics.series_order,
-            "quad_nodes": cfg.numerics.quad_nodes,
-            "fd_step": cfg.numerics.fd_step,
-            "tau_samples": cfg.numerics.tau_samples,
-        },
-        "topology": {
-            "signature": cfg.topology.signature,
-            "base_area": cfg.topology.base_area,
-            "fiber_period": cfg.topology.fiber_period,
-        },
+        "numerics": asdict(cfg.numerics),
+        "topology": asdict(cfg.topology),
     }
 
 
@@ -292,12 +300,8 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     eta_val = -(bulk["value"] - boundary["value"]) / math.pi**2 - cfg.topology.signature
     eta_err = (bulk["error"] + boundary["error"]) / math.pi**2
 
-    taus = _lform_taus(p, cfg.numerics.tau_samples)
-    table = [_lform_row(p, t) for t in taus]
-
     return Report(
         config_echo=_config_echo(cfg),
-        lform_table=table,
         tl3_closed=_measured(tl3_closed, tail),
         tl3_direct=_measured(tl3_direct, tail),
         tl3_discrepancy=discrepancy,
@@ -340,12 +344,11 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
     out.mkdir(parents=True, exist_ok=True)
     written = []
     report = eta_invariant(cfg, profile=p) if "report" in which else None
+    rows = []
+    if "lform" in which or "report" in which:
+        rows = [_lform_row(p, t) for t in _lform_taus(p, cfg.numerics.tau_samples)]
 
     if "lform" in which:
-        if report is not None:
-            rows = report.lform_table
-        else:
-            rows = [_lform_row(p, t) for t in _lform_taus(p, cfg.numerics.tau_samples)]
         path = out / "lform.csv"
         with open(path, "w", newline="\n") as fh:
             fh.write("tau,alpha,beta,gamma,delta,L4\n")
@@ -372,10 +375,10 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
                 fh.write(f"{_fmt(float(t))},{_fmt(val)}\n")
         written.append(path)
 
-    if report is not None:
+    if "report" in which:
         path = out / "report.json"
         with open(path, "w", newline="\n") as fh:
-            fh.write(report.to_json())
+            fh.write(report.to_json(rows))
         written.append(path)
 
     return written
@@ -399,9 +402,9 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, residual <= tolerance, residual, tolerance)
 
 
-def run_check(cfg: RunConfig, stream=None) -> list:
-    """Run the invariant suite on the configured profile; print one line per check."""
-    stream = stream if stream is not None else sys.stdout
+def run_check(cfg: RunConfig) -> list:
+    """Run the invariant suite, then the oracle suite, on the configured
+    profile; print one line per check."""
     p = build_profile(cfg)
     quad = cfg.quadrature()
     order = cfg.numerics.series_order
@@ -423,32 +426,26 @@ def run_check(cfg: RunConfig, stream=None) -> list:
                 res = max(res, abs(d.q * d.phi_d - 2.0 * (d.psi - d.phi) * d.phi))
     results.append(_check("profile-relations", res, 1e-8))
 
-    # curvature structure
-    res = 0.0
-    for t in taus[:: max(1, len(taus) // 10)]:
-        cc = skr.curvature_components(p, skr.derived_functions(p, t))
-        if p.mode == "irreducible":
-            res = max(res, abs(cc.r - 0.5 * cc.c))
-        else:
-            res = max(res, abs(cc.r), abs(cc.c))
-    results.append(_check("curvature-relations", res, 1e-14))
-
-    # sqrt(A) square identity
-    res = 0.0
-    for t in taus[:: max(1, len(taus) // 10)]:
+    # curvature structure and the sqrt(A) square identity at ten taus
+    res_curv, res_sqrt = 0.0, 0.0
+    for t in taus[::10]:
         d = skr.derived_functions(p, t)
         cc = skr.curvature_components(p, d)
+        if p.mode == "irreducible":
+            res_curv = max(res_curv, abs(cc.r - 0.5 * cc.c))
+        else:
+            res_curv = max(res_curv, abs(cc.r), abs(cc.c))
         try:
             sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
         except EquicharError:
             continue
-        from .exterior import ExteriorForm, wedge
-
         root = ExteriorForm(
             4, {(): sq.alpha, (1, 2): sq.beta, (3, 4): sq.gamma, (1, 2, 3, 4): sq.delta}
         )
-        res = max(res, (wedge(root, root) - skr.eigenvalue_square(d.phi, d.psi, cc)).max_abs())
-    results.append(_check("sqrt-a-square-identity", res, 1e-13))
+        sq_defect = wedge(root, root) - skr.eigenvalue_square(d.phi, d.psi, cc)
+        res_sqrt = max(res_sqrt, sq_defect.max_abs())
+    results.append(_check("curvature-relations", res_curv, 1e-14))
+    results.append(_check("sqrt-a-square-identity", res_sqrt, 1e-13))
 
     # transgression routes, as computed by the report at the configured nodes
     report = eta_invariant(cfg, profile=p)
@@ -456,8 +453,6 @@ def run_check(cfg: RunConfig, stream=None) -> list:
     direct = report.tl3_direct["value"]
     scale = max(abs(closed), abs(direct), 1e-12)
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
-
-    from .charforms import transgression_degree3_alt
 
     alt = (
         transgression_degree3_alt(hirzebruch_l_log_germ(), skr.boundary_family(p), quad, order)
@@ -485,20 +480,9 @@ def run_check(cfg: RunConfig, stream=None) -> list:
         )
     )
 
-    # finite-difference oracle on the flat-base chart variant of this profile
-    flat = _flat_base_variant(p)
-    pts = _oracle_points(flat, 8)
-    rel = max(
-        _oracle_mismatch(flat, pt, oracle_mod.riemann_frame_fd(flat, pt, cfg.numerics.fd_step))
-        for pt in pts
-    )
-    results.append(_check("oracle-curvature-match", rel, 1e-5))
-
-    kd = max(oracle_mod.kahler_defect_fd(flat, pt, cfg.numerics.fd_step) for pt in pts[:3])
-    results.append(_check("oracle-kahler-parallel", kd, 1e-6))
-
+    results += _oracle_checks(_flat_base_variant(p), cfg.numerics.fd_step)
     for r in results:
-        print(r.line(), file=stream)
+        print(r.line())
     return results
 
 
@@ -539,15 +523,13 @@ def _oracle_points(p: SKRProfile, n: int) -> list:
     return pts
 
 
-def run_oracle(cfg: RunConfig, stream=None) -> list:
-    """Standalone finite-difference validation (subset of run_check)."""
-    stream = stream if stream is not None else sys.stdout
-    p = _flat_base_variant(build_profile(cfg))
+def _oracle_checks(p: SKRProfile, fd_step: float) -> list:
+    """The finite-difference chart checks of ``p``, which must have flat base."""
     pts = _oracle_points(p, 10)
     results = []
     worst_rel, worst_vanish, worst_sym = 0.0, 0.0, 0.0
     for pt in pts:
-        r_fd = oracle_mod.riemann_frame_fd(p, pt, cfg.numerics.fd_step)
+        r_fd = oracle_mod.riemann_frame_fd(p, pt, fd_step)
         worst_rel = max(worst_rel, _oracle_mismatch(p, pt, r_fd))
         # exactly three indices drawn from the vertical pair
         for idx in ((2, 3, 2, 0), (2, 3, 2, 1), (0, 2, 2, 3), (1, 3, 2, 3)):
@@ -564,19 +546,26 @@ def run_oracle(cfg: RunConfig, stream=None) -> list:
     results.append(
         _check(
             "oracle-kahler-parallel",
-            max(oracle_mod.kahler_defect_fd(p, pt, cfg.numerics.fd_step) for pt in pts[:4]),
+            max(oracle_mod.kahler_defect_fd(p, pt, fd_step) for pt in pts[:4]),
             1e-6,
         )
     )
     results.append(
         _check(
             "oracle-pregeodesic",
-            max(oracle_mod.pregeodesic_defect_fd(p, pt, cfg.numerics.fd_step) for pt in pts[:4]),
+            max(oracle_mod.pregeodesic_defect_fd(p, pt, fd_step) for pt in pts[:4]),
             1e-8,
         )
     )
+    return results
+
+
+def run_oracle(cfg: RunConfig) -> list:
+    """Finite-difference chart validation, the oracle suite that closes
+    run_check; print one line per check."""
+    results = _oracle_checks(_flat_base_variant(build_profile(cfg)), cfg.numerics.fd_step)
     for r in results:
-        print(r.line(), file=stream)
+        print(r.line())
     return results
 
 

@@ -162,18 +162,10 @@ def riemann_coord_fd(
     return np.einsum("srmn,st->mnrt", r_up, g)
 
 
-def riemann_frame_fd(
-    p: SKRProfile,
-    pt: ChartPoint,
-    h_step: float = DEFAULT_FD_STEP,
-    richardson: bool = False,
-) -> np.ndarray:
+def riemann_frame_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Frame curvature components R[i, j, k, l] for the adapted frame, in the
     sign convention of the closed formulas (see module docstring)."""
     r_cov = riemann_coord_fd(p, pt, h_step)
-    if richardson:
-        r_half = riemann_coord_fd(p, pt, 0.5 * h_step)
-        r_cov = (4.0 * r_half - r_cov) / 3.0
     e = frame_at(p, pt)
     return -np.einsum("im,jn,kr,lt,mnrt->ijkl", e, e, e, e, r_cov)
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
-from .errors import ProfileError, SingularInputError
+from .errors import ConvergenceRadiusError, ProfileError, SingularInputError
 from .exterior import ExteriorForm
 from .matforms import (
     _GERM_COEFFS,
@@ -315,12 +315,20 @@ def sqrt_a_coeffs(phi: float, psi: float, cc: CurvatureComponents) -> SqrtACoeff
     return SqrtACoeffs(alpha, beta, gamma, delta)
 
 
+def _check_angle(germ: AnalyticGerm, x: float) -> None:
+    """Rotation angles at or past the germ's radius leave the domain of its
+    imaginary-axis evaluators (the L-function turns negative past pi)."""
+    if abs(x) >= germ.radius:
+        raise ConvergenceRadiusError(abs(x), germ.radius, germ.name)
+
+
 def _lbar_triple(germ: AnalyticGerm, x: float):
     """(Lbar, Lbar', Lbar'') at x for Lbar(y) = exp(2 f(iy)), the restriction of
     the inner L-function to rotation angles."""
     near = abs((x + math.pi) % (2.0 * math.pi) - math.pi)  # distance to 2 pi Z
     if x != 0.0 and near < 1e-8:
         raise SingularInputError(f"L-function pole at rotation angle {x:.6g}")
+    _check_angle(germ, x)
     value = math.exp(2.0 * germ.eval_i(x))
     d1 = germ.eval_i_d1(x)
     d2 = germ.eval_i_d2(x)
@@ -457,9 +465,9 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
     )
 
 
-def boundary_family(p: SKRProfile, bd: Optional[BoundaryData] = None) -> ConnectionFamily:
+def boundary_family(p: SKRProfile) -> ConnectionFamily:
     """The boundary connection family feeding the generic transgression."""
-    bd = bd if bd is not None else boundary_data(p)
+    bd = boundary_data(p)
 
     def curvature_at(t: float) -> FormMatrix:
         return bd.a1 + bd.a2 * t + bd.a3 * (t * t)
@@ -495,6 +503,7 @@ def closed_transgression_integrand(
     g = germ if germ is not None else hirzebruch_l_log_germ()
     phi = nabla_scale * bd.phi0
     tpsi = t * nabla_scale * bd.psi0
+    _check_angle(g, max(abs(phi), abs(tpsi)))
     weight = math.exp(2.0 * (g.eval_i(phi) + g.eval_i(tpsi)))
     f1_phi = g.eval_i_d1(phi)
     f1_tpsi = g.eval_i_d1(tpsi)
@@ -529,9 +538,9 @@ def closed_transgression_integrand(
 MAX_SERIES_ORDER = (_GERM_COEFFS - 11) // 2
 
 
-def closed_transgression_tail(bd: BoundaryData, order: int, germ=None) -> float:
+def closed_transgression_tail(bd: BoundaryData, order: int) -> float:
     """Coarse bound on the dropped series tail of the closed integrand."""
-    g = germ if germ is not None else hirzebruch_l_log_germ()
+    g = hirzebruch_l_log_germ()
     rho = max(abs(bd.phi0), abs(bd.psi0))
     scale = abs(bd.r0_2323) + abs(bd.phi0 * bd.psi0 / bd.q0) + abs(bd.r_2314)
     tail = 0.0

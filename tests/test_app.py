@@ -20,6 +20,9 @@ from equichar.app import (
 from equichar.errors import ConfigError
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -85,6 +88,29 @@ def test_config_rejects_series_order_beyond_germ_coefficients(tmp_path, capsys):
     assert main(["eta", str(cfg), "-o", str(tmp_path / "out")]) == 2
     assert "series_order" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BAD_NUMBERS = [
+    ("numerics", "quad_nodes", "x"),
+    ("profile", "c_bar", "x"),
+    ("profile", "base_curv", float("nan")),
+    ("numerics", "fd_step", float("inf")),
+    ("profile", "phi_coeffs", [0.5, "x"]),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "oracle", "lform", "transgression", "eta"])
+@pytest.mark.parametrize("section,key,value", BAD_NUMBERS)
+def test_cli_rejects_bad_numbers(tmp_path, capsys, command, section, key, value):
+    """A non-numeric or non-finite config number is a config error (exit 2)
+    in every subcommand, never a traceback or a run on NaN."""
+    payload = json.loads(json.dumps(IRRED))
+    payload[section][key] = value
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, str(cfg), "-o", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {key} must be" in captured.err
+    assert captured.out == ""
 
 
 def test_tabulated_profile_round_trip(tmp_path):
@@ -161,6 +187,17 @@ def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
     assert rep.bulk_integral["error"] < 1e-4
 
 
+@pytest.mark.parametrize("command", ["check", "lform", "transgression", "eta"])
+def test_cli_rotation_angle_past_germ_radius(tmp_path, capsys, command):
+    """Angles of 3.5 > pi on the closed route are a numerical failure, as on
+    the direct route, not a math domain error."""
+    payload = json.loads(json.dumps(IRRED))
+    payload["profile"]["phi_coeffs"] = [3.5, 0.0]
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, str(cfg), "-o", str(tmp_path / "out")]) == 1
+    assert "numerical failure: spectral radius" in capsys.readouterr().err
+
+
 def test_unwritable_output_path(tmp_path):
     cfg = write_cfg(tmp_path, RED, "cfg_ro.json")
     target = tmp_path / "blocked"
@@ -225,6 +262,17 @@ def test_emit_tables_builds_lform_table_once(tmp_path, monkeypatch):
     cfg = load_config(write_cfg(tmp_path, IRRED))
     emit_tables(cfg, tmp_path / "out")
     assert len(calls) == cfg.numerics.tau_samples
+
+
+def test_only_emit_tables_builds_lform_rows(tmp_path, monkeypatch, capsys):
+    """eta_invariant and run_check compute no L-form table; emit_tables builds
+    the one that lform.csv and report.json share."""
+    calls = []
+    monkeypatch.setattr(app, "_lform_row", lambda p, tau: calls.append(tau))
+    cfg = load_config(write_cfg(tmp_path, IRRED))
+    eta_invariant(cfg)
+    assert all(r.passed for r in run_check(cfg))
+    assert calls == []
 
 
 def test_lform_row_evaluates_profile_once(worked_profile, monkeypatch):
@@ -294,6 +342,19 @@ def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch
     cfg = load_config(write_cfg(tmp_path, IRRED))
     assert all(r.passed for r in run_check(cfg))
     assert nodes == {"closed": [32, 64], "direct": [32, 64]}
+
+
+@pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])
+def test_check_prints_the_oracle_suite(capsys, example):
+    """check ends with exactly the lines oracle prints."""
+    cfg = str(EXAMPLES / example)
+    assert main(["oracle", cfg]) == 0
+    oracle_out = capsys.readouterr().out
+    assert main(["check", cfg]) == 0
+    check_lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(oracle_out.splitlines()) == 5
+    assert "".join(l for l in check_lines if "  oracle-" in l) == oracle_out
+    assert check_lines[-5:] == oracle_out.splitlines(keepends=True)
 
 
 def test_run_oracle_passes(tmp_path, capsys):

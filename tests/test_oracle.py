@@ -171,8 +171,8 @@ def test_run_oracle_compares_mixed_entries(monkeypatch, capsys):
     assert all(r.passed for r in app.run_oracle(cfg))
     original = oracle.riemann_frame_fd
 
-    def shifted(p, pt, h_step=oracle.DEFAULT_FD_STEP, richardson=False):
-        r = original(p, pt, h_step, richardson).copy()
+    def shifted(p, pt, h_step=oracle.DEFAULT_FD_STEP):
+        r = original(p, pt, h_step).copy()
         r[1, 2, 0, 3] += 1e-3
         return r
 
@@ -202,17 +202,6 @@ def test_riemann_algebraic_symmetries(rng):
     # first Bianchi: R[i,j,k,l] + R[j,k,i,l] + R[k,i,j,l] = 0
     cyc = r + np.einsum("jkil->ijkl", r) + np.einsum("kijl->ijkl", r)
     assert np.max(np.abs(cyc)) < 1e-6
-
-
-def test_riemann_richardson_improves(worked_profile):
-    p = skr.SKRProfile.irreducible_polynomial([0.5, 0.25], c_bar=-1.0, base_curv=0.0, tau_min=-0.5)
-    pt = oracle.ChartPoint(-0.27, 0.1, 0.2, 0.3)
-    cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
-    plain = oracle.riemann_frame_fd(p, pt, 1e-3)
-    rich = oracle.riemann_frame_fd(p, pt, 1e-3, richardson=True)
-    err_plain = abs(plain[2, 3, 2, 3] - cc.d)
-    err_rich = abs(rich[2, 3, 2, 3] - cc.d)
-    assert err_rich < err_plain
 
 
 def test_connection_oneform_matches_display(rng):

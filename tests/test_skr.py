@@ -6,7 +6,7 @@ import pytest
 from conftest import make_irreducible, make_reducible
 from equichar import skr
 from equichar.charforms import QuadratureSpec, l_form, transgression_degree3
-from equichar.errors import ProfileError, SingularInputError
+from equichar.errors import ConvergenceRadiusError, ProfileError, SingularInputError
 from equichar.exterior import ExteriorForm, degree_component, wedge
 from equichar.matforms import char_poly, hirzebruch_l_log_germ, mat_mul, trace
 from equichar.skr import SKRProfile
@@ -243,6 +243,20 @@ def test_l_form_closed_pole_guard(worked_profile):
     cc = skr.curvature_components(worked_profile, d)
     with pytest.raises(SingularInputError):
         skr._lbar_triple(GERM, 2.0 * math.pi)
+
+
+def test_closed_route_rejects_angles_past_germ_radius():
+    """Past the radius pi of the L-log germ, Lbar(y) = y / (2 tan(y/2)) turns
+    negative; both closed formulas raise like the direct route instead of
+    taking the log of a negative number."""
+    p = SKRProfile.irreducible_polynomial([3.5, 0.0], c_bar=-1.0, tau_min=-0.5)
+    with pytest.raises(ConvergenceRadiusError):
+        skr.l4_coefficient(p, -0.25)
+    bd = skr.boundary_data(p)
+    with pytest.raises(ConvergenceRadiusError):
+        skr.closed_transgression_integrand(bd, 0.5, GERM)
+    with pytest.raises(ConvergenceRadiusError):
+        skr.transgression_pullback_direct(p, 16, QUAD)
 
 
 def test_l_form_double_route_small_killing(rng):
