@@ -9,12 +9,10 @@ from .errors import (
     ProfileError,
     SingularInputError,
 )
-from .exterior import ExteriorForm, MultiIndex, degree_component, exp_form, linear_combine, wedge
+from .exterior import ExteriorForm, MultiIndex, degree_component, exp_form, wedge
 from .matforms import (
     AnalyticGerm,
     FormMatrix,
-    a_hat_inner_germ,
-    a_hat_log_germ,
     apply_germ,
     exp_trace_germ,
     hirzebruch_l_inner_germ,
@@ -26,11 +24,8 @@ from .matforms import (
 from .charforms import (
     ConnectionFamily,
     QuadratureSpec,
-    a_hat_form,
-    chern_form,
     equivariant_curvature,
     l_form,
-    product_transgression,
     transgression,
     transgression_degree3,
     transgression_degree3_alt,

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .exterior import ExteriorForm, degree_component, exp_form, wedge
 from .matforms import (
     DEFAULT_SERIES_ORDER,
     AnalyticGerm,
     FormMatrix,
-    a_hat_log_germ,
     apply_germ,
     exp_trace_germ,
     hirzebruch_l_log_germ,
@@ -36,12 +34,9 @@ __all__ = [
     "ConnectionFamily",
     "equivariant_curvature",
     "l_form",
-    "a_hat_form",
-    "chern_form",
     "transgression",
     "transgression_degree3",
     "transgression_degree3_alt",
-    "product_transgression",
 ]
 
 
@@ -110,25 +105,6 @@ class ConnectionFamily:
             self.theta._check(nx)
             self.theta._check(rt)
 
-    @classmethod
-    def from_endpoints(
-        cls,
-        theta: FormMatrix,
-        nabla_x_0: FormMatrix,
-        nabla_x_1: FormMatrix,
-        curvature_at: Callable[[float], FormMatrix],
-    ) -> "ConnectionFamily":
-        """Linear interpolation of the endpoint Killing-derivative matrices."""
-        for m in (nabla_x_0, nabla_x_1):
-            if not (m.is_antisymmetric() and m.is_degree0()):
-                raise ValueError("endpoint nabla_x matrices must be antisymmetric degree-0")
-
-        def nabla_x_at(t: float) -> FormMatrix:
-            return nabla_x_0 * (1.0 - t) + nabla_x_1 * t
-
-        return cls(theta=theta, nabla_x_at=nabla_x_at, curvature_at=curvature_at)
-
-
 def equivariant_curvature(curv: FormMatrix, nabla_x: FormMatrix) -> FormMatrix:
     """Equivariant curvature matrix: curvature minus the Killing-derivative term."""
     curv._check(nabla_x)
@@ -144,39 +120,6 @@ def l_form(rg: FormMatrix, order: int = DEFAULT_SERIES_ORDER) -> ExteriorForm:
     exp(Tr[f(.)]) for f the half-log germ.
     """
     return exp_trace_germ(hirzebruch_l_log_germ(), rg, order)
-
-
-def a_hat_form(rg: FormMatrix, order: int = DEFAULT_SERIES_ORDER) -> ExteriorForm:
-    """A-hat form: det^(1/2) of (x/2)/sinh(x/2) evaluated on the matrix."""
-    return exp_trace_germ(a_hat_log_germ(), rg, order)
-
-
-@lru_cache(maxsize=None)
-def _exp_neg_germ(n_coeffs: int = 40) -> AnalyticGerm:
-    taylor = []
-    fact = 1.0
-    for k in range(n_coeffs):
-        if k:
-            fact *= k
-        taylor.append((-1.0) ** k / fact)
-    return AnalyticGerm(taylor=tuple(taylor), even=False, radius=np.inf, name="exp_neg")
-
-
-def chern_form(
-    fg: FormMatrix, grading: Sequence[int], order: int = DEFAULT_SERIES_ORDER
-) -> ExteriorForm:
-    """Supertrace of exp(-F) for a curvature matrix F and a +-1 grading."""
-    if len(grading) != fg.size:
-        raise DimensionMismatchError(
-            f"grading length {len(grading)} != matrix size {fg.size}"
-        )
-    if any(g not in (-1, 1) for g in grading):
-        raise ValueError("grading entries must be +-1")
-    expm = apply_germ(_exp_neg_germ(), fg, order)
-    acc = ExteriorForm.zero(fg.dimension)
-    for i, g in enumerate(grading):
-        acc = acc + expm.entry(i, i) * float(g)
-    return acc
 
 
 def _even_guard(germ: AnalyticGerm) -> None:
@@ -260,16 +203,3 @@ def transgression_degree3_alt(
         return degree_component(wedge(weight, wedge(one_plus, shifted)), 3)
 
     return quad.integrate_forms(integrand)
-
-
-def product_transgression(
-    t_beta1: ExteriorForm,
-    beta2_at1: ExteriorForm,
-    beta1_at0: ExteriorForm,
-    t_beta2: ExteriorForm,
-) -> ExteriorForm:
-    """Transgression of a product of characteristic forms:
-
-    T(beta1 beta2) = T(beta1) ^ beta2(1) + beta1(0) ^ T(beta2).
-    """
-    return wedge(t_beta1, beta2_at1) + wedge(beta1_at0, t_beta2)

@@ -24,7 +24,6 @@ __all__ = [
     "MultiIndex",
     "ExteriorForm",
     "wedge",
-    "linear_combine",
     "degree_component",
     "exp_form",
     "wedge_tensor",
@@ -197,11 +196,6 @@ class ExteriorForm:
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
 
-    def prune(self, threshold: float) -> "ExteriorForm":
-        """Copy with coefficients of magnitude below ``threshold`` zeroed."""
-        vec = np.where(np.abs(self.coeffs) < threshold, 0.0, self.coeffs)
-        return ExteriorForm(self.dimension, vec)
-
     # ---------------------------------------------------------------- arithmetic
 
     def _check(self, other: "ExteriorForm") -> None:
@@ -259,34 +253,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     out = np.zeros(1 << a.dimension)
     np.add.at(out, kk, ss * a.coeffs[ii] * b.coeffs[jj])
     return ExteriorForm(a.dimension, out)
-
-
-def linear_combine(terms: Sequence[tuple]) -> ExteriorForm:
-    """Exact coefficient-wise sum of (scalar, form) pairs.
-
-    Scalars may pair with plain numbers, which are promoted to degree-0 forms
-    of the common dimension.
-    """
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    dimension = None
-    for _, form in terms:
-        if isinstance(form, ExteriorForm):
-            dimension = form.dimension
-            break
-    if dimension is None:
-        raise ValueError("linear_combine needs at least one ExteriorForm operand")
-    out = np.zeros(1 << dimension)
-    for scalar, form in terms:
-        if not isinstance(form, ExteriorForm):
-            out[0] += float(scalar) * float(form)
-            continue
-        if form.dimension != dimension:
-            raise DimensionMismatchError(
-                f"coframe dimensions differ: {form.dimension} vs {dimension}"
-            )
-        out += float(scalar) * form.coeffs
-    return ExteriorForm(dimension, out)
 
 
 def degree_component(a: ExteriorForm, k: int) -> ExteriorForm:

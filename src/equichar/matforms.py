@@ -29,12 +29,9 @@ __all__ = [
     "star_second",
     "exp_trace_germ",
     "char_poly",
-    "germ_tail_estimate",
     "spectral_radius_degree0",
     "hirzebruch_l_inner_germ",
     "hirzebruch_l_log_germ",
-    "a_hat_inner_germ",
-    "a_hat_log_germ",
     "DEFAULT_SERIES_ORDER",
 ]
 
@@ -120,18 +117,6 @@ class AnalyticGerm:
         return 2.0 * self.coeff(2)
 
 
-def germ_tail_estimate(germ: AnalyticGerm, rho: float, order: int) -> float:
-    """Truncation-tail estimate |c_{K+1}| rho^{K+1} + |c_{K+2}| rho^{K+2}.
-
-    Two consecutive coefficients are used because even germs have every other
-    coefficient equal to zero.
-    """
-    tail = 0.0
-    for k in (order + 1, order + 2):
-        tail += abs(germ.coeff(k)) * rho**k
-    return tail
-
-
 def _even_series(half_coeffs: np.ndarray) -> np.ndarray:
     """Interleave coefficients in x^2 into a series in x (odd slots zero)."""
     out = np.zeros(2 * len(half_coeffs))
@@ -173,36 +158,6 @@ def _log_pair_evaluators(fbar, fbar_d1, fbar_d2):
     return eval_i, eval_i_d1, eval_i_d2
 
 
-def _make_bar_evaluators(inner_even: np.ndarray):
-    """Closed-form + series evaluators of Fbar(x) = F(ix) and two derivatives.
-
-    F is an even germ with coefficients ``inner_even`` in x^2; Fbar alternates
-    signs.  The series branch is used for |x| < 0.5 where the trigonometric
-    closed forms lose digits to cancellation.
-    """
-    signs = np.array([(-1.0) ** k for k in range(len(inner_even))])
-    bar = inner_even * signs                       # Fbar coefficients in x^2
-    # d/dx sum b_k x^{2k} = sum 2k b_k x^{2k-1}  -> odd series, evaluate as x * S(x^2)
-    bar_d1 = np.array([2 * k * bar[k] for k in range(1, len(bar))])
-    bar_d2 = np.array([2 * k * (2 * k - 1) * bar[k] for k in range(1, len(bar))])
-    return bar, bar_d1, bar_d2
-
-
-def _bar_from_series(bar, bar_d1, bar_d2, closed, closed_d1, closed_d2, cutoff=0.5):
-    """Plain x-derivative evaluators of Fbar, series-based inside |x| < cutoff."""
-
-    def f(x: float) -> float:
-        return _eval_even_series(bar, x) if abs(x) < cutoff else closed(x)
-
-    def f1(x: float) -> float:
-        return x * _eval_even_series(bar_d1, x) if abs(x) < cutoff else closed_d1(x)
-
-    def f2(x: float) -> float:
-        return _eval_even_series(bar_d2, x) if abs(x) < cutoff else closed_d2(x)
-
-    return f, f1, f2
-
-
 def _l_inner_series(n_coeffs: int) -> np.ndarray:
     # (x/2)/tanh(x/2) = cosh(x/2) / (sinh(x/2)/(x/2)),  coefficients in x^2
     half = (n_coeffs + 1) // 2 + 1
@@ -210,78 +165,37 @@ def _l_inner_series(n_coeffs: int) -> np.ndarray:
 
 
 def _l_bar_evaluators(inner: np.ndarray):
-    """Fbar(x) = x/(2 tan(x/2)) and its two plain derivatives."""
-    bar, bar_d1, bar_d2 = _make_bar_evaluators(inner)
+    """Fbar(x) = F(ix) = x/(2 tan(x/2)) and its two plain x-derivatives.
 
-    def closed(x):
+    F = (x/2)/tanh(x/2) has coefficients ``inner`` in x^2, so those of Fbar
+    alternate in sign.  The series branch is used for |x| < 0.5, where the
+    trigonometric closed forms lose digits to cancellation.
+    """
+    signs = np.array([(-1.0) ** k for k in range(len(inner))])
+    bar = inner * signs                            # Fbar coefficients in x^2
+    # d/dx sum b_k x^{2k} = sum 2k b_k x^{2k-1}  -> odd series, evaluate as x * S(x^2)
+    bar_d1 = np.array([2 * k * bar[k] for k in range(1, len(bar))])
+    bar_d2 = np.array([2 * k * (2 * k - 1) * bar[k] for k in range(1, len(bar))])
+
+    def f(x: float) -> float:
+        if abs(x) < 0.5:
+            return _eval_even_series(bar, x)
         return 0.5 * x / math.tan(0.5 * x)
 
-    def closed_d1(x):
+    def f1(x: float) -> float:
+        if abs(x) < 0.5:
+            return x * _eval_even_series(bar_d1, x)
         s = math.sin(0.5 * x)
         return 0.5 / math.tan(0.5 * x) - 0.25 * x / (s * s)
 
-    def closed_d2(x):
+    def f2(x: float) -> float:
+        if abs(x) < 0.5:
+            return _eval_even_series(bar_d2, x)
         s = math.sin(0.5 * x)
         cot = 1.0 / math.tan(0.5 * x)
         return (-0.5 + 0.25 * x * cot) / (s * s)
 
-    return _bar_from_series(bar, bar_d1, bar_d2, closed, closed_d1, closed_d2)
-
-
-def _a_hat_inner_series(n_coeffs: int) -> np.ndarray:
-    # (x/2)/sinh(x/2),  coefficients in x^2
-    half = (n_coeffs + 1) // 2 + 1
-    one = np.zeros(half)
-    one[0] = 1.0
-    return _series_div(one, _sinhc_half_even(half))
-
-
-def _a_hat_bar_evaluators(inner: np.ndarray):
-    """Fbar(x) = (x/2)/sin(x/2) and its two plain derivatives."""
-    bar, bar_d1, bar_d2 = _make_bar_evaluators(inner)
-
-    def closed(x):
-        return 0.5 * x / math.sin(0.5 * x)
-
-    def closed_d1(x):
-        s = math.sin(0.5 * x)
-        return (0.5 * s - 0.25 * x * math.cos(0.5 * x)) / (s * s)
-
-    def closed_d2(x):
-        s = math.sin(0.5 * x)
-        c = math.cos(0.5 * x)
-        return (-0.5 * c * s + 0.125 * x * (c * c + 1.0)) / (s * s * s)
-
-    return _bar_from_series(bar, bar_d1, bar_d2, closed, closed_d1, closed_d2)
-
-
-def _inner_germ(inner, bar_evals, n_coeffs, radius, name) -> AnalyticGerm:
-    # for an even germ F, F'(ix)/i = -Fbar'(x) and F''(ix) = -Fbar''(x)
-    f, f1, f2 = bar_evals
-
-    return AnalyticGerm(
-        taylor=tuple(_even_series(inner)[:n_coeffs]),
-        even=True,
-        radius=radius,
-        name=name,
-        eval_i=f,
-        eval_i_d1=lambda x: -f1(x),
-        eval_i_d2=lambda x: -f2(x),
-    )
-
-
-def _log_germ(inner, bar_evals, n_coeffs, radius, name) -> AnalyticGerm:
-    log_half = 0.5 * _series_log(inner)
-    e0, e1, e2 = _log_pair_evaluators(*bar_evals)
-    return AnalyticGerm(
-        taylor=tuple(_even_series(log_half)[:n_coeffs]),
-        even=True,
-        radius=radius,
-        name=name,
-        eval_i=e0,
-        eval_i_d1=e1,
-        eval_i_d2=e2,
-    )
+    return f, f1, f2
 
 
 # The germ factories are cached: an AnalyticGerm is frozen with a tuple of
@@ -290,28 +204,33 @@ def _log_germ(inner, bar_evals, n_coeffs, radius, name) -> AnalyticGerm:
 def hirzebruch_l_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of (x/2)/tanh(x/2); restricted to the imaginary axis it is x/(2 tan(x/2))."""
     inner = _l_inner_series(n_coeffs)
-    return _inner_germ(inner, _l_bar_evaluators(inner), n_coeffs, 2.0 * math.pi, "l_inner")
+    f, f1, f2 = _l_bar_evaluators(inner)
+    # for an even germ F, F'(ix)/i = -Fbar'(x) and F''(ix) = -Fbar''(x)
+    return AnalyticGerm(
+        taylor=tuple(_even_series(inner)[:n_coeffs]),
+        even=True,
+        radius=2.0 * math.pi,
+        name="l_inner",
+        eval_i=f,
+        eval_i_d1=lambda x: -f1(x),
+        eval_i_d2=lambda x: -f2(x),
+    )
 
 
 @lru_cache(maxsize=None)
 def hirzebruch_l_log_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of log((x/2)/tanh(x/2))/2; the exp-of-trace kernel of the L-form."""
     inner = _l_inner_series(n_coeffs)
-    return _log_germ(inner, _l_bar_evaluators(inner), n_coeffs, math.pi, "l_log")
-
-
-@lru_cache(maxsize=None)
-def a_hat_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
-    """Germ of (x/2)/sinh(x/2); on the imaginary axis (x/2)/sin(x/2)."""
-    inner = _a_hat_inner_series(n_coeffs)
-    return _inner_germ(inner, _a_hat_bar_evaluators(inner), n_coeffs, 2.0 * math.pi, "a_hat_inner")
-
-
-@lru_cache(maxsize=None)
-def a_hat_log_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
-    """Germ of log((x/2)/sinh(x/2))/2; the exp-of-trace kernel of the A-hat form."""
-    inner = _a_hat_inner_series(n_coeffs)
-    return _log_germ(inner, _a_hat_bar_evaluators(inner), n_coeffs, 2.0 * math.pi, "a_hat_log")
+    e0, e1, e2 = _log_pair_evaluators(*_l_bar_evaluators(inner))
+    return AnalyticGerm(
+        taylor=tuple(_even_series(0.5 * _series_log(inner))[:n_coeffs]),
+        even=True,
+        radius=math.pi,
+        name="l_log",
+        eval_i=e0,
+        eval_i_d1=e1,
+        eval_i_d2=e2,
+    )
 
 
 # --------------------------------------------------------------------------- matrices of forms
@@ -339,29 +258,6 @@ class FormMatrix:
         self.size = size
         self.dimension = dimension
         self.data = data
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[ExteriorForm]]) -> "FormMatrix":
-        size = len(entries)
-        dim = None
-        for row in entries:
-            if len(row) != size:
-                raise ValueError("entries must form a square matrix")
-            for e in row:
-                if isinstance(e, ExteriorForm):
-                    dim = e.dimension
-        if dim is None:
-            raise ValueError("at least one entry must be an ExteriorForm")
-        data = np.zeros((size, size, 1 << dim))
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                if isinstance(e, ExteriorForm):
-                    if e.dimension != dim:
-                        raise DimensionMismatchError("mixed coframe dimensions in matrix")
-                    data[i, j] = e.coeffs
-                else:
-                    data[i, j, 0] = float(e)
-        return cls(size, dim, data)
 
     @classmethod
     def from_scalar_matrix(cls, mat: np.ndarray, dimension: int) -> "FormMatrix":
@@ -397,9 +293,6 @@ class FormMatrix:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data)))
-
-    def transpose(self) -> "FormMatrix":
-        return FormMatrix(self.size, self.dimension, self.data.transpose(1, 0, 2))
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         self._check(other)
@@ -491,8 +384,9 @@ def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_OR
     """sum_{k<=order} c_k M^k with geometric degree > n discarded automatically.
 
     Raises ConvergenceRadiusError when the degree-0 part of M has spectral
-    radius outside the germ's disk of convergence; the truncation tail for the
-    accepted radius is available via :func:`germ_tail_estimate`.
+    radius outside the germ's disk of convergence.  Terms past ``order`` are
+    dropped without an estimate; the closed transgression route reports its
+    own tail bound.
     """
     _check_radius(germ, m)
     if m.is_degree0():

@@ -30,13 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charforms import gauss_legendre
-from .errors import ProfileError
 from .skr import SKRProfile, derived_functions
 
 __all__ = [
     "ChartPoint",
-    "MetricSample",
-    "metric_at",
     "frame_at",
     "christoffel_fd",
     "riemann_coord_fd",
@@ -67,21 +64,9 @@ class ChartPoint:
         return ChartPoint(*c)
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = self.g
-        if g.shape != (4, 4) or not np.allclose(g, g.T, atol=1e-14):
-            raise ProfileError("metric sample must be symmetric 4x4")
-        # positive definiteness via leading principal minors
-        for k in range(1, 5):
-            if np.linalg.det(g[:k, :k]) <= 0.0:
-                raise ProfileError("metric sample is not positive definite")
-
-
 def _metric_matrix(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
+    """Chart metric: (1/Q) dtau^2 + Q (ds + x dy)^2 + 2|tau - c_bar| (dx^2 + dy^2),
+    with the conformal factor replaced by 1 and no x-twist in the reducible case."""
     d = derived_functions(p, pt.tau)
     q = d.q
     g = np.zeros((4, 4))
@@ -102,12 +87,6 @@ def _metric_matrix(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
 def _branch_sign(p: SKRProfile) -> float:
     """Constant sign of tau - c_bar on the chart (c_bar avoids [tau_min, 0])."""
     return 1.0 if p.c_bar < p.tau_min else -1.0
-
-
-def metric_at(p: SKRProfile, pt: ChartPoint) -> MetricSample:
-    """Chart metric: (1/Q) dtau^2 + Q (ds + x dy)^2 + 2|tau - c_bar| (dx^2 + dy^2),
-    with the conformal factor replaced by 1 and no x-twist in the reducible case."""
-    return MetricSample(_metric_matrix(p, pt))
 
 
 def frame_at(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
@@ -224,26 +203,19 @@ def pregeodesic_defect_fd(
     return float(math.sqrt(ortho @ g @ ortho)) / d.q
 
 
-def volume_integral_chart(
-    p: SKRProfile,
-    integrand,
-    n_tau: int = 24,
-    n_fiber: int = 6,
-    n_base: int = 6,
-    tau_lo: float | None = None,
-) -> float:
+def volume_integral_chart(p: SKRProfile, integrand) -> float:
     """Direct 4-dimensional Gauss-Legendre quadrature of integrand(tau) over the
-    chart, with the volume density taken from det(metric_at) numerically.
+    chart, with the volume density taken from the determinant of the chart
+    metric numerically.
 
     The chart covers the full fiber circle and a base rectangle of the
     profile's base_area; used to pin the reduced 1-dimensional convention.
     """
-    tau_lo = p.tau_min if tau_lo is None else tau_lo
     side = math.sqrt(p.base_area)
 
-    t_x, t_w = gauss_legendre(n_tau, tau_lo, 0.0)
-    s_x, s_w = gauss_legendre(n_fiber, 0.0, p.fiber_period)
-    b_x, b_w = gauss_legendre(n_base, 0.0, side)
+    t_x, t_w = gauss_legendre(24, p.tau_min, 0.0)
+    s_x, s_w = gauss_legendre(6, 0.0, p.fiber_period)
+    b_x, b_w = gauss_legendre(6, 0.0, side)
 
     total = 0.0
     for tau, wt in zip(t_x, t_w):

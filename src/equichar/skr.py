@@ -74,8 +74,9 @@ class SKRProfile:
     Irreducible mode needs ``phi`` (nowhere zero on [tau_min, 0]) and the
     constant ``c_bar`` outside the tau range; Q = 2(tau - c_bar) phi and
     psi = Q'/2 are derived.  Reducible mode needs a positive ``q_fun``;
-    phi vanishes identically there.  Derivative callables are optional and
-    fall back to central differences.
+    phi vanishes identically there.  The first derivative ``phi_d`` (or
+    ``q_fun_d``) is required; a missing second derivative is taken by central
+    differences of the first.
 
     ``base_curv`` is the base-surface curvature constant entering the
     horizontal curvature component linearly; ``base_area`` and
@@ -106,13 +107,13 @@ class SKRProfile:
         if self.a_const == 0.0:
             raise ProfileError("a_const must be nonzero")
         if self.mode == "irreducible":
-            if self.phi is None:
-                raise ProfileError("irreducible profile needs phi")
+            if self.phi is None or self.phi_d is None:
+                raise ProfileError("irreducible profile needs phi and phi_d")
             if self.tau_min <= self.c_bar <= 0.0:
                 raise ProfileError("c_bar must lie outside [tau_min, 0]")
         else:
-            if self.q_fun is None:
-                raise ProfileError("reducible profile needs q_fun")
+            if self.q_fun is None or self.q_fun_d is None:
+                raise ProfileError("reducible profile needs q_fun and q_fun_d")
         self.validate()
 
     # ------------------------------------------------------------------ validation
@@ -169,26 +170,16 @@ def derived_functions(p: SKRProfile, tau: float) -> DerivedFunctions:
     """
     if p.mode == "irreducible":
         phi = p.phi(tau)
-        phi_d = p.phi_d(tau) if p.phi_d is not None else _central_d(p.phi, tau)
-        if p.phi_dd is not None:
-            phi_dd = p.phi_dd(tau)
-        elif p.phi_d is not None:
-            phi_dd = _central_d(p.phi_d, tau)
-        else:
-            phi_dd = (p.phi(tau + _FD_STEP) - 2.0 * phi + p.phi(tau - _FD_STEP)) / _FD_STEP**2
+        phi_d = p.phi_d(tau)
+        phi_dd = p.phi_dd(tau) if p.phi_dd is not None else _central_d(p.phi_d, tau)
         shift = tau - p.c_bar
         q = 2.0 * shift * phi
         psi = phi + shift * phi_d
         psi_d = 2.0 * phi_d + shift * phi_dd
     else:
         q = p.q_fun(tau)
-        q_d = p.q_fun_d(tau) if p.q_fun_d is not None else _central_d(p.q_fun, tau)
-        if p.q_fun_dd is not None:
-            q_dd = p.q_fun_dd(tau)
-        elif p.q_fun_d is not None:
-            q_dd = _central_d(p.q_fun_d, tau)
-        else:
-            q_dd = (p.q_fun(tau + _FD_STEP) - 2.0 * q + p.q_fun(tau - _FD_STEP)) / _FD_STEP**2
+        q_d = p.q_fun_d(tau)
+        q_dd = p.q_fun_dd(tau) if p.q_fun_dd is not None else _central_d(p.q_fun_d, tau)
         phi, phi_d = 0.0, 0.0
         psi = 0.5 * q_d
         psi_d = 0.5 * q_dd

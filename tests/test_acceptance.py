@@ -213,7 +213,11 @@ def _random_family(rng, dim):
     theta = rand_antisym(1, 0.4)
     n0, n1 = rand_antisym(0, 0.3), rand_antisym(0, 0.3)
     a1, a2, a3 = (rand_antisym(2, 0.4) for _ in range(3))
-    return ConnectionFamily.from_endpoints(theta, n0, n1, lambda t: a1 + a2 * t + a3 * (t * t))
+    return ConnectionFamily(
+        theta=theta,
+        nabla_x_at=lambda t: n0 * (1.0 - t) + n1 * t,
+        curvature_at=lambda t: a1 + a2 * t + a3 * (t * t),
+    )
 
 
 def test_criterion_07_transgression_equivalences():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from equichar import app, skr
 from equichar.app import (
@@ -17,7 +19,8 @@ from equichar.app import (
     run_check,
     run_oracle,
 )
-from equichar.errors import ConfigError
+from equichar.errors import ConfigError, ConvergenceRadiusError, ProfileError
+from equichar.skr import SKRProfile
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
@@ -113,6 +116,43 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, command, section, key, value)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "example,key,literal",
+    [
+        ("example_reducible.json", "c_bar", "NaN"),
+        ("example_reducible.json", "c_bar", "1e400"),
+        ("example_irreducible.json", "q_coeffs", "[NaN]"),
+    ],
+)
+def test_cli_rejects_non_finite_unread_profile_key(tmp_path, capsys, example, key, literal):
+    """A non-finite number in a profile key the mode does not read is still a
+    config error; it used to run and echo a bare NaN into report.json."""
+    text = (EXAMPLES / example).read_text()
+    head, sep, tail = text.partition('"profile": {')
+    assert sep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{head}{sep}"{key}": {literal}, {tail}')
+    assert main(["eta", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,cap", [("quad_nodes", app.MAX_QUAD_NODES), ("tau_samples", app.MAX_TAU_SAMPLES)]
+)
+def test_config_caps_node_counts(tmp_path, capsys, key, cap):
+    """The cap itself is accepted, one above it exits 2 (nothing is run at
+    either size)."""
+    payload = json.loads(json.dumps(IRRED))
+    payload["numerics"][key] = cap
+    assert getattr(load_config(write_cfg(tmp_path, payload, "cap.json")).numerics, key) == cap
+    payload["numerics"][key] = cap + 1
+    cfg = write_cfg(tmp_path, payload, "over.json")
+    assert main(["eta", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} must lie in 2..{cap}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tabulated_profile_round_trip(tmp_path):
     taus = np.linspace(-0.6, 0.05, 40)
     payload = {
@@ -168,9 +208,11 @@ def test_eta_quadrature_refinement(tmp_path):
 
 
 def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
-    """phi(tau_min) = 0 makes Q vanish at the inner endpoint; the bulk
-    integral retreats to [tau_min + eps, 0] and extrapolates (the integrand
-    itself stays bounded for this geometry, so convergence is fast)."""
+    """phi(tau_min) = 0 makes Q vanish at the inner endpoint.  L4 times the
+    volume density stays smooth there, so the bulk integral takes the plain
+    Gauss-Legendre rule like any other profile: it matches a 400-node rule
+    to rounding.  The endpoint retreat with extrapolation that used to serve
+    this case was off by 4e-10 relative while it claimed 1.5e-5."""
     payload = {
         "profile": {
             "mode": "irreducible",
@@ -181,10 +223,48 @@ def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
         },
         "numerics": {"tau_samples": 9},
     }
-    rep = eta_invariant(load_config(write_cfg(tmp_path, payload, "sing.json")))
+    cfg = load_config(write_cfg(tmp_path, payload, "sing.json"))
+    p = build_profile(cfg)
+    assert p.phi(p.tau_min) == 0.0
+    rep = eta_invariant(cfg, profile=p)
+    reference = app._bulk_quadrature(p, 400, p.tau_min)
+    assert abs(rep.bulk_integral["value"] - reference) <= 1e-13 * abs(reference)
     assert math.isfinite(rep.eta["value"])
-    # first-order endpoint retreat: the reported error tracks the last increment
-    assert rep.bulk_integral["error"] < 1e-4
+
+
+def _bulk_64(phi: np.polynomial.Polynomial) -> float:
+    """64-node bulk integral of the worked example with phi replaced."""
+    p = SKRProfile.irreducible_polynomial(phi.coef, -1.0, base_curv=2.0, tau_min=-0.5)
+    return app._bulk_quadrature(p, 64, p.tau_min)
+
+
+WORKED_PHI = np.polynomial.Polynomial([0.5, 0.25])
+TAU = np.polynomial.Polynomial([0.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_bulk_integral_ignores_bumps_flat_at_both_ends(c, r0, r1):
+    """Chern-Weil invariance makes L4 vol a total derivative dF/dtau with F a
+    function of (tau, phi, phi'), so a bump that leaves phi and phi' unchanged
+    at tau_min and at 0 leaves the bulk integral unchanged.  The integral sees
+    the profile only through its ends, which is why one plain quadrature path
+    serves every accepted profile."""
+    bump = c * TAU**2 * (TAU + 0.5) ** 2 * (r0 + r1 * TAU)
+    try:
+        bumped = _bulk_64(WORKED_PHI + bump)
+    except (ProfileError, ConvergenceRadiusError):
+        reject()
+    base = _bulk_64(WORKED_PHI)
+    assert abs(bumped - base) <= 1e-13 * abs(base)
+
+
+def test_bulk_integral_moves_with_end_slopes():
+    """Control for the invariance test: a bump that changes phi' at both ends
+    moves the bulk integral, so that test cannot pass vacuously."""
+    base = _bulk_64(WORKED_PHI)
+    moved = _bulk_64(WORKED_PHI + 0.05 * TAU * (TAU + 0.5))
+    assert abs(moved - base) > 1e-3 * abs(base)
 
 
 @pytest.mark.parametrize("command", ["check", "lform", "transgression", "eta"])

@@ -8,12 +8,9 @@ from equichar.exterior import ExteriorForm, _degree_masks, degree_component, exp
 from equichar.charforms import (
     ConnectionFamily,
     QuadratureSpec,
-    a_hat_form,
-    chern_form,
     equivariant_curvature,
     gauss_legendre,
     l_form,
-    product_transgression,
     transgression,
     transgression_degree3,
     transgression_degree3_alt,
@@ -21,7 +18,6 @@ from equichar.charforms import (
 from equichar.matforms import (
     FormMatrix,
     apply_germ,
-    a_hat_inner_germ,
     hirzebruch_l_log_germ,
     mat_mul,
     star_second,
@@ -49,8 +45,10 @@ def random_family(rng, dim=3):
     a1 = rand_antisym(4, dim, 2, 0.4, rng)
     a2 = rand_antisym(4, dim, 2, 0.4, rng)
     a3 = rand_antisym(4, dim, 2, 0.4, rng)
-    return ConnectionFamily.from_endpoints(
-        theta, n0, n1, lambda t: a1 + a2 * t + a3 * (t * t)
+    return ConnectionFamily(
+        theta=theta,
+        nabla_x_at=lambda t: n0 * (1.0 - t) + n1 * t,
+        curvature_at=lambda t: a1 + a2 * t + a3 * (t * t),
     )
 
 
@@ -126,44 +124,6 @@ def test_l_form_classical_degree4(rng):
             tr_rr = tr_rr + wedge(r.entry(i, j), r.entry(j, i))
     want = GERM.coeff(2) * tr_rr.coefficient((1, 2, 3, 4))
     assert abs(got - want) < 1e-14
-
-
-def test_a_hat_at_zero():
-    assert a_hat_form(FormMatrix(4, 4)).coefficient(()) == 1.0
-
-
-def test_a_hat_rotation_degree0():
-    mat = np.zeros((4, 4))
-    mat[0, 1], mat[1, 0] = 0.8, -0.8
-    rg = FormMatrix.from_scalar_matrix(mat, 4)
-    got = a_hat_form(rg).coefficient(())
-    want = (0.8 / 2.0) / math.sin(0.8 / 2.0)
-    assert abs(got - want) < 1e-12
-
-
-def test_a_hat_inner_series_relation():
-    g = a_hat_inner_germ()
-    assert abs(g.taylor[0] - 1.0) < 1e-15
-    assert abs(g.taylor[2] + 1.0 / 24.0) < 1e-15
-
-
-def test_chern_form_zero_curvature():
-    assert chern_form(FormMatrix(3, 4), (1, 1, 1)).coefficient(()) == 3.0
-    assert chern_form(FormMatrix(4, 4), (1, 1, -1, -1)).max_abs() == 0.0
-
-
-def test_chern_form_rank_one_nilpotent():
-    c = 0.7
-    fg = FormMatrix.from_entries([[ExteriorForm(4, {(1, 2): c})]])
-    out = chern_form(fg, (1,))
-    assert out.coefficient(()) == 1.0
-    assert abs(out.coefficient((1, 2)) + c) < 1e-15
-    assert out.coefficient((1, 2, 3, 4)) == 0.0
-
-
-def test_chern_form_grading_validation():
-    with pytest.raises(Exception):
-        chern_form(FormMatrix(4, 4), (1, 1, 1))
 
 
 # ----------------------------------------------------------------- transgression
@@ -302,23 +262,3 @@ def test_x_to_zero_limit_order(rng):
         errs.append((transgression_degree3(GERM, fam_s, QUAD) - ref).max_abs())
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= 1.9
-
-
-# ----------------------------------------------------------------- product rule
-
-def test_product_transgression_units(rng):
-    dim = 3
-    t1 = ExteriorForm(dim, {(1,): 0.4, (1, 2, 3): -0.2})
-    one = ExteriorForm.scalar(dim, 1.0)
-    zero = ExteriorForm.zero(dim)
-    assert (product_transgression(t1, one, one, zero) - t1).max_abs() == 0.0
-    assert (product_transgression(zero, one, one, t1) - t1).max_abs() == 0.0
-
-
-def test_product_transgression_bilinear_expansion(rng):
-    dim = 4
-    vals = np.random.default_rng(43).uniform(-1, 1, (4, 16))
-    t1, b2, b1, t2 = (ExteriorForm(dim, v) for v in vals)
-    got = product_transgression(t1, b2, b1, t2)
-    want = wedge(t1, b2) + wedge(b1, t2)
-    assert (got - want).max_abs() == 0.0

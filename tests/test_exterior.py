@@ -9,7 +9,6 @@ from equichar.exterior import (
     MultiIndex,
     degree_component,
     exp_form,
-    linear_combine,
     wedge,
 )
 
@@ -38,19 +37,6 @@ def test_wedge_dimension_mismatch():
         wedge(e(3, 1), e(4, 1))
 
 
-def test_linear_combine_cancellation():
-    assert linear_combine([(2.0, e(4, 1)), (-2.0, e(4, 1))]).is_zero()
-
-
-def test_linear_combine_sum():
-    got = linear_combine([(1.0, e(4, 1, 2)), (1.0, e(4, 3, 4))])
-    assert got == e(4, 1, 2) + e(4, 3, 4)
-
-
-def test_linear_combine_scalar_promotion():
-    assert linear_combine([(3.0, ExteriorForm.scalar(4, 1.0))]) == ExteriorForm.scalar(4, 3.0)
-
-
 def test_degree_component_selects():
     a = ExteriorForm.scalar(4, 1.0) + e(4, 1, 2) + e(4, 1, 2, 3, 4)
     assert degree_component(a, 2) == e(4, 1, 2)
@@ -77,11 +63,6 @@ def test_coefficients_round_trip():
     assert a.coefficient((1, 3)) == 2.5
     assert a.coefficient(()) == -1.0
     assert ExteriorForm(4, a.coefficients) == a
-
-
-def test_prune():
-    a = ExteriorForm(3, {(1,): 1e-20, (2,): 1.0})
-    assert a.prune(1e-12) == e(3, 2)
 
 
 # ----------------------------------------------------------------- property tests
@@ -133,7 +114,7 @@ def test_truncation_soundness(data):
 @given(st.integers(1, 4), st.data())
 def test_degree_decomposition_is_partition(dim, data):
     a = data.draw(forms(dim))
-    total = linear_combine([(1.0, degree_component(a, k)) for k in range(dim + 1)])
+    total = sum((degree_component(a, k) for k in range(dim + 1)), ExteriorForm.zero(dim))
     assert total == a
 
 
@@ -163,17 +144,8 @@ def test_exp_form_mixed():
 @given(st.data())
 def test_exp_form_additive_on_even_forms(data):
     # even forms commute, so exp(a + b) = exp(a) ^ exp(b)
-    a = linear_combine(
-        [(1.0, data.draw(homogeneous(4, 0))), (0.125, data.draw(homogeneous(4, 2)))]
-    )
-    b = linear_combine(
-        [(1.0, data.draw(homogeneous(4, 0))), (0.125, data.draw(homogeneous(4, 4)))]
-    )
+    a = data.draw(homogeneous(4, 0)) + 0.125 * data.draw(homogeneous(4, 2))
+    b = data.draw(homogeneous(4, 0)) + 0.125 * data.draw(homogeneous(4, 4))
     lhs = exp_form(a + b)
     rhs = wedge(exp_form(a), exp_form(b))
     assert (lhs - rhs).max_abs() < 1e-9 * max(1.0, lhs.max_abs())
-
-
-def test_linear_combine_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        linear_combine([(1.0, e(3, 1)), (1.0, e(4, 1))])

@@ -7,9 +7,6 @@ import mpmath as mp
 import pytest
 
 from equichar.matforms import (
-    a_hat_inner_germ,
-    a_hat_log_germ,
-    germ_tail_estimate,
     hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
 )
@@ -20,11 +17,6 @@ mp.mp.dps = 40
 def mp_l_inner(z):
     z = mp.mpmathify(z)
     return z / (2 * mp.tanh(z / 2)) if z != 0 else mp.mpf(1)
-
-
-def mp_a_hat_inner(z):
-    z = mp.mpmathify(z)
-    return (z / 2) / mp.sinh(z / 2) if z != 0 else mp.mpf(1)
 
 
 def taylor_oracle(fn, order):
@@ -47,21 +39,13 @@ def test_l_log_known_coefficients():
     assert abs(g.second_derivative_at_zero() - 1.0 / 12.0) < 1e-15
 
 
-def test_a_hat_inner_known_coefficients():
-    g = a_hat_inner_germ()
-    assert g.taylor[0] == 1.0
-    assert abs(g.taylor[2] + 1.0 / 24.0) < 1e-15
-
-
 @pytest.mark.parametrize(
     "germ,oracle",
     [
         (hirzebruch_l_inner_germ(), mp_l_inner),
-        (a_hat_inner_germ(), mp_a_hat_inner),
         (hirzebruch_l_log_germ(), lambda z: mp.log(mp_l_inner(z)) / 2),
-        (a_hat_log_germ(), lambda z: mp.log(mp_a_hat_inner(z)) / 2),
     ],
-    ids=["l_inner", "a_hat_inner", "l_log", "a_hat_log"],
+    ids=["l_inner", "l_log"],
 )
 def test_taylor_against_mpmath(germ, oracle):
     ref = taylor_oracle(oracle, 20)
@@ -74,11 +58,9 @@ def test_taylor_against_mpmath(germ, oracle):
     "germ,oracle",
     [
         (hirzebruch_l_inner_germ(), mp_l_inner),
-        (a_hat_inner_germ(), mp_a_hat_inner),
         (hirzebruch_l_log_germ(), lambda z: mp.log(mp_l_inner(z)) / 2),
-        (a_hat_log_germ(), lambda z: mp.log(mp_a_hat_inner(z)) / 2),
     ],
-    ids=["l_inner", "a_hat_inner", "l_log", "a_hat_log"],
+    ids=["l_inner", "l_log"],
 )
 def test_imaginary_axis_evaluators(germ, oracle):
     for x in (0.0, 1e-4, 0.11, 0.499, 0.501, 0.9, 1.7, 2.6):
@@ -94,7 +76,7 @@ def test_imaginary_axis_evaluators(germ, oracle):
 
 def test_taylor_matches_evaluators_at_zero():
     # invariant: series coefficients and exact evaluators agree at the origin
-    for germ in (hirzebruch_l_inner_germ(), hirzebruch_l_log_germ(), a_hat_log_germ()):
+    for germ in (hirzebruch_l_inner_germ(), hirzebruch_l_log_germ()):
         x = 1e-3
         series = sum(c * (1j * x) ** k for k, c in enumerate(germ.taylor))
         assert abs(series.real - germ.eval_i(x)) < 1e-12
@@ -113,8 +95,12 @@ def test_derivative_shift():
 def test_tail_estimate_small():
     # rho = 0.7 caps the Killing data used in the sweeps
     g = hirzebruch_l_log_germ()
-    assert germ_tail_estimate(g, rho=0.7, order=16) < 1e-12
-    assert germ_tail_estimate(g, rho=0.3, order=16) < 1e-17
+    # |c_17| rho^17 + |c_18| rho^18: the first two coefficients past order 16
+    def tail(rho):
+        return sum(abs(g.coeff(k)) * rho**k for k in (17, 18))
+
+    assert tail(0.7) < 1e-12
+    assert tail(0.3) < 1e-17
 
 
 def test_radius_values():

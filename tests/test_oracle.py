@@ -33,7 +33,7 @@ def chart_points(p, rng, n):
 
 def test_metric_reducible_unit_q():
     p = SKRProfile.reducible_polynomial([1.0], tau_min=-0.5)
-    g = oracle.metric_at(p, oracle.ChartPoint(-0.2, 0.7, 0.3, -0.1)).g
+    g = oracle._metric_matrix(p, oracle.ChartPoint(-0.2, 0.7, 0.3, -0.1))
     assert np.allclose(g, np.eye(4))
 
 
@@ -41,7 +41,7 @@ def test_metric_determinant_closed_form(worked_profile):
     """det g = (2 |tau - c_bar|)^2 in the irreducible chart."""
     for tau in (-0.4, -0.2, -0.05):
         pt = oracle.ChartPoint(tau, 0.3, 0.25, -0.6)
-        det = np.linalg.det(oracle.metric_at(worked_profile, pt).g)
+        det = np.linalg.det(oracle._metric_matrix(worked_profile, pt))
         want = (2.0 * abs(tau - worked_profile.c_bar)) ** 2
         assert det == pytest.approx(want, rel=1e-12)
 
@@ -49,7 +49,7 @@ def test_metric_determinant_closed_form(worked_profile):
 def test_metric_killing_norm(worked_profile):
     """g(u, u) = Q for the fiber generator u = d/ds."""
     for tau in (-0.35, -0.1):
-        g = oracle.metric_at(worked_profile, oracle.ChartPoint(tau, 0.0, 0.5, 0.2)).g
+        g = oracle._metric_matrix(worked_profile, oracle.ChartPoint(tau, 0.0, 0.5, 0.2))
         q = skr.derived_functions(worked_profile, tau).q
         assert g[1, 1] == pytest.approx(q, rel=1e-14)
 
@@ -57,12 +57,12 @@ def test_metric_killing_norm(worked_profile):
 def test_metric_positive_definite_guard():
     p = SKRProfile.reducible_polynomial([1.0, 2.4], tau_min=-0.4)
     with pytest.raises(ProfileError):
-        oracle.metric_at(p, oracle.ChartPoint(-0.42))  # Q <= 0 outside range
+        oracle._metric_matrix(p, oracle.ChartPoint(-0.42))  # Q <= 0 outside range
 
 
 def test_frame_is_orthonormal(worked_profile):
     pt = oracle.ChartPoint(-0.22, 0.4, 0.3, -0.2)
-    g = oracle.metric_at(worked_profile, pt).g
+    g = oracle._metric_matrix(worked_profile, pt)
     e = oracle.frame_at(worked_profile, pt)
     gram = e @ g @ e.T
     assert np.allclose(gram, np.eye(4), atol=1e-13)
