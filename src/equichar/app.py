@@ -237,6 +237,8 @@ class Report:
     bulk_integral: dict
     boundary_integral: dict
     eta: dict
+    # closed integrand at the quadrature nodes, for transgression.csv
+    closed_integrand: list
 
     def to_json(self, lform_table: list) -> str:
         payload = {
@@ -265,8 +267,8 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 # --------------------------------------------------------------------------- eta assembly
 
-def _bulk_quadrature(p: SKRProfile, n_nodes: int, tau_lo: float) -> float:
-    xs, ws = gauss_legendre(n_nodes, tau_lo, 0.0)
+def _bulk_quadrature(p: SKRProfile, n_nodes: int) -> float:
+    xs, ws = gauss_legendre(n_nodes, p.tau_min, 0.0)
     acc = 0.0
     for t, w in zip(xs, ws):
         acc += float(w) * skr.l4_coefficient(p, float(t)) * skr.volume_weight(p, float(t))
@@ -283,8 +285,8 @@ def _bulk_integral(p: SKRProfile, cfg: RunConfig) -> dict:
     evaluates the endpoint.
     """
     n = cfg.numerics.quad_nodes
-    coarse = _bulk_quadrature(p, n, p.tau_min)
-    fine = _bulk_quadrature(p, 2 * n, p.tau_min)
+    coarse = _bulk_quadrature(p, n)
+    fine = _bulk_quadrature(p, 2 * n)
     return _measured(fine, abs(fine - coarse))
 
 
@@ -303,7 +305,8 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     bulk = _bulk_integral(p, cfg)
 
     bd = skr.boundary_data(p)
-    tl3_closed = skr.transgression_pullback_closed(p, order, quad).coefficient((1, 2, 3))
+    closed = skr.transgression_pullback_closed(p, order, quad)
+    tl3_closed = closed.coefficient((1, 2, 3))
     tl3_direct = skr.transgression_pullback_direct(p, order, quad).coefficient((1, 2, 3))
     discrepancy = abs(tl3_closed - tl3_direct)
     tail = skr.closed_transgression_tail(bd, order)
@@ -324,6 +327,7 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
         bulk_integral=bulk,
         boundary_integral=boundary,
         eta=_measured(eta_val, eta_err),
+        closed_integrand=closed.integrand,
     )
 
 
@@ -377,16 +381,17 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
         written.append(path)
 
     if "transgression" in which:
-        bd = skr.boundary_data(p)
-        germ = hirzebruch_l_log_germ()
+        if report is not None:
+            values = report.closed_integrand
+        else:
+            values = skr.transgression_pullback_closed(
+                p, cfg.numerics.series_order, cfg.quadrature()
+            ).integrand
         xs, _ = cfg.quadrature().rule()
         path = out / "transgression.csv"
         with open(path, "w", newline="\n") as fh:
             fh.write("t,integrand_e123\n")
-            for t in xs:
-                val = skr.closed_transgression_integrand(
-                    bd, float(t), germ, cfg.numerics.series_order
-                )
+            for t, val in zip(xs, values):
                 fh.write(f"{_fmt(float(t))},{_fmt(val)}\n")
         written.append(path)
 

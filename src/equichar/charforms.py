@@ -15,17 +15,27 @@ from typing import Callable
 
 import numpy as np
 
-from .exterior import ExteriorForm, degree_component, exp_form, wedge
+from .exterior import (
+    ExteriorForm,
+    degree_component_coeffs,
+    exp_coeffs,
+    exp_form,
+    wedge,
+    wedge_coeffs,
+)
 from .matforms import (
     DEFAULT_SERIES_ORDER,
     AnalyticGerm,
     FormMatrix,
     apply_germ,
+    apply_germ_data,
     exp_trace_germ,
     hirzebruch_l_log_germ,
     mat_mul,
-    star_second,
+    mat_mul_data,
+    star_second_data,
     trace,
+    trace_data,
 )
 
 __all__ = [
@@ -64,14 +74,19 @@ class QuadratureSpec:
     def rule(self):
         return gauss_legendre(self.nodes, 0.0, 1.0)
 
+    def weighted_sum(self, terms: np.ndarray) -> ExteriorForm:
+        """sum_i w_i terms[i] for a stack of form coefficients, one row per node,
+        accumulated left-to-right over ascending nodes."""
+        _, ws = self.rule()
+        acc = terms[0] * ws[0]
+        for term, w in zip(terms[1:], ws[1:]):
+            acc = acc + term * w
+        return ExteriorForm(terms.shape[-1].bit_length() - 1, acc)
+
     def integrate_forms(self, fn: Callable[[float], ExteriorForm]) -> ExteriorForm:
         """sum_i w_i fn(t_i), accumulated left-to-right over ascending nodes."""
-        xs, ws = self.rule()
-        acc = None
-        for x, w in zip(xs, ws):
-            term = fn(float(x)) * float(w)
-            acc = term if acc is None else acc + term
-        return acc
+        xs, _ = self.rule()
+        return self.weighted_sum(np.stack([fn(float(x)).coeffs for x in xs]))
 
 
 @dataclass(frozen=True)
@@ -149,6 +164,16 @@ def transgression(
     return quad.integrate_forms(integrand)
 
 
+def _node_stacks(fam: ConnectionFamily, quad: QuadratureSpec):
+    """nabla^t X and R^t at every quadrature node, stacked along a leading node axis."""
+    xs, _ = quad.rule()
+    nx = np.stack([fam.nabla_x_at(float(x)).data for x in xs])
+    rt = np.stack([fam.curvature_at(float(x)).data for x in xs])
+    if np.any(nx[..., 1:]):
+        raise ValueError("nabla_x_at must produce degree-0 matrices at every node")
+    return nx, rt
+
+
 def transgression_degree3(
     germ: AnalyticGerm,
     fam: ConnectionFamily,
@@ -160,22 +185,19 @@ def transgression_degree3(
     exp(Tr[f(NX)]) * ( Tr[Theta f'(NX)] * Tr[f'(NX) R] + Tr[(f2(NX)*Theta) R] )
 
     where NX = nabla^t X, R = R^t and f2(a)*b is the non-commutative second
-    derivative.  Valid for even germs only.
+    derivative.  Valid for even germs only.  All nodes go through each step
+    in one batch.
     """
     _even_guard(germ)
-    d_germ = germ.derivative()
-
-    def integrand(t: float) -> ExteriorForm:
-        nx = fam.nabla_x_at(t)
-        rt = fam.curvature_at(t)
-        f_nx = apply_germ(d_germ, nx, order)
-        weight = exp_form(trace(apply_germ(germ, nx, order)))
-        t1 = trace(mat_mul(fam.theta, f_nx))
-        t2 = trace(mat_mul(f_nx, rt))
-        t3 = trace(mat_mul(star_second(germ, nx, fam.theta, order), rt))
-        return degree_component(wedge(weight, wedge(t1, t2) + t3), 3)
-
-    return quad.integrate_forms(integrand)
+    nx, rt = _node_stacks(fam, quad)
+    theta = fam.theta.data
+    f_nx = apply_germ_data(germ.derivative(), nx, order)
+    weight = exp_coeffs(trace_data(apply_germ_data(germ, nx, order)))
+    t1 = trace_data(mat_mul_data(theta, f_nx))
+    t2 = trace_data(mat_mul_data(f_nx, rt))
+    t3 = trace_data(mat_mul_data(star_second_data(germ, nx, theta, order), rt))
+    terms = wedge_coeffs(weight, wedge_coeffs(t1, t2) + t3)
+    return quad.weighted_sum(degree_component_coeffs(terms, 3))
 
 
 def transgression_degree3_alt(
@@ -191,15 +213,12 @@ def transgression_degree3_alt(
     """
     _even_guard(germ)
     d_germ = germ.derivative()
-
-    def integrand(t: float) -> ExteriorForm:
-        nx = fam.nabla_x_at(t)
-        rt = fam.curvature_at(t)
-        weight = exp_form(trace(apply_germ(germ, nx, order)))
-        one_plus = ExteriorForm.scalar(weight.dimension, 1.0) + trace(
-            mat_mul(fam.theta, apply_germ(d_germ, nx, order))
-        )
-        shifted = trace(mat_mul(apply_germ(d_germ, fam.theta + nx, order), rt))
-        return degree_component(wedge(weight, wedge(one_plus, shifted)), 3)
-
-    return quad.integrate_forms(integrand)
+    nx, rt = _node_stacks(fam, quad)
+    theta = fam.theta.data
+    weight = exp_coeffs(trace_data(apply_germ_data(germ, nx, order)))
+    one_plus = ExteriorForm.scalar(fam.theta.dimension, 1.0).coeffs + trace_data(
+        mat_mul_data(theta, apply_germ_data(d_germ, nx, order))
+    )
+    shifted = trace_data(mat_mul_data(apply_germ_data(d_germ, theta + nx, order), rt))
+    terms = wedge_coeffs(weight, wedge_coeffs(one_plus, shifted))
+    return quad.weighted_sum(degree_component_coeffs(terms, 3))

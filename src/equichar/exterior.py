@@ -14,7 +14,7 @@ where a size x size matrix of forms is a ``(size, size, 2**n)`` array.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "wedge",
     "degree_component",
     "exp_form",
-    "wedge_tensor",
     "mask_of_indices",
     "indices_of_mask",
 ]
@@ -110,17 +109,6 @@ def _wedge_table(dimension: int):
         np.asarray(kk, dtype=np.intp),
         np.asarray(ss, dtype=np.float64),
     )
-
-
-@lru_cache(maxsize=None)
-def wedge_tensor(dimension: int) -> np.ndarray:
-    """Dense structure tensor T with (a ^ b)_k = sum_ij T[i,j,k] a_i b_j."""
-    dim_size = 1 << dimension
-    tensor = np.zeros((dim_size, dim_size, dim_size))
-    ii, jj, kk, ss = _wedge_table(dimension)
-    tensor[ii, jj, kk] = ss
-    tensor.setflags(write=False)
-    return tensor
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +208,6 @@ class ExteriorForm:
 
     __rmul__ = __mul__
 
-    def __xor__(self, other: "ExteriorForm") -> "ExteriorForm":
-        """a ^ b is the wedge product (same as :func:`wedge`)."""
-        return wedge(self, other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExteriorForm):
             return NotImplemented
@@ -246,22 +230,64 @@ class ExteriorForm:
         return f"ExteriorForm(n={self.dimension}: {body})"
 
 
+# The kernels below act on coefficient arrays of shape (..., 2^n) and broadcast
+# over the leading axes, so one call covers a whole stack of forms (one per
+# quadrature node, say).  The per-form functions call the same kernels.
+
+def _dimension_of(coeffs: np.ndarray) -> int:
+    return coeffs.shape[-1].bit_length() - 1
+
+
+def wedge_coeffs(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Kernel of :func:`wedge`: adds a ^ b into ``out`` (zeros if None) and
+    returns it.  Each coefficient takes its products one at a time in table
+    order, so the bits do not depend on how many forms are stacked."""
+    ii, jj, kk, ss = _wedge_table(_dimension_of(a))
+    terms = ss * a[..., ii] * b[..., jj]
+    if out is None:
+        out = np.zeros(terms.shape[:-1] + a.shape[-1:])
+    np.add.at(out, (..., kk), terms)
+    return out
+
+
+def degree_component_coeffs(a: np.ndarray, k: int) -> np.ndarray:
+    """Kernel of :func:`degree_component`."""
+    dimension = _dimension_of(a)
+    if not 0 <= k <= dimension:
+        raise ValueError(f"degree {k} out of range 0..{dimension}")
+    return np.where(_degree_masks(dimension) == k, a, 0.0)
+
+
+def exp_coeffs(w: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`exp_form`.  A form stops taking terms at the first
+    power of w_+ that vanishes, as if each form ran the series alone."""
+    scalar = w[..., 0]
+    rest = np.array(w)
+    rest[..., 0] -= scalar
+    unit = np.zeros(w.shape[-1])
+    unit[0] = 1.0
+    acc = power = unit
+    live = np.ones(w.shape[:-1], dtype=bool)
+    factorial = 1.0
+    for j in range(1, _dimension_of(w) + 1):
+        power = wedge_coeffs(power, rest)
+        factorial *= j
+        live &= np.any(power != 0.0, axis=-1)
+        if not live.any():
+            break
+        acc = np.where(live[..., None], acc + power * (1.0 / factorial), acc)
+    return acc * np.exp(scalar)[..., None]
+
+
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Wedge product a ^ b; graded-commutative, terms of degree > n vanish."""
     a._check(b)
-    ii, jj, kk, ss = _wedge_table(a.dimension)
-    out = np.zeros(1 << a.dimension)
-    np.add.at(out, kk, ss * a.coeffs[ii] * b.coeffs[jj])
-    return ExteriorForm(a.dimension, out)
+    return ExteriorForm(a.dimension, wedge_coeffs(a.coeffs, b.coeffs))
 
 
 def degree_component(a: ExteriorForm, k: int) -> ExteriorForm:
     """Terms of a with exterior degree exactly k (0 <= k <= n)."""
-    if not 0 <= k <= a.dimension:
-        raise ValueError(f"degree {k} out of range 0..{a.dimension}")
-    deg = _degree_masks(a.dimension)
-    vec = np.where(deg == k, a.coeffs, 0.0)
-    return ExteriorForm(a.dimension, vec)
+    return ExteriorForm(a.dimension, degree_component_coeffs(a.coeffs, k))
 
 
 def exp_form(w: ExteriorForm) -> ExteriorForm:
@@ -269,15 +295,4 @@ def exp_form(w: ExteriorForm) -> ExteriorForm:
 
     w_0 is the degree-0 part, w_+ the rest; the sum terminates at j = n.
     """
-    scalar = float(w.coeffs[0])
-    rest = w - ExteriorForm.scalar(w.dimension, scalar)
-    acc = ExteriorForm.scalar(w.dimension, 1.0)
-    power = ExteriorForm.scalar(w.dimension, 1.0)
-    factorial = 1.0
-    for j in range(1, w.dimension + 1):
-        power = wedge(power, rest)
-        factorial *= j
-        if power.is_zero():
-            break
-        acc = acc + power * (1.0 / factorial)
-    return acc * float(np.exp(scalar))
+    return ExteriorForm(w.dimension, exp_coeffs(w.coeffs))

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceRadiusError, DimensionMismatchError
-from .exterior import ExteriorForm, exp_form, wedge_tensor
+from .exterior import ExteriorForm, exp_form, wedge_coeffs
 
 __all__ = [
     "AnalyticGerm",
@@ -326,58 +326,115 @@ def identity(size: int, dimension: int) -> FormMatrix:
     return FormMatrix.from_scalar_matrix(np.eye(size), dimension)
 
 
+# The kernels below act on data arrays of shape (..., size, size, 2^n) and
+# broadcast over the leading axes, so one call covers a whole stack of
+# matrices (one per quadrature node, say).  The per-matrix functions call the
+# same kernels; a stack takes a fast path only when every matrix in it does.
+
+def _is_degree0(data: np.ndarray) -> bool:
+    return not np.any(data[..., 1:])
+
+
+def mat_mul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`mat_mul`."""
+    # fast paths when one factor is purely scalar (degree 0)
+    if _is_degree0(a):
+        return np.einsum("...ij,...jkc->...ikc", a[..., 0], b)
+    if _is_degree0(b):
+        return np.einsum("...ijc,...jk->...ikc", a, b[..., 0])
+    # (AB)_ik = sum_j A_ij ^ B_jk, the products added in order of j, then of
+    # the wedge table
+    size = a.shape[-2]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for j in range(size):
+        wedge_coeffs(a[..., :, j, None, :], b[..., None, j, :, :], out)
+    return out
+
+
+def trace_data(a: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`trace`."""
+    return np.einsum("...iic->...c", a)
+
+
 def mat_mul(a: FormMatrix, b: FormMatrix) -> FormMatrix:
     """Matrix product with entries combined by wedge: (AB)_ik = sum_j A_ij ^ B_jk."""
     a._check(b)
-    # fast paths when one factor is purely scalar (degree 0)
-    if a.is_degree0():
-        data = np.einsum("ij,jkc->ikc", a.data[:, :, 0], b.data)
-        return FormMatrix(a.size, a.dimension, data)
-    if b.is_degree0():
-        data = np.einsum("ijc,jk->ikc", a.data, b.data[:, :, 0])
-        return FormMatrix(a.size, a.dimension, data)
-    tensor = wedge_tensor(a.dimension)
-    data = np.einsum("ija,jkb,abc->ikc", a.data, b.data, tensor)
-    return FormMatrix(a.size, a.dimension, data)
+    return FormMatrix(a.size, a.dimension, mat_mul_data(a.data, b.data))
 
 
 def trace(a: FormMatrix) -> ExteriorForm:
     """Sum of diagonal entries."""
-    return ExteriorForm(a.dimension, np.einsum("iic->c", a.data))
+    return ExteriorForm(a.dimension, trace_data(a.data))
 
 
-def spectral_radius_degree0(mat: np.ndarray) -> float:
-    """Spectral radius of a small numeric matrix.
+def spectral_radius_degree0(mat: np.ndarray):
+    """Spectral radius of a small numeric matrix, or of each matrix in a
+    stack (..., n, n); a float for one matrix, an array for a stack.
 
     Antisymmetric 2x2/3x3/4x4 matrices (the rotation generators arising here)
     are handled by closed formulas; anything else falls back to the Frobenius
     norm, a safe upper bound.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[0]
-    if np.allclose(mat, -mat.T, atol=1e-14 * (1.0 + np.max(np.abs(mat)))):
-        if n == 2:
-            return abs(mat[0, 1])
-        if n == 3:
-            return math.sqrt(mat[0, 1] ** 2 + mat[0, 2] ** 2 + mat[1, 2] ** 2)
-        if n == 4:
-            p = float(np.sum(mat * mat)) / 2.0  # lam1^2 + lam2^2
-            pf = (
-                mat[0, 1] * mat[2, 3]
-                - mat[0, 2] * mat[1, 3]
-                + mat[0, 3] * mat[1, 2]
-            )
-            q = pf * pf  # lam1^2 * lam2^2
-            disc = max(p * p - 4.0 * q, 0.0)
-            return math.sqrt((p + math.sqrt(disc)) / 2.0)
-    return float(np.linalg.norm(mat, "fro"))
+    shape, n = mat.shape[:-2], mat.shape[-1]
+    mat = mat.reshape(-1, n, n)
+    mat_t = mat.transpose(0, 2, 1)
+    # |M + M^T| <= atol + 1e-5 |M^T| entrywise, atol = 1e-14 (1 + max |M|)
+    atol = 1e-14 * (1.0 + np.max(np.abs(mat), axis=(1, 2)))
+    anti = np.all(np.abs(mat + mat_t) <= atol[:, None, None] + 1e-5 * np.abs(mat_t), axis=(1, 2))
+    if n == 2:
+        rho = np.abs(mat[:, 0, 1])
+    elif n == 3:
+        rho = np.sqrt(mat[:, 0, 1] ** 2 + mat[:, 0, 2] ** 2 + mat[:, 1, 2] ** 2)
+    elif n == 4:
+        p = np.sum(mat * mat, axis=(1, 2)) / 2.0  # lam1^2 + lam2^2
+        pf = mat[:, 0, 1] * mat[:, 2, 3] - mat[:, 0, 2] * mat[:, 1, 3] + mat[:, 0, 3] * mat[:, 1, 2]
+        q = pf * pf  # lam1^2 * lam2^2
+        disc = np.maximum(p * p - 4.0 * q, 0.0)
+        rho = np.sqrt((p + np.sqrt(disc)) / 2.0)
+    else:
+        rho, anti = np.zeros(len(mat)), np.zeros(len(mat), dtype=bool)
+    for i in np.flatnonzero(~anti):
+        rho[i] = np.linalg.norm(mat[i], "fro")
+    return float(rho[0]) if not shape else rho.reshape(shape)
 
 
-def _check_radius(germ: AnalyticGerm, m: FormMatrix) -> float:
-    rho = spectral_radius_degree0(m.data[:, :, 0])
-    if rho >= germ.radius:
-        raise ConvergenceRadiusError(rho, germ.radius, germ.name)
-    return rho
+def _check_radius(germ: AnalyticGerm, m0: np.ndarray) -> None:
+    """Raise for the first matrix of the stack m0 outside the germ's disk."""
+    rho = np.ravel(spectral_radius_degree0(m0))
+    bad = np.flatnonzero(rho >= germ.radius)
+    if bad.size:
+        raise ConvergenceRadiusError(float(rho[bad[0]]), germ.radius, germ.name)
+
+
+def apply_germ_data(
+    germ: AnalyticGerm, m: np.ndarray, order: int = DEFAULT_SERIES_ORDER
+) -> np.ndarray:
+    """Kernel of :func:`apply_germ`."""
+    _check_radius(germ, m[..., 0])
+    size = m.shape[-2]
+    if _is_degree0(m):
+        # numeric series on the scalar parts; one array of forms at the end
+        m0 = m[..., 0]
+        acc = np.eye(size) * germ.coeff(0)
+        power = np.eye(size)
+        for k in range(1, order + 1):
+            power = np.einsum("...ij,...jk->...ik", power, m0)
+            c = germ.coeff(k)
+            if c != 0.0:
+                acc = acc + power * c
+        out = np.zeros(m.shape)
+        out[..., 0] = acc
+        return out
+    unit = identity(size, m.shape[-1].bit_length() - 1).data
+    acc = np.broadcast_to(unit * float(germ.coeff(0)), m.shape)
+    power = unit
+    for k in range(1, order + 1):
+        power = mat_mul_data(power, m)
+        c = germ.coeff(k)
+        if c != 0.0:
+            acc = acc + power * float(c)
+    return acc
 
 
 def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_ORDER) -> FormMatrix:
@@ -388,26 +445,31 @@ def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_OR
     dropped without an estimate; the closed transgression route reports its
     own tail bound.
     """
-    _check_radius(germ, m)
-    if m.is_degree0():
-        # numeric series on the scalar parts; one FormMatrix at the end
-        m0 = m.data[:, :, 0]
-        acc = np.eye(m.size) * germ.coeff(0)
-        power = np.eye(m.size)
-        for k in range(1, order + 1):
-            power = np.einsum("ij,jk->ik", power, m0)
-            c = germ.coeff(k)
-            if c != 0.0:
-                acc = acc + power * c
-        return FormMatrix.from_scalar_matrix(acc, m.dimension)
-    acc = identity(m.size, m.dimension) * germ.coeff(0)
-    power = identity(m.size, m.dimension)
-    for k in range(1, order + 1):
-        power = mat_mul(power, m)
-        c = germ.coeff(k)
+    return FormMatrix(m.size, m.dimension, apply_germ_data(germ, m.data, order))
+
+
+def star_second_data(
+    germ: AnalyticGerm, a: np.ndarray, b: np.ndarray, order: int = DEFAULT_SERIES_ORDER
+) -> np.ndarray:
+    """Kernel of :func:`star_second`."""
+    if not _is_degree0(a):
+        raise ValueError("star_second requires a purely degree-0 first argument")
+    _check_radius(germ, a[..., 0])
+    a0 = a[..., 0]
+    # h_n = sum_q a^q b a^(n-1-q) by the recurrence h_n = a h_(n-1) + b a^(n-1)
+    h_n = b
+    a_pow = np.eye(a.shape[-2])  # a^(n-1)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for n in range(1, order + 1):
+        if n > 1:
+            a_pow = a_pow @ a0
+            h_n = np.einsum("...ij,...jkc->...ikc", a0, h_n) + np.einsum(
+                "...ijc,...jk->...ikc", b, a_pow
+            )
+        c = germ.coeff(n + 1) * (n + 1)  # f^(n+1)(0)/n!
         if c != 0.0:
-            acc = acc + power * c
-    return acc
+            out += c * h_n
+    return out
 
 
 def star_second(
@@ -422,22 +484,7 @@ def star_second(
     even germ the result is insensitive to the sign of ``a``.
     """
     a._check(b)
-    if not a.is_degree0():
-        raise ValueError("star_second requires a purely degree-0 first argument")
-    _check_radius(germ, a)
-    a0 = a.data[:, :, 0]
-    # h_n = sum_q a^q b a^(n-1-q) by the recurrence h_n = a h_(n-1) + b a^(n-1)
-    h_n = b.data
-    a_pow = np.eye(a.size)  # a^(n-1)
-    out = np.zeros_like(b.data)
-    for n in range(1, order + 1):
-        if n > 1:
-            a_pow = a_pow @ a0
-            h_n = np.einsum("ij,jkc->ikc", a0, h_n) + np.einsum("ijc,jk->ikc", b.data, a_pow)
-        c = germ.coeff(n + 1) * (n + 1)  # f^(n+1)(0)/n!
-        if c != 0.0:
-            out += c * h_n
-    return FormMatrix(b.size, b.dimension, out)
+    return FormMatrix(b.size, b.dimension, star_second_data(germ, a.data, b.data, order))
 
 
 def exp_trace_germ(

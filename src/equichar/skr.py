@@ -57,6 +57,7 @@ __all__ = [
     "transgression_pullback_closed",
     "transgression_pullback_direct",
     "closed_transgression_integrand",
+    "ClosedPullback",
     "MAX_SERIES_ORDER",
 ]
 
@@ -541,20 +542,32 @@ def closed_transgression_tail(bd: BoundaryData, order: int) -> float:
     return 2.0 * abs(bd.k) * tail
 
 
+class ClosedPullback(ExteriorForm):
+    """The closed route's pull-back, a multiple of e^123, together with the
+    integrand values at the ascending quadrature nodes that it sums."""
+
+    __slots__ = ("integrand",)
+
+    def __init__(self, coefficient: float, integrand: list):
+        super().__init__(3, {(1, 2, 3): coefficient})
+        self.integrand = integrand
+
+
 def transgression_pullback_closed(
     p: SKRProfile,
     order: int = DEFAULT_SERIES_ORDER,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> ExteriorForm:
+) -> ClosedPullback:
     """Closed-series route to the boundary pull-back of the degree-3
     transgression of the equivariant L-form; a multiple of e^123."""
     bd = boundary_data(p)
     germ = hirzebruch_l_log_germ()
     xs, ws = quad.rule()
+    integrand = [closed_transgression_integrand(bd, float(x), germ, order) for x in xs]
     acc = 0.0
-    for x, w in zip(xs, ws):
-        acc += float(w) * closed_transgression_integrand(bd, float(x), germ, order)
-    return ExteriorForm(3, {(1, 2, 3): acc})
+    for w, val in zip(ws, integrand):
+        acc += float(w) * val
+    return ClosedPullback(acc, integrand)
 
 
 def transgression_pullback_direct(

@@ -227,7 +227,7 @@ def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
     p = build_profile(cfg)
     assert p.phi(p.tau_min) == 0.0
     rep = eta_invariant(cfg, profile=p)
-    reference = app._bulk_quadrature(p, 400, p.tau_min)
+    reference = app._bulk_quadrature(p, 400)
     assert abs(rep.bulk_integral["value"] - reference) <= 1e-13 * abs(reference)
     assert math.isfinite(rep.eta["value"])
 
@@ -235,7 +235,7 @@ def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
 def _bulk_64(phi: np.polynomial.Polynomial) -> float:
     """64-node bulk integral of the worked example with phi replaced."""
     p = SKRProfile.irreducible_polynomial(phi.coef, -1.0, base_curv=2.0, tau_min=-0.5)
-    return app._bulk_quadrature(p, 64, p.tau_min)
+    return app._bulk_quadrature(p, 64)
 
 
 WORKED_PHI = np.polynomial.Polynomial([0.5, 0.25])
@@ -342,6 +342,25 @@ def test_emit_tables_builds_lform_table_once(tmp_path, monkeypatch):
     cfg = load_config(write_cfg(tmp_path, IRRED))
     emit_tables(cfg, tmp_path / "out")
     assert len(calls) == cfg.numerics.tau_samples
+
+
+def test_eta_evaluates_closed_integrand_once_per_node(tmp_path, monkeypatch, capsys):
+    """transgression.csv reuses the closed route's node values: 32 closed
+    integrands per 32-node eta, not 32 for the report and 32 for the table."""
+    calls = []
+    original = skr.closed_transgression_integrand
+
+    def counting(bd, t, *args, **kwargs):
+        calls.append(t)
+        return original(bd, t, *args, **kwargs)
+
+    monkeypatch.setattr(skr, "closed_transgression_integrand", counting)
+    assert main(["eta", str(write_cfg(tmp_path, IRRED)), "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    nodes, _ = load_config(write_cfg(tmp_path, IRRED)).quadrature().rule()
+    assert calls == list(nodes)
+    table = (tmp_path / "out" / "transgression.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in table] == calls
 
 
 def test_only_emit_tables_builds_lform_rows(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equichar import skr
+from equichar.app import build_profile, load_config
+from equichar.errors import ConvergenceRadiusError
 from equichar.exterior import ExteriorForm, _degree_masks, degree_component, exp_form, wedge
 from equichar.charforms import (
     ConnectionFamily,
@@ -24,6 +27,7 @@ from equichar.matforms import (
     trace,
 )
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
 QUAD = QuadratureSpec(32)
 GERM = hirzebruch_l_log_germ()
 
@@ -262,3 +266,87 @@ def test_x_to_zero_limit_order(rng):
         errs.append((transgression_degree3(GERM, fam_s, QUAD) - ref).max_abs())
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= 1.9
+
+
+# ----------------------------------------------------------------- node batching
+
+def _direct_per_node(germ, fam, quad, order=16):
+    """The direct route with one integrand evaluation per node."""
+    d_germ = germ.derivative()
+
+    def integrand(t):
+        nx, rt = fam.nabla_x_at(t), fam.curvature_at(t)
+        f_nx = apply_germ(d_germ, nx, order)
+        weight = exp_form(trace(apply_germ(germ, nx, order)))
+        t1 = trace(mat_mul(fam.theta, f_nx))
+        t2 = trace(mat_mul(f_nx, rt))
+        t3 = trace(mat_mul(star_second(germ, nx, fam.theta, order), rt))
+        return degree_component(wedge(weight, wedge(t1, t2) + t3), 3)
+
+    return quad.integrate_forms(integrand)
+
+
+def _alt_per_node(germ, fam, quad, order=16):
+    """The alternate route with one integrand evaluation per node."""
+    d_germ = germ.derivative()
+
+    def integrand(t):
+        nx, rt = fam.nabla_x_at(t), fam.curvature_at(t)
+        weight = exp_form(trace(apply_germ(germ, nx, order)))
+        one_plus = ExteriorForm.scalar(weight.dimension, 1.0) + trace(
+            mat_mul(fam.theta, apply_germ(d_germ, nx, order))
+        )
+        shifted = trace(mat_mul(apply_germ(d_germ, fam.theta + nx, order), rt))
+        return degree_component(wedge(weight, wedge(one_plus, shifted)), 3)
+
+    return quad.integrate_forms(integrand)
+
+
+ROUTES = [(transgression_degree3, _direct_per_node), (transgression_degree3_alt, _alt_per_node)]
+
+
+@pytest.mark.parametrize("nodes", [32, 64])
+@pytest.mark.parametrize("route,per_node", ROUTES)
+@pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])
+def test_batched_routes_bit_equal_per_node_on_examples(example, route, per_node, nodes):
+    p = build_profile(load_config(EXAMPLES / example))
+    fam, quad = skr.boundary_family(p), QuadratureSpec(nodes)
+    assert np.array_equal(route(GERM, fam, quad).coeffs, per_node(GERM, fam, quad).coeffs)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("route,per_node", ROUTES)
+def test_batched_routes_match_per_node_randomized(route, per_node, dim):
+    rng = np.random.default_rng(409 + dim)
+    for _ in range(5):
+        fam = random_family(rng, dim)
+        want = per_node(GERM, fam, QUAD)
+        got = route(GERM, fam, QUAD)
+        assert (got - want).max_abs() <= 1e-14 * want.max_abs()
+
+
+@pytest.mark.parametrize("route", [transgression_degree3, transgression_degree3_alt])
+def test_batched_routes_reject_late_nodes_past_germ_radius(route):
+    """psi0 = 4.5 on the boundary, so only nodes with t > pi/4.5 leave the
+    germ's disk; the error names the first of them, as a node-by-node pass would."""
+    p = skr.SKRProfile.irreducible_polynomial([0.5, 4.0], c_bar=-1.0, tau_min=-0.1)
+    fam = skr.boundary_family(p)
+    xs, _ = QUAD.rule()
+    first_bad = xs[xs > math.pi / 4.5][0]
+    with pytest.raises(ConvergenceRadiusError) as err:
+        route(GERM, fam, QUAD)
+    assert err.value.spectral_radius == pytest.approx(4.5 * first_bad, rel=1e-14)
+
+
+@pytest.mark.parametrize("route", [transgression_degree3, transgression_degree3_alt])
+def test_batched_routes_reject_forms_in_nabla_x_at_an_interior_node(rng, route):
+    fam = random_family(rng)
+    interior = float(QUAD.rule()[0][5])
+    extra = rand_antisym(4, 3, 1, 0.1, rng)
+    bad = ConnectionFamily(
+        theta=fam.theta,
+        nabla_x_at=lambda t: fam.nabla_x_at(t) + extra if t == interior else fam.nabla_x_at(t),
+        curvature_at=fam.curvature_at,
+    )
+    with pytest.raises(ValueError):
+        route(GERM, bad, QUAD)

@@ -8,8 +8,11 @@ from equichar.exterior import (
     ExteriorForm,
     MultiIndex,
     degree_component,
+    degree_component_coeffs,
+    exp_coeffs,
     exp_form,
     wedge,
+    wedge_coeffs,
 )
 
 
@@ -149,3 +152,32 @@ def test_exp_form_additive_on_even_forms(data):
     lhs = exp_form(a + b)
     rhs = wedge(exp_form(a), exp_form(b))
     assert (lhs - rhs).max_abs() < 1e-9 * max(1.0, lhs.max_abs())
+
+
+# ----------------------------------------------------------------- stacked kernels
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_stacked_kernels_bit_equal_per_form(dim):
+    """A stack of forms gives each form's own bits.  Rows 0 and 3 have no
+    w_+, so their exponential series stops early while the others run on."""
+    rng = np.random.default_rng(17 + dim)
+    a = rng.uniform(-2, 2, (6, 1 << dim))
+    b = rng.uniform(-2, 2, (6, 1 << dim))
+    a[[0, 3], 1:] = 0.0
+    wedged = wedge_coeffs(a, b)
+    exps = exp_coeffs(a)
+    for k in range(dim + 1):
+        parts = degree_component_coeffs(a, k)
+        for row, form in zip(parts, a):
+            assert np.array_equal(row, degree_component(ExteriorForm(dim, form), k).coeffs)
+    for i in range(6):
+        fa, fb = ExteriorForm(dim, a[i]), ExteriorForm(dim, b[i])
+        assert np.array_equal(wedged[i], wedge(fa, fb).coeffs)
+        assert np.array_equal(exps[i], exp_form(fa).coeffs)
+
+
+def test_wedge_coeffs_adds_into_out():
+    a, b = e(3, 1).coeffs, e(3, 2).coeffs
+    out = e(3, 1, 2).coeffs * 0.5
+    assert wedge_coeffs(a, b, out) is out
+    assert ExteriorForm(3, out) == 1.5 * e(3, 1, 2)

@@ -1,7 +1,9 @@
-"""Byte identity of the eta outputs on the two example configs.
+"""Byte identity of the eta outputs and the check stdout on the two example
+configs.
 
-The digests were taken from ``equichar eta`` on ``scripts/example_*.json``
-with Python 3.11, numpy 2.4 and scipy 1.17 on x86_64.  A change that moves
+The digests were taken from ``equichar eta`` and ``equichar check`` on
+``scripts/example_*.json`` with Python 3.11, numpy 2.4 and scipy 1.17 on
+x86_64.  A change that moves
 any written byte fails here; if the move is intended, say why in CHANGES.md
 and take the digests again.
 """
@@ -37,3 +39,18 @@ def test_eta_outputs_match_golden_digests(tmp_path, capsys, example):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN[example]
     }
     assert digests == GOLDEN[example]
+
+
+# sha256 of the whole stdout of ``equichar check``: both batched transgression
+# routes, the 2n-node report and the oracle suite, residuals included
+CHECK_STDOUT = {
+    "example_irreducible.json": "97977e052768129ae6d20f287c62879828016ced0d60643a96445c7b0950187d",
+    "example_reducible.json": "d8820a17a7e1a63b7c99679a2da4b5e24b5492c14c4ddca11f8e54ec255d106a",
+}
+
+
+@pytest.mark.parametrize("example", sorted(CHECK_STDOUT))
+def test_check_stdout_matches_golden_digest(capsys, example):
+    assert main(["check", str(EXAMPLES / example)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT[example]

@@ -15,6 +15,7 @@ from equichar.matforms import (
     hirzebruch_l_log_germ,
     identity,
     mat_mul,
+    mat_mul_data,
     spectral_radius_degree0,
     star_second,
     trace,
@@ -71,6 +72,26 @@ def test_mat_mul_degree_additivity():
 
     prod = mat_mul(degree2(1), degree2(2))
     assert prod.degrees_present() <= {4}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_mat_mul_equals_dense_structure_tensor_einsum(dim):
+    """The general product adds its terms in the order of the dense einsum
+    over the wedge structure tensor, j outermost, so the bits agree; a stack
+    of matrices gives each matrix's own bits."""
+    from equichar.exterior import _wedge_table
+
+    ii, jj, kk, ss = _wedge_table(dim)
+    tensor = np.zeros((1 << dim,) * 3)
+    tensor[ii, jj, kk] = ss
+    rng = np.random.default_rng(41 + dim)
+    a = rng.standard_normal((5, 4, 4, 1 << dim)) * 10.0 ** rng.integers(-6, 6, (5, 4, 4, 1 << dim))
+    b = rng.standard_normal((5, 4, 4, 1 << dim)) * 10.0 ** rng.integers(-6, 6, (5, 4, 4, 1 << dim))
+    want = np.einsum("nija,njkb,abc->nikc", a, b, tensor)
+    assert np.array_equal(mat_mul_data(a, b), want)
+    for n in range(5):
+        got = mat_mul(FormMatrix(4, dim, a[n]), FormMatrix(4, dim, b[n])).data
+        assert np.array_equal(got, want[n])
 
 
 def test_trace_antisymmetric_vanishes(worked_profile):
@@ -311,6 +332,24 @@ def test_spectral_radius_against_eigvals():
             anti = raw - raw.T
             want = float(np.max(np.abs(np.linalg.eigvals(anti))))
             assert spectral_radius_degree0(anti) == pytest.approx(want, abs=1e-10)
+
+
+def test_spectral_radius_stack_equals_per_matrix():
+    """A stack gives each matrix's own result, bit for bit, on the draws of
+    the test above; a non-antisymmetric matrix in the stack takes the
+    Frobenius norm."""
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4):
+        draws = [rng.uniform(-2, 2, (n, n)) for _ in range(20)]
+        stack = np.stack([raw - raw.T for raw in draws])
+        got = spectral_radius_degree0(stack)
+        assert got.shape == (20,)
+        assert all(rho == spectral_radius_degree0(mat) for mat, rho in zip(stack, got))
+        assert np.array_equal(spectral_radius_degree0(stack.reshape(4, 5, n, n)), got.reshape(4, 5))
+        stack[7] = draws[7]
+        mixed = spectral_radius_degree0(stack)
+        assert mixed[7] == float(np.linalg.norm(draws[7], "fro"))
+        assert np.array_equal(np.delete(mixed, 7), np.delete(got, 7))
 
 
 def test_spectral_radius_general_is_upper_bound():
