@@ -47,7 +47,7 @@ __all__ = [
 # --------------------------------------------------------------------------- config
 
 # Caps on the node counts, far above what the spectrally converging rules
-# need; they keep one run to seconds (a direct-route node costs about 1 ms).
+# need; they keep one run to seconds (a direct-route node costs about 0.13 ms).
 MAX_QUAD_NODES = 1024
 MAX_TAU_SAMPLES = 10_000
 

@@ -275,7 +275,7 @@ class FormMatrix:
         return self.data[:, :, 0].copy()
 
     def is_degree0(self) -> bool:
-        return not np.any(self.data[:, :, 1:])
+        return _is_degree0(self.data)
 
     def is_antisymmetric(self, tol: float = 0.0) -> bool:
         return bool(np.max(np.abs(self.data + self.data.transpose(1, 0, 2))) <= tol)
