@@ -259,23 +259,22 @@ def degree_component_coeffs(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def exp_coeffs(w: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`exp_form`.  A form stops taking terms at the first
-    power of w_+ that vanishes, as if each form ran the series alone."""
+    """Kernel of :func:`exp_form`.  The series stops once every form's power
+    of w_+ vanishes; until then a form whose power already vanished adds only
+    zeros, which leave its bits as if it had stopped alone."""
     scalar = w[..., 0]
     rest = np.array(w)
     rest[..., 0] -= scalar
     unit = np.zeros(w.shape[-1])
     unit[0] = 1.0
     acc = power = unit
-    live = np.ones(w.shape[:-1], dtype=bool)
     factorial = 1.0
     for j in range(1, _dimension_of(w) + 1):
         power = wedge_coeffs(power, rest)
-        factorial *= j
-        live &= np.any(power != 0.0, axis=-1)
-        if not live.any():
+        if not np.any(power):
             break
-        acc = np.where(live[..., None], acc + power * (1.0 / factorial), acc)
+        factorial *= j
+        acc = acc + power * (1.0 / factorial)
     return acc * np.exp(scalar)[..., None]
 
 

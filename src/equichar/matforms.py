@@ -379,7 +379,7 @@ def spectral_radius_degree0(mat: np.ndarray):
     shape, n = mat.shape[:-2], mat.shape[-1]
     mat = mat.reshape(-1, n, n)
     mat_t = mat.transpose(0, 2, 1)
-    # |M + M^T| <= atol + 1e-5 |M^T| entrywise, atol = 1e-14 (1 + max |M|)
+    # np.allclose(M, -M^T, atol=1e-14 (1 + max |M|)) per matrix, written out
     atol = 1e-14 * (1.0 + np.max(np.abs(mat), axis=(1, 2)))
     anti = np.all(np.abs(mat + mat_t) <= atol[:, None, None] + 1e-5 * np.abs(mat_t), axis=(1, 2))
     if n == 2:
