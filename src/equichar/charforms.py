@@ -17,6 +17,7 @@ import numpy as np
 
 from .exterior import (
     ExteriorForm,
+    _dimension_of,
     degree_component_coeffs,
     exp_coeffs,
     exp_form,
@@ -81,7 +82,7 @@ class QuadratureSpec:
         acc = terms[0] * ws[0]
         for term, w in zip(terms[1:], ws[1:]):
             acc = acc + term * w
-        return ExteriorForm(terms.shape[-1].bit_length() - 1, acc)
+        return ExteriorForm(_dimension_of(terms), acc)
 
     def integrate_forms(self, fn: Callable[[float], ExteriorForm]) -> ExteriorForm:
         """sum_i w_i fn(t_i), accumulated left-to-right over ascending nodes."""

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceRadiusError, DimensionMismatchError
-from .exterior import ExteriorForm, exp_form, wedge_coeffs
+from .exterior import ExteriorForm, _dimension_of, exp_form, wedge_coeffs
 
 __all__ = [
     "AnalyticGerm",
@@ -426,7 +426,7 @@ def apply_germ_data(
         out = np.zeros(m.shape)
         out[..., 0] = acc
         return out
-    unit = identity(size, m.shape[-1].bit_length() - 1).data
+    unit = identity(size, _dimension_of(m)).data
     acc = np.broadcast_to(unit * float(germ.coeff(0)), m.shape)
     power = unit
     for k in range(1, order + 1):
