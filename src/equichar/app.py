@@ -163,7 +163,8 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _interpolant(samples: dict, what: str):
+def _interpolant(samples: dict, what: str, tau_min: float):
+    """Spline of a sampled profile and its derivatives; it never extrapolates."""
     from scipy.interpolate import InterpolatedUnivariateSpline
 
     _require(
@@ -176,6 +177,11 @@ def _interpolant(samples: dict, what: str):
     _require(np.all(np.diff(taus) > 0), "sample tau values must be increasing")
     order = _number(samples.get("interp_order", 3), "interp_order", int)
     _require(1 <= order <= 5, "interp_order must be in 1..5")
+    _require(taus.size > order, f"{what}_samples needs more than interp_order points")
+    _require(
+        taus[0] <= tau_min and taus[-1] >= 0.0,
+        f"{what}_samples.tau must cover [tau_min, 0] = [{tau_min:g}, 0]",
+    )
     spline = InterpolatedUnivariateSpline(taus, vals, k=order)
     d1 = spline.derivative(1)
     d2 = spline.derivative(2) if order >= 2 else None
@@ -206,7 +212,7 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
                 phi_coeffs = _numbers(prof["phi_coeffs"], "phi_coeffs")
                 return SKRProfile.irreducible_polynomial(phi_coeffs, c_bar, **common)
             if "phi_samples" in prof:
-                f, d1, d2 = _interpolant(prof["phi_samples"], "phi")
+                f, d1, d2 = _interpolant(prof["phi_samples"], "phi", common["tau_min"])
                 return SKRProfile(
                     mode="irreducible", c_bar=c_bar, phi=f, phi_d=d1, phi_dd=d2, **common
                 )
@@ -214,7 +220,7 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
         if "q_coeffs" in prof:
             return SKRProfile.reducible_polynomial(_numbers(prof["q_coeffs"], "q_coeffs"), **common)
         if "q_samples" in prof:
-            f, d1, d2 = _interpolant(prof["q_samples"], "q")
+            f, d1, d2 = _interpolant(prof["q_samples"], "q", common["tau_min"])
             return SKRProfile(mode="reducible", q_fun=f, q_fun_d=d1, q_fun_dd=d2, **common)
         raise ConfigError("reducible profile needs q_coeffs or q_samples")
     except ProfileError as exc:
@@ -305,9 +311,9 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     bulk = _bulk_integral(p, cfg)
 
     bd = skr.boundary_data(p)
-    closed = skr.transgression_pullback_closed(p, order, quad)
+    closed = skr.transgression_pullback_closed(bd, order, quad)
     tl3_closed = closed.coefficient((1, 2, 3))
-    tl3_direct = skr.transgression_pullback_direct(p, order, quad).coefficient((1, 2, 3))
+    tl3_direct = skr.transgression_pullback_direct(bd, order, quad).coefficient((1, 2, 3))
     discrepancy = abs(tl3_closed - tl3_direct)
     tail = skr.closed_transgression_tail(bd, order)
 
@@ -385,7 +391,7 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
             values = report.closed_integrand
         else:
             values = skr.transgression_pullback_closed(
-                p, cfg.numerics.series_order, cfg.quadrature()
+                skr.boundary_data(p), cfg.numerics.series_order, cfg.quadrature()
             ).integrand
         xs, _ = cfg.quadrature().rule()
         path = out / "transgression.csv"
@@ -474,9 +480,9 @@ def run_check(cfg: RunConfig) -> list:
     scale = max(abs(closed), abs(direct), 1e-12)
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
 
-    alt = (
-        transgression_degree3_alt(hirzebruch_l_log_germ(), skr.boundary_family(p), quad, order)
-        .coefficient((1, 2, 3))
+    fam = skr.boundary_family(skr.boundary_data(p))
+    alt = transgression_degree3_alt(hirzebruch_l_log_germ(), fam, quad, order).coefficient(
+        (1, 2, 3)
     )
     results.append(_check("transgression-alt-route", abs(direct - alt) / scale, 1e-10))
 

@@ -1,15 +1,16 @@
 """Equivariant characteristic forms and transgressions over generic curvature data.
 
-Everything here is generic over a family of connections presented as matrix
-data: the endomorphism-valued difference form Theta, the degree-0 matrices
-nabla^t X, and the curvature 2-form matrices R^t.  The SKR-specific geometry
-in :mod:`equichar.skr` feeds its boundary data through these entry points,
-and the test suite exercises them on randomized families as well.
+Everything here is generic over a linear path of connections
+nabla^t = nabla^0 + t Theta, presented as matrix data: the endomorphism-valued
+difference form Theta, the coefficients of nabla^t X (linear in t) and those
+of the curvature R^t (quadratic in t).  The SKR-specific geometry in
+:mod:`equichar.skr` feeds its boundary data through these entry points, and
+the test suite exercises them on randomized families as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -92,34 +93,47 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ConnectionFamily:
-    """A path of connections presented through the three matrices the
-    transgression integrand needs.
+    """The linear path of connections nabla^t = nabla^0 + t Theta, t in [0, 1],
+    as the coefficients of the matrices the transgression integrand needs.
 
-    theta:        endomorphism-valued 1-form, the difference of the endpoint
-                  connections (antisymmetric matrix of 1-forms).
-    nabla_x_at:   t -> antisymmetric degree-0 matrix of the Killing field's
-                  covariant derivative along the family.
-    curvature_at: t -> antisymmetric matrix of curvature 2-forms.
+    theta:     the difference of the endpoint connections (antisymmetric
+               matrix of 1-forms).
+    nabla_x:   (n0, n1), nabla^t X = n0 + t n1 for the Killing field X
+               (antisymmetric degree-0 matrices).
+    curvature: (r0, r1, r2), R^t = r0 + t r1 + t^2 r2 (antisymmetric matrices
+               of pure 2-forms; r2 = Theta ^ Theta on a genuine path).
+
+    A sum of such terms keeps every property checked on the coefficients, so
+    the check holds exactly at every t.
     """
 
     theta: FormMatrix
-    nabla_x_at: Callable[[float], FormMatrix] = field(compare=False)
-    curvature_at: Callable[[float], FormMatrix] = field(compare=False)
+    nabla_x: tuple[FormMatrix, FormMatrix]
+    curvature: tuple[FormMatrix, FormMatrix, FormMatrix]
 
     def __post_init__(self):
-        if not self.theta.is_antisymmetric(tol=0.0):
+        if not self.theta.is_antisymmetric():
             raise ValueError("theta must be antisymmetric")
-        for t in (0.0, 1.0):
-            nx = self.nabla_x_at(t)
-            if not (nx.is_antisymmetric() and nx.is_degree0()):
-                raise ValueError("nabla_x_at must produce antisymmetric degree-0 matrices")
-            rt = self.curvature_at(t)
-            if not rt.is_antisymmetric():
-                raise ValueError("curvature_at must produce antisymmetric matrices")
-            if not rt.degrees_present() <= {2}:
-                raise ValueError("curvature_at must produce pure degree-2 matrices")
-            self.theta._check(nx)
-            self.theta._check(rt)
+        n0, n1 = self.nabla_x
+        r0, r1, r2 = self.curvature
+        for m in (n0, n1, r0, r1, r2):
+            if m.data.shape != self.theta.data.shape:
+                raise ValueError("family coefficients must have the dimensions of theta")
+            if not m.is_antisymmetric():
+                raise ValueError("family coefficients must be antisymmetric")
+        if not (n0.is_degree0() and n1.is_degree0()):
+            raise ValueError("nabla_x coefficients must be degree 0")
+        if not all(m.degrees_present() <= {2} for m in (r0, r1, r2)):
+            raise ValueError("curvature coefficients must be pure degree 2")
+
+    def at(self, t):
+        """Data arrays of nabla^t X and R^t at t, a number or a vector of
+        nodes; a vector adds a leading node axis."""
+        t = np.asarray(t, dtype=np.float64)[..., None, None, None]
+        n0, n1 = (m.data for m in self.nabla_x)
+        r0, r1, r2 = (m.data for m in self.curvature)
+        return n0 + n1 * t, r0 + r1 * t + r2 * (t * t)
+
 
 def equivariant_curvature(curv: FormMatrix, nabla_x: FormMatrix) -> FormMatrix:
     """Equivariant curvature matrix: curvature minus the Killing-derivative term."""
@@ -155,24 +169,16 @@ def transgression(
     with Rg_t the equivariant curvature of the family at t.
     """
     d_germ = germ.derivative()
+    size, dim = fam.theta.size, fam.theta.dimension
 
     def integrand(t: float) -> ExteriorForm:
-        rg = equivariant_curvature(fam.curvature_at(t), fam.nabla_x_at(t))
+        nx, rt = fam.at(t)
+        rg = equivariant_curvature(FormMatrix(size, dim, rt), FormMatrix(size, dim, nx))
         weight = exp_form(trace(apply_germ(germ, rg, order)))
         tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg, order)))
         return wedge(weight, tr)
 
     return quad.integrate_forms(integrand)
-
-
-def _node_stacks(fam: ConnectionFamily, quad: QuadratureSpec):
-    """nabla^t X and R^t at every quadrature node, stacked along a leading node axis."""
-    xs, _ = quad.rule()
-    nx = np.stack([fam.nabla_x_at(float(x)).data for x in xs])
-    rt = np.stack([fam.curvature_at(float(x)).data for x in xs])
-    if np.any(nx[..., 1:]):
-        raise ValueError("nabla_x_at must produce degree-0 matrices at every node")
-    return nx, rt
 
 
 def transgression_degree3(
@@ -190,7 +196,7 @@ def transgression_degree3(
     in one batch.
     """
     _even_guard(germ)
-    nx, rt = _node_stacks(fam, quad)
+    nx, rt = fam.at(quad.rule()[0])
     theta = fam.theta.data
     f_nx = apply_germ_data(germ.derivative(), nx, order)
     weight = exp_coeffs(trace_data(apply_germ_data(germ, nx, order)))
@@ -214,7 +220,7 @@ def transgression_degree3_alt(
     """
     _even_guard(germ)
     d_germ = germ.derivative()
-    nx, rt = _node_stacks(fam, quad)
+    nx, rt = fam.at(quad.rule()[0])
     theta = fam.theta.data
     weight = exp_coeffs(trace_data(apply_germ_data(germ, nx, order)))
     one_plus = ExteriorForm.scalar(fam.theta.dimension, 1.0).coeffs + trace_data(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
 from .errors import ConvergenceRadiusError, ProfileError, SingularInputError
-from .exterior import ExteriorForm
+from .exterior import ExteriorForm, mask_of_indices
 from .matforms import (
     _GERM_COEFFS,
     DEFAULT_SERIES_ORDER,
@@ -226,9 +226,7 @@ def curvature_matrix(cc: CurvatureComponents) -> FormMatrix:
 
     def put(i, j, pairs):
         for indices, value in pairs:
-            mask = 0
-            for idx in indices:
-                mask |= 1 << (idx - 1)
+            mask = mask_of_indices(indices, dim)
             data[i - 1, j - 1, mask] += value
             data[j - 1, i - 1, mask] -= value
 
@@ -389,9 +387,6 @@ class BoundaryData:
     a2: FormMatrix
     a3: FormMatrix
 
-    def nabla_tx(self, t: float) -> FormMatrix:
-        return nabla_x_matrix(self.phi0, t * self.psi0, dimension=3)
-
 
 def boundary_data(p: SKRProfile) -> BoundaryData:
     d = derived_functions(p, 0.0)
@@ -411,31 +406,23 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
         r0_2323 = 0.0
 
     dim = 3
-    data = np.zeros((4, 4, 1 << dim))
-
-    def e(*indices):
-        mask = 0
-        for idx in indices:
-            mask |= 1 << (idx - 1)
-        return mask
-
     theta = np.zeros((4, 4, 1 << dim))
-    theta[0, 3, e(1)] = k
-    theta[1, 3, e(2)] = k
-    theta[2, 3, e(3)] = l
+    theta[0, 3, mask_of_indices((1,), dim)] = k
+    theta[1, 3, mask_of_indices((2,), dim)] = k
+    theta[2, 3, mask_of_indices((3,), dim)] = l
     theta -= theta.transpose(1, 0, 2)
     theta_m = FormMatrix(4, dim, theta)
 
     a1 = np.zeros((4, 4, 1 << dim))
-    a1[0, 1, e(1, 2)] = r0_1212
-    a1[0, 2, e(1, 3)] = r0_2323  # equal 13/23 sectional blocks on the boundary
-    a1[1, 2, e(2, 3)] = r0_2323
+    a1[0, 1, mask_of_indices((1, 2), dim)] = r0_1212
+    a1[0, 2, mask_of_indices((1, 3), dim)] = r0_2323  # equal 13/23 sectional blocks
+    a1[1, 2, mask_of_indices((2, 3), dim)] = r0_2323
     a1 -= a1.transpose(1, 0, 2)
 
     a2 = np.zeros((4, 4, 1 << dim))
-    a2[0, 3, e(2, 3)] = -cc.r
-    a2[1, 3, e(1, 3)] = cc.r
-    a2[2, 3, e(1, 2)] = cc.c
+    a2[0, 3, mask_of_indices((2, 3), dim)] = -cc.r
+    a2[1, 3, mask_of_indices((1, 3), dim)] = cc.r
+    a2[2, 3, mask_of_indices((1, 2), dim)] = cc.c
     a2 -= a2.transpose(1, 0, 2)
 
     a3_m = mat_mul(theta_m, theta_m)
@@ -457,14 +444,15 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
     )
 
 
-def boundary_family(p: SKRProfile) -> ConnectionFamily:
-    """The boundary connection family feeding the generic transgression."""
-    bd = boundary_data(p)
-
-    def curvature_at(t: float) -> FormMatrix:
-        return bd.a1 + bd.a2 * t + bd.a3 * (t * t)
-
-    return ConnectionFamily(theta=bd.theta, nabla_x_at=bd.nabla_tx, curvature_at=curvature_at)
+def boundary_family(bd: BoundaryData) -> ConnectionFamily:
+    """The boundary connection family feeding the generic transgression:
+    nabla^t X is phi0 on the horizontal block and t psi0 on the vertical one,
+    and R^t = a1 + t a2 + t^2 a3."""
+    return ConnectionFamily(
+        theta=bd.theta,
+        nabla_x=(nabla_x_matrix(bd.phi0, 0.0, 3), nabla_x_matrix(0.0, bd.psi0, 3)),
+        curvature=(bd.a1, bd.a2, bd.a3),
+    )
 
 
 # --------------------------------------------------------------------------- transgression
@@ -554,13 +542,12 @@ class ClosedPullback(ExteriorForm):
 
 
 def transgression_pullback_closed(
-    p: SKRProfile,
+    bd: BoundaryData,
     order: int = DEFAULT_SERIES_ORDER,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ClosedPullback:
     """Closed-series route to the boundary pull-back of the degree-3
     transgression of the equivariant L-form; a multiple of e^123."""
-    bd = boundary_data(p)
     germ = hirzebruch_l_log_germ()
     xs, ws = quad.rule()
     integrand = [closed_transgression_integrand(bd, float(x), germ, order) for x in xs]
@@ -571,11 +558,10 @@ def transgression_pullback_closed(
 
 
 def transgression_pullback_direct(
-    p: SKRProfile,
+    bd: BoundaryData,
     order: int = DEFAULT_SERIES_ORDER,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ExteriorForm:
     """Generic-machinery route: the boundary family pushed through the
     degree-3 transgression integrand."""
-    fam = boundary_family(p)
-    return transgression_degree3(hirzebruch_l_log_germ(), fam, quad, order)
+    return transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad, order)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from equichar.skr import SKRProfile
 from equichar.errors import ProfileError
+from equichar.matforms import FormMatrix
+from equichar.skr import SKRProfile
 
 
 def make_irreducible(rng, scale=1.0, base_curv=None):
@@ -53,6 +54,12 @@ def make_reducible(rng, degree=4):
         except ProfileError:
             continue
     raise RuntimeError("failed to draw a valid reducible profile")
+
+
+def family_at(fam, t):
+    """nabla^t X and R^t of a connection family at one t, as form matrices."""
+    size, dim = fam.theta.size, fam.theta.dimension
+    return tuple(FormMatrix(size, dim, data) for data in fam.at(t))
 
 
 @pytest.fixture

@@ -3,11 +3,12 @@ pass/fail line per criterion (run with `pytest -s` to see the lines)."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_irreducible, make_reducible
+from conftest import family_at, make_irreducible, make_reducible
 from equichar import oracle, skr
 from equichar.app import RunConfig, Topology, eta_invariant
 from equichar.charforms import (
@@ -51,8 +52,9 @@ def test_criterion_01_reducible_vanishing():
         p = make_reducible(rng)
         for tau in np.linspace(p.tau_min * 0.95, -1e-3, 8):
             worst_l4 = max(worst_l4, abs(skr.l4_coefficient(p, float(tau))))
-        closed = skr.transgression_pullback_closed(p, 16, QUAD).coefficient((1, 2, 3))
-        direct = skr.transgression_pullback_direct(p, 16, QUAD).coefficient((1, 2, 3))
+        bd = skr.boundary_data(p)
+        closed = skr.transgression_pullback_closed(bd, 16, QUAD).coefficient((1, 2, 3))
+        direct = skr.transgression_pullback_direct(bd, 16, QUAD).coefficient((1, 2, 3))
         worst_tl3 = max(worst_tl3, abs(closed), abs(direct))
         sig = int(rng.integers(-3, 4))
         cfg = RunConfig(profile={}, topology=Topology(signature=sig))
@@ -76,8 +78,9 @@ def test_criterion_02_closed_vs_direct_transgression():
     worst = 0.0
     for i in range(20):
         p = make_irreducible(rng)
-        closed = skr.transgression_pullback_closed(p, 16, QUAD).coefficient((1, 2, 3))
-        direct = skr.transgression_pullback_direct(p, 16, QUAD).coefficient((1, 2, 3))
+        bd = skr.boundary_data(p)
+        closed = skr.transgression_pullback_closed(bd, 16, QUAD).coefficient((1, 2, 3))
+        direct = skr.transgression_pullback_direct(bd, 16, QUAD).coefficient((1, 2, 3))
         worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct)))
     elapsed = time.perf_counter() - t0
     report(2, "transgression-closed-vs-direct", worst <= 1e-8, f"rel<={worst:.2e}", elapsed, 10.0)
@@ -213,11 +216,7 @@ def _random_family(rng, dim):
     theta = rand_antisym(1, 0.4)
     n0, n1 = rand_antisym(0, 0.3), rand_antisym(0, 0.3)
     a1, a2, a3 = (rand_antisym(2, 0.4) for _ in range(3))
-    return ConnectionFamily(
-        theta=theta,
-        nabla_x_at=lambda t: n0 * (1.0 - t) + n1 * t,
-        curvature_at=lambda t: a1 + a2 * t + a3 * (t * t),
-    )
+    return ConnectionFamily(theta=theta, nabla_x=(n0, n1 - n0), curvature=(a1, a2, a3))
 
 
 def test_criterion_07_transgression_equivalences():
@@ -234,7 +233,7 @@ def test_criterion_07_transgression_equivalences():
             scale = max(t3.max_abs(), 1e-6)
             worst = max(worst, (t3 - alt).max_abs() / scale, (t3 - full).max_abs() / scale)
             # factorization and expansion identities at one interior time
-            nx, rt = fam.nabla_x_at(0.43), fam.curvature_at(0.43)
+            nx, rt = family_at(fam, 0.43)
             lhs = exp_form(trace(apply_germ(GERM, equivariant_curvature(rt, nx))))
             rhs = wedge(
                 exp_form(trace(apply_germ(GERM, nx))),
@@ -258,16 +257,12 @@ def test_criterion_08_x_to_zero_limit():
     rng = np.random.default_rng(808)
     fam = _random_family(rng, 3)
     ref = QUAD.integrate_forms(
-        lambda t: degree_component(trace(mat_mul(fam.theta, fam.curvature_at(t))), 3)
+        lambda t: degree_component(trace(mat_mul(fam.theta, family_at(fam, t)[1])), 3)
     ) * GERM.second_derivative_at_zero()
     scales = (1e-1, 1e-2, 1e-3)
     errs = []
     for s in scales:
-        fam_s = ConnectionFamily(
-            theta=fam.theta,
-            nabla_x_at=lambda t, s=s: fam.nabla_x_at(t) * s,
-            curvature_at=fam.curvature_at,
-        )
+        fam_s = replace(fam, nabla_x=tuple(m * s for m in fam.nabla_x))
         errs.append((transgression_degree3(GERM, fam_s, QUAD) - ref).max_abs())
     slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0

@@ -176,6 +176,42 @@ def test_tabulated_profile_round_trip(tmp_path):
     assert d.psi == pytest.approx(0.45 + 0.8 * 0.25, abs=1e-8)
 
 
+
+@pytest.mark.parametrize("what,mode", [("phi", "irreducible"), ("q", "reducible")])
+@pytest.mark.parametrize("lo,hi", [(-0.2, 0.0), (-0.5, -0.01)])
+def test_tabulated_profile_must_cover_the_tau_range(tmp_path, capsys, what, mode, lo, hi):
+    """A spline would extrapolate past its samples; with tau_min -0.5 and
+    samples on [-0.2, 0] eta used to exit 0 with a confident 0.0372553."""
+    taus = np.linspace(lo, hi, 12)
+    vals = 0.5 + 0.25 * taus if what == "phi" else 1.0 + 0.4 * taus
+    payload = {
+        "profile": {
+            "mode": mode,
+            f"{what}_samples": {"tau": list(taus), what: list(vals)},
+            "c_bar": -1.0,
+            "base_curv": 2.0,
+            "tau_min": -0.5,
+        }
+    }
+    assert main(["eta", str(write_cfg(tmp_path, payload)), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {what}_samples.tau must cover [tau_min, 0] = [-0.5, 0]" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tabulated_profile_needs_more_points_than_its_order(tmp_path, capsys):
+    payload = {
+        "profile": {
+            "mode": "irreducible",
+            "phi_samples": {"tau": [-0.6, 0.0], "phi": [0.35, 0.5]},
+            "tau_min": -0.5,
+        }
+    }
+    assert main(["eta", str(write_cfg(tmp_path, payload)), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: phi_samples needs more than interp_order points" in err
+
+
 # ----------------------------------------------------------------- eta
 
 def test_eta_reducible_is_minus_signature(tmp_path):
@@ -433,14 +469,32 @@ def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch
     for name in nodes:
         original = getattr(skr, f"transgression_pullback_{name}")
 
-        def counting(p, order, quad, _original=original, _seen=nodes[name]):
+        def counting(bd, order, quad, _original=original, _seen=nodes[name]):
             _seen.append(quad.nodes)
-            return _original(p, order, quad)
+            return _original(bd, order, quad)
 
         monkeypatch.setattr(skr, f"transgression_pullback_{name}", counting)
     cfg = load_config(write_cfg(tmp_path, IRRED))
     assert all(r.passed for r in run_check(cfg))
     assert nodes == {"closed": [32, 64], "direct": [32, 64]}
+
+
+@pytest.mark.parametrize("command,calls", [("eta", 1), ("check", 3)])
+def test_boundary_data_built_once_per_report(tmp_path, monkeypatch, capsys, command, calls):
+    """Each report builds the boundary once and hands it to every route; check
+    makes two reports (32 and 64 nodes) and one alternate route."""
+    seen = []
+    original = skr.boundary_data
+
+    def counting(p):
+        seen.append(p)
+        return original(p)
+
+    monkeypatch.setattr(skr, "boundary_data", counting)
+    cfg = str(EXAMPLES / "example_irreducible.json")
+    assert main([command, cfg, "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import family_at
 from equichar import skr
 from equichar.app import build_profile, load_config
 from equichar.errors import ConvergenceRadiusError
@@ -49,11 +51,7 @@ def random_family(rng, dim=3):
     a1 = rand_antisym(4, dim, 2, 0.4, rng)
     a2 = rand_antisym(4, dim, 2, 0.4, rng)
     a3 = rand_antisym(4, dim, 2, 0.4, rng)
-    return ConnectionFamily(
-        theta=theta,
-        nabla_x_at=lambda t: n0 * (1.0 - t) + n1 * t,
-        curvature_at=lambda t: a1 + a2 * t + a3 * (t * t),
-    )
+    return ConnectionFamily(theta=theta, nabla_x=(n0, n1 - n0), curvature=(a1, a2, a3))
 
 
 # ----------------------------------------------------------------- equivariant curvature
@@ -134,9 +132,7 @@ def test_l_form_classical_degree4(rng):
 
 def test_transgression_zero_theta(rng):
     fam = random_family(rng)
-    fam0 = ConnectionFamily(
-        theta=FormMatrix(4, 3), nabla_x_at=fam.nabla_x_at, curvature_at=fam.curvature_at
-    )
+    fam0 = replace(fam, theta=FormMatrix(4, 3))
     assert transgression(GERM, fam0, QUAD).max_abs() == 0.0
     assert transgression_degree3(GERM, fam0, QUAD).max_abs() == 0.0
 
@@ -145,7 +141,8 @@ def test_transgression_constant_family_quadrature_exactness(rng):
     theta = rand_antisym(4, 3, 1, 0.4, rng)
     nx = rand_antisym(4, 3, 0, 0.3, rng)
     rt = rand_antisym(4, 3, 2, 0.4, rng)
-    fam = ConnectionFamily(theta=theta, nabla_x_at=lambda t: nx, curvature_at=lambda t: rt)
+    zero = FormMatrix(4, 3)
+    fam = ConnectionFamily(theta=theta, nabla_x=(nx, zero), curvature=(rt, zero, zero))
     rg = equivariant_curvature(rt, nx)
     integrand = wedge(
         exp_form(trace(apply_germ(GERM, rg))),
@@ -156,7 +153,7 @@ def test_transgression_constant_family_quadrature_exactness(rng):
 
 
 def test_transgression_degree3_matches_full_on_boundary_family(worked_profile):
-    fam = skr.boundary_family(worked_profile)
+    fam = skr.boundary_family(skr.boundary_data(worked_profile))
     full3 = degree_component(transgression(GERM, fam, QUAD), 3)
     red = transgression_degree3(GERM, fam, QUAD)
     assert (full3 - red).max_abs() < 1e-10
@@ -168,7 +165,8 @@ def test_transgression_degree3_x_zero_family(rng):
     a1 = rand_antisym(4, 3, 2, 0.4, rng)
     a2 = rand_antisym(4, 3, 2, 0.4, rng)
     curv = lambda t: a1 + a2 * t
-    fam = ConnectionFamily(theta=theta, nabla_x_at=lambda t: FormMatrix(4, 3), curvature_at=curv)
+    zero = FormMatrix(4, 3)
+    fam = ConnectionFamily(theta=theta, nabla_x=(zero, zero), curvature=(a1, a2, zero))
     got = transgression_degree3(GERM, fam, QUAD)
     want = QUAD.integrate_forms(
         lambda t: degree_component(trace(mat_mul(theta, curv(t))), 3)
@@ -221,7 +219,7 @@ def test_factorization_identity_randomized(dim):
     for _ in range(5):
         fam = random_family(rng, dim)
         for t in (0.0, 0.37, 1.0):
-            nx, rt = fam.nabla_x_at(t), fam.curvature_at(t)
+            nx, rt = family_at(fam, t)
             lhs = exp_form(trace(apply_germ(GERM, equivariant_curvature(rt, nx))))
             rhs = wedge(
                 exp_form(trace(apply_germ(GERM, nx))),
@@ -238,7 +236,7 @@ def test_expansion_identity_randomized(dim):
     d_germ = GERM.derivative()
     for _ in range(5):
         fam = random_family(rng, dim)
-        nx, rt = fam.nabla_x_at(0.61), fam.curvature_at(0.61)
+        nx, rt = family_at(fam, 0.61)
         lhs = apply_germ(d_germ, equivariant_curvature(rt, nx))
         rhs = star_second(GERM, nx, rt) - apply_germ(d_germ, nx)
         for i in range(4):
@@ -253,16 +251,12 @@ def test_x_to_zero_limit_order(rng):
     f''(0) * int Tr[Theta R^t] dt at measured order >= 1.9."""
     fam = random_family(rng)
     ref = QUAD.integrate_forms(
-        lambda t: degree_component(trace(mat_mul(fam.theta, fam.curvature_at(t))), 3)
+        lambda t: degree_component(trace(mat_mul(fam.theta, family_at(fam, t)[1])), 3)
     ) * GERM.second_derivative_at_zero()
     scales = (1e-1, 1e-2, 1e-3)
     errs = []
     for s in scales:
-        fam_s = ConnectionFamily(
-            theta=fam.theta,
-            nabla_x_at=lambda t, s=s: fam.nabla_x_at(t) * s,
-            curvature_at=fam.curvature_at,
-        )
+        fam_s = replace(fam, nabla_x=tuple(m * s for m in fam.nabla_x))
         errs.append((transgression_degree3(GERM, fam_s, QUAD) - ref).max_abs())
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= 1.9
@@ -275,7 +269,7 @@ def _direct_per_node(germ, fam, quad, order=16):
     d_germ = germ.derivative()
 
     def integrand(t):
-        nx, rt = fam.nabla_x_at(t), fam.curvature_at(t)
+        nx, rt = family_at(fam, t)
         f_nx = apply_germ(d_germ, nx, order)
         weight = exp_form(trace(apply_germ(germ, nx, order)))
         t1 = trace(mat_mul(fam.theta, f_nx))
@@ -291,7 +285,7 @@ def _alt_per_node(germ, fam, quad, order=16):
     d_germ = germ.derivative()
 
     def integrand(t):
-        nx, rt = fam.nabla_x_at(t), fam.curvature_at(t)
+        nx, rt = family_at(fam, t)
         weight = exp_form(trace(apply_germ(germ, nx, order)))
         one_plus = ExteriorForm.scalar(weight.dimension, 1.0) + trace(
             mat_mul(fam.theta, apply_germ(d_germ, nx, order))
@@ -310,7 +304,7 @@ ROUTES = [(transgression_degree3, _direct_per_node), (transgression_degree3_alt,
 @pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])
 def test_batched_routes_bit_equal_per_node_on_examples(example, route, per_node, nodes):
     p = build_profile(load_config(EXAMPLES / example))
-    fam, quad = skr.boundary_family(p), QuadratureSpec(nodes)
+    fam, quad = skr.boundary_family(skr.boundary_data(p)), QuadratureSpec(nodes)
     assert np.array_equal(route(GERM, fam, quad).coeffs, per_node(GERM, fam, quad).coeffs)
 
 
@@ -330,7 +324,7 @@ def test_batched_routes_reject_late_nodes_past_germ_radius(route):
     """psi0 = 4.5 on the boundary, so only nodes with t > pi/4.5 leave the
     germ's disk; the error names the first of them, as a node-by-node pass would."""
     p = skr.SKRProfile.irreducible_polynomial([0.5, 4.0], c_bar=-1.0, tau_min=-0.1)
-    fam = skr.boundary_family(p)
+    fam = skr.boundary_family(skr.boundary_data(p))
     xs, _ = QUAD.rule()
     first_bad = xs[xs > math.pi / 4.5][0]
     with pytest.raises(ConvergenceRadiusError) as err:
@@ -338,15 +332,44 @@ def test_batched_routes_reject_late_nodes_past_germ_radius(route):
     assert err.value.spectral_radius == pytest.approx(4.5 * first_bad, rel=1e-14)
 
 
-@pytest.mark.parametrize("route", [transgression_degree3, transgression_degree3_alt])
-def test_batched_routes_reject_forms_in_nabla_x_at_an_interior_node(rng, route):
+# ----------------------------------------------------------------- family validation
+
+def test_family_at_nodes_bit_equal_per_node(rng):
     fam = random_family(rng)
-    interior = float(QUAD.rule()[0][5])
-    extra = rand_antisym(4, 3, 1, 0.1, rng)
-    bad = ConnectionFamily(
-        theta=fam.theta,
-        nabla_x_at=lambda t: fam.nabla_x_at(t) + extra if t == interior else fam.nabla_x_at(t),
-        curvature_at=fam.curvature_at,
-    )
+    xs, _ = QUAD.rule()
+    nx, rt = fam.at(xs)
+    for i, x in enumerate(xs):
+        nx_i, rt_i = fam.at(float(x))
+        assert np.array_equal(nx[i], nx_i) and np.array_equal(rt[i], rt_i)
+
+
+def _invalid_coefficients(fam, which, rng):
+    """(nabla_x, curvature) of ``fam`` with one coefficient made invalid."""
+    n0, n1 = fam.nabla_x
+    r0, r1, r2 = fam.curvature
+    f = rand_antisym(4, 3, 1, 0.4, rng)
+    return {
+        # pure degree 2 at t = 0 and t = 1 only: R^t carries t (1 - t) F between
+        "curvature-forms-between-endpoints": (fam.nabla_x, (r0, f, -f)),
+        "n1-with-a-one-form": ((n0, n1 + f), fam.curvature),
+        "non-antisymmetric": (fam.nabla_x, (r0, FormMatrix(4, 3, np.abs(r1.data)), r2)),
+        "coframe-dimension": (fam.nabla_x, (r0, r1, rand_antisym(4, 4, 2, 0.4, rng))),
+        "matrix-size": ((n0, FormMatrix(3, 3)), fam.curvature),
+    }[which]
+
+
+@pytest.mark.parametrize(
+    "which",
+    [
+        "curvature-forms-between-endpoints",
+        "n1-with-a-one-form",
+        "non-antisymmetric",
+        "coframe-dimension",
+        "matrix-size",
+    ],
+)
+def test_family_rejects_invalid_coefficients(rng, which):
+    fam = random_family(rng)
+    nabla_x, curvature = _invalid_coefficients(fam, which, rng)
     with pytest.raises(ValueError):
-        route(GERM, bad, QUAD)
+        replace(fam, nabla_x=nabla_x, curvature=curvature)

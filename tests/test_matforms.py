@@ -225,7 +225,7 @@ def test_star_second_commuting_scalars():
 def test_star_second_even_sign_flip_bit_for_bit(worked_profile):
     g = hirzebruch_l_log_germ()
     bd = skr.boundary_data(worked_profile)
-    a = bd.nabla_tx(0.7)
+    a = skr.nabla_x_matrix(bd.phi0, 0.7 * bd.psi0, 3)
     out_pos = star_second(g, a, bd.theta)
     out_neg = star_second(g, a * (-1.0), bd.theta)
     assert np.array_equal(out_pos.data, out_neg.data)

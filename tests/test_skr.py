@@ -256,7 +256,7 @@ def test_closed_route_rejects_angles_past_germ_radius():
     with pytest.raises(ConvergenceRadiusError):
         skr.closed_transgression_integrand(bd, 0.5, GERM)
     with pytest.raises(ConvergenceRadiusError):
-        skr.transgression_pullback_direct(p, 16, QUAD)
+        skr.transgression_pullback_direct(bd, 16, QUAD)
 
 
 def test_l_form_double_route_small_killing(rng):
@@ -345,11 +345,12 @@ def test_boundary_theta_sparsity(worked_profile):
 
 def test_boundary_nabla_tx(worked_profile):
     bd = skr.boundary_data(worked_profile)
+    fam = skr.boundary_family(bd)
     for t in (0.0, 0.4, 1.0):
-        block = bd.nabla_tx(t).degree0()
+        block = fam.at(t)[0][:, :, 0]
         assert block[0, 1] == bd.phi0
         assert block[2, 3] == t * bd.psi0
-    assert bd.nabla_tx(0.0).degree0()[2, 3] == 0.0
+    assert fam.at(0.0)[0][2, 3, 0] == 0.0
 
 
 def test_boundary_curvature_pieces(worked_profile):
@@ -382,8 +383,9 @@ def test_boundary_reducible_structure(rng):
 # ----------------------------------------------------------------- transgression routes
 
 def test_transgression_worked_profile(worked_profile):
-    closed = skr.transgression_pullback_closed(worked_profile, 16, QUAD)
-    direct = skr.transgression_pullback_direct(worked_profile, 16, QUAD)
+    bd = skr.boundary_data(worked_profile)
+    closed = skr.transgression_pullback_closed(bd, 16, QUAD)
+    direct = skr.transgression_pullback_direct(bd, 16, QUAD)
     c3 = closed.coefficient((1, 2, 3))
     d3 = direct.coefficient((1, 2, 3))
     assert abs(c3 - d3) / max(abs(c3), abs(d3)) < 1e-8
@@ -395,31 +397,29 @@ def test_transgression_worked_profile(worked_profile):
 def test_transgression_sweep_closed_vs_direct(rng):
     for _ in range(8):
         p = make_irreducible(rng)
-        c3 = skr.transgression_pullback_closed(p, 16, QUAD).coefficient((1, 2, 3))
-        d3 = skr.transgression_pullback_direct(p, 16, QUAD).coefficient((1, 2, 3))
+        bd = skr.boundary_data(p)
+        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).coefficient((1, 2, 3))
+        d3 = skr.transgression_pullback_direct(bd, 16, QUAD).coefficient((1, 2, 3))
         assert abs(c3 - d3) / max(abs(c3), abs(d3), 1e-12) < 1e-8
 
 
 def test_transgression_reducible_vanishes(rng):
     for _ in range(6):
         p = make_reducible(rng)
-        c3 = skr.transgression_pullback_closed(p, 16, QUAD).coefficient((1, 2, 3))
-        d3 = skr.transgression_pullback_direct(p, 16, QUAD).coefficient((1, 2, 3))
+        bd = skr.boundary_data(p)
+        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).coefficient((1, 2, 3))
+        d3 = skr.transgression_pullback_direct(bd, 16, QUAD).coefficient((1, 2, 3))
         assert abs(c3) < 1e-10
         assert abs(d3) < 1e-10
 
 
 def test_transgression_zero_theta_forced(worked_profile):
     """Forcing k = l = 0 kills the transgression entirely."""
-    from equichar.charforms import ConnectionFamily
+    from dataclasses import replace
+
     from equichar.matforms import FormMatrix
 
-    bd = skr.boundary_data(worked_profile)
-    fam = ConnectionFamily(
-        theta=FormMatrix(4, 3),
-        nabla_x_at=bd.nabla_tx,
-        curvature_at=lambda t: bd.a1 + bd.a2 * t + bd.a3 * (t * t),
-    )
+    fam = replace(skr.boundary_family(skr.boundary_data(worked_profile)), theta=FormMatrix(4, 3))
     assert transgression_degree3(GERM, fam, QUAD).max_abs() == 0.0
 
 
