@@ -163,9 +163,9 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _interpolant(samples: dict, what: str, tau_min: float):
-    """Spline of a sampled profile and its derivatives; it never extrapolates."""
-    from scipy.interpolate import InterpolatedUnivariateSpline
+def _interpolant(samples: dict, what: str, tau_min: float) -> skr.ProfileFunction:
+    """The interpolating FITPACK spline of the samples, by pieces; it never extrapolates."""
+    from scipy.interpolate import PPoly, splrep
 
     _require(
         isinstance(samples, dict) and "tau" in samples and what in samples,
@@ -182,55 +182,52 @@ def _interpolant(samples: dict, what: str, tau_min: float):
         taus[0] <= tau_min and taus[-1] >= 0.0,
         f"{what}_samples.tau must cover [tau_min, 0] = [{tau_min:g}, 0]",
     )
-    spline = InterpolatedUnivariateSpline(taus, vals, k=order)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2) if order >= 2 else None
-    return (
-        lambda t: float(spline(t)),
-        lambda t: float(d1(t)),
-        (lambda t: float(d2(t))) if d2 is not None else None,
-    )
+    pp = PPoly.from_spline(splrep(taus, vals, k=order))
+    pieces = [i for i in range(len(pp.x) - 1) if pp.x[i + 1] > pp.x[i]]
+    return skr.ProfileFunction.piecewise(pp.c[::-1, pieces].T, pp.x[pieces])
 
 
 def build_profile(cfg: RunConfig) -> SKRProfile:
+    """phi (irreducible) or Q (reducible), from coefficients or from samples."""
     prof = cfg.profile
     _require(isinstance(prof, dict), "'profile' must be an object")
     mode = prof.get("mode")
     _require(mode in ("irreducible", "reducible"), "profile.mode must be irreducible|reducible")
-    common = dict(
-        a_const=_number(prof.get("a_const", 1.0), "a_const"),
-        base_curv=_number(prof.get("base_curv", 0.0), "base_curv"),
-        tau_min=_number(prof.get("tau_min", -0.5), "tau_min"),
-        base_area=cfg.topology.base_area,
-        fiber_period=cfg.topology.fiber_period,
-        label=str(prof.get("label", "")),
-    )
+    what = "phi" if mode == "irreducible" else "q"
+    tau_min = _number(prof.get("tau_min", -0.5), "tau_min")
+    c_bar = _number(prof.get("c_bar", -1.0), "c_bar") if mode == "irreducible" else 1.0
     try:
-        if mode == "irreducible":
-            c_bar = _number(prof.get("c_bar", -1.0), "c_bar")
-            if "phi_coeffs" in prof:
-                phi_coeffs = _numbers(prof["phi_coeffs"], "phi_coeffs")
-                return SKRProfile.irreducible_polynomial(phi_coeffs, c_bar, **common)
-            if "phi_samples" in prof:
-                f, d1, d2 = _interpolant(prof["phi_samples"], "phi", common["tau_min"])
-                return SKRProfile(
-                    mode="irreducible", c_bar=c_bar, phi=f, phi_d=d1, phi_dd=d2, **common
-                )
-            raise ConfigError("irreducible profile needs phi_coeffs or phi_samples")
-        if "q_coeffs" in prof:
-            return SKRProfile.reducible_polynomial(_numbers(prof["q_coeffs"], "q_coeffs"), **common)
-        if "q_samples" in prof:
-            f, d1, d2 = _interpolant(prof["q_samples"], "q", common["tau_min"])
-            return SKRProfile(mode="reducible", q_fun=f, q_fun_d=d1, q_fun_dd=d2, **common)
-        raise ConfigError("reducible profile needs q_coeffs or q_samples")
+        if f"{what}_coeffs" in prof:
+            fn = skr.ProfileFunction.piecewise([_numbers(prof[f"{what}_coeffs"], f"{what}_coeffs")])
+        elif f"{what}_samples" in prof:
+            fn = _interpolant(prof[f"{what}_samples"], what, tau_min)
+        else:
+            raise ConfigError(f"{mode} profile needs {what}_coeffs or {what}_samples")
+        return SKRProfile(
+            mode,
+            fn,
+            c_bar=c_bar,
+            base_curv=_number(prof.get("base_curv", 0.0), "base_curv"),
+            tau_min=tau_min,
+            base_area=cfg.topology.base_area,
+            fiber_period=cfg.topology.fiber_period,
+            label=str(prof.get("label", "")),
+        )
     except ProfileError as exc:
         raise ConfigError(f"invalid profile: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- report
 
+def _finite(x: float) -> float:
+    """``x`` as a float; a value that overflowed is a numerical failure, never an output."""
+    if not math.isfinite(x):
+        raise EquicharError(f"non-finite result {x!r}")
+    return float(x)
+
+
 def _measured(value: float, error: float) -> dict:
-    return {"value": float(value), "error": float(error)}
+    return {"value": _finite(value), "error": _finite(error)}
 
 
 @dataclass
@@ -359,7 +356,7 @@ def _lform_row(p: SKRProfile, tau: float) -> dict:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return f"{_finite(x):.17g}"
 
 
 def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "report")) -> list:
@@ -373,17 +370,13 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
     if "lform" in which or "report" in which:
         rows = [_lform_row(p, t) for t in _lform_taus(p, cfg.numerics.tau_samples)]
 
+    # each file is formatted in full before it is opened, so that a
+    # non-finite value leaves no partial file behind
     if "lform" in which:
+        cols = ("tau", "alpha", "beta", "gamma", "delta", "L4")
+        lines = [",".join(cols)] + [",".join(_fmt(r[c]) for c in cols) for r in rows]
         path = out / "lform.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("tau,alpha,beta,gamma,delta,L4\n")
-            for r in rows:
-                fh.write(
-                    ",".join(
-                        _fmt(r[c]) for c in ("tau", "alpha", "beta", "gamma", "delta", "L4")
-                    )
-                    + "\n"
-                )
+        path.write_text("\n".join(lines) + "\n", newline="\n")
         written.append(path)
 
     if "transgression" in which:
@@ -394,17 +387,14 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
                 skr.boundary_data(p), cfg.numerics.series_order, cfg.quadrature()
             ).integrand
         xs, _ = cfg.quadrature().rule()
+        lines = ["t,integrand_e123"] + [f"{_fmt(float(t))},{_fmt(v)}" for t, v in zip(xs, values)]
         path = out / "transgression.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,integrand_e123\n")
-            for t, val in zip(xs, values):
-                fh.write(f"{_fmt(float(t))},{_fmt(val)}\n")
+        path.write_text("\n".join(lines) + "\n", newline="\n")
         written.append(path)
 
     if "report" in which:
         path = out / "report.json"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(report.to_json(rows))
+        path.write_text(report.to_json(rows), newline="\n")
         written.append(path)
 
     return written
@@ -650,7 +640,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EquicharError as exc:
+    except (EquicharError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -3,12 +3,14 @@
 An SKR metric on a disc bundle over a Riemann surface is determined, on the
 regular set of its Killing potential tau, by a single profile function: phi of
 tau together with the constant c_bar in the irreducible case, or a positive
-Q of tau in the reducible (local product) case.  This module derives the
-associated eigenfunctions phi, psi and Q, the curvature components in the
-adapted orthonormal frame, closed-form expressions for the equivariant
-Hirzebruch L-form, the boundary data at {tau = 0}, and the closed series
-formula for the pull-back of the degree-3 transgression of the L-form,
-alongside the generic-machinery route through :mod:`equichar.charforms`.
+Q of tau in the reducible (local product) case, held as one piecewise
+polynomial (:class:`ProfileFunction`) and validated exactly.  This module
+derives the associated eigenfunctions phi, psi and Q, the curvature
+components in the adapted orthonormal frame, closed-form expressions for the
+equivariant Hirzebruch L-form, the boundary data at {tau = 0}, and the closed
+series formula for the pull-back of the degree-3 transgression of the
+L-form, alongside the generic-machinery route through
+:mod:`equichar.charforms`.
 
 Frame conventions: e_1 is a normalized horizontal lift, e_2 = J e_1,
 e_3 = u/sqrt(Q) for the Killing field u, and e_4 = -v/sqrt(Q) for the
@@ -18,13 +20,14 @@ gradient v of tau, which is outward pointing at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
-from .errors import ConvergenceRadiusError, ProfileError, SingularInputError
+from .errors import ConvergenceRadiusError, EquicharError, ProfileError, SingularInputError
 from .exterior import ExteriorForm, mask_of_indices
 from .matforms import (
     _GERM_COEFFS,
@@ -37,6 +40,7 @@ from .matforms import (
 )
 
 __all__ = [
+    "ProfileFunction",
     "SKRProfile",
     "DerivedFunctions",
     "CurvatureComponents",
@@ -61,23 +65,72 @@ __all__ = [
     "MAX_SERIES_ORDER",
 ]
 
-_FD_STEP = 1e-5  # central-difference step for missing second derivatives
 
+@dataclass(frozen=True)
+class ProfileFunction:
+    """A piecewise polynomial with its first two derivatives, held as data.
 
-def _central_d(fn: Callable[[float], float], x: float, h: float = _FD_STEP) -> float:
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+    Piece i starts at ``knots[i]`` and ends at the next knot; the first and
+    the last piece extend over the rest of the line.  ``tables[i]`` holds the
+    Horner tables of f, f' and f'' in tau - knots[i], lowest coefficient
+    first.  A polynomial is one piece at knot 0.
+    """
+
+    knots: tuple
+    tables: tuple
+
+    @classmethod
+    def piecewise(cls, coeffs, knots=(0.0,)) -> "ProfileFunction":
+        """The function with ``coeffs[i]`` (lowest first) on the piece at ``knots[i]``."""
+        tables = []
+        for row in coeffs:
+            if not len(row):
+                raise ProfileError("a profile polynomial needs at least one coefficient")
+            poly = np.polynomial.Polynomial(tuple(float(c) for c in row))
+            tables.append(tuple(tuple(float(c) for c in poly.deriv(m).coef) for m in (0, 1, 2)))
+        return cls(tuple(float(k) for k in knots), tuple(tables))
+
+    def at(self, tau: float) -> tuple:
+        """(f, f', f'') at tau."""
+        knots = self.knots
+        i = bisect_right(knots, tau, 1) - 1 if len(knots) > 1 else 0
+        x = float(tau) - knots[i]
+        f, f_d, f_dd = self.tables[i]
+        return _horner(f, x), _horner(f_d, x), _horner(f_dd, x)
+
+    def zeros(self, lo: float, hi: float) -> list:
+        """The points of [lo, hi] where f vanishes: on each piece, the real roots
+        of f(radius y), radius = max |tau - knot|, after dropping leading terms
+        below rounding, and complex pairs where f is zero to rounding (a split
+        double root); a root within 1e-12 (hi - lo) of the piece counts."""
+        eps, slack, found = np.finfo(float).eps, 1e-12 * (hi - lo), []
+        breaks = (-math.inf,) + self.knots[1:] + (math.inf,)  # piece i is breaks[i : i + 2]
+        for i, (knot, (f, _, _)) in enumerate(zip(self.knots, self.tables)):
+            a, b = max(lo, breaks[i]) - knot, min(hi, breaks[i + 1]) - knot
+            if a > b:
+                continue
+            radius = max(-a, b)
+            scaled = [c * radius**k for k, c in enumerate(f)]
+            while len(scaled) > 1 and abs(scaled[-1]) <= eps * sum(map(abs, scaled[:-1])):
+                scaled.pop()
+            if not any(scaled):
+                found.append(b + knot)
+            for r in np.polynomial.polynomial.polyroots(scaled):
+                y, size = float(r.real), _horner([abs(c) for c in scaled], abs(r.real))
+                real = r.imag == 0.0 or abs(_horner(scaled, y)) <= 2 * len(scaled) * eps * size
+                if real and a - slack <= radius * y <= b + slack:
+                    found.append(min(max(radius * y + knot, lo), hi))
+        return sorted(found)
 
 
 @dataclass(frozen=True)
 class SKRProfile:
     """Profile data of a fibered SKR metric on a disc bundle.
 
-    Irreducible mode needs ``phi`` (nowhere zero on [tau_min, 0]) and the
-    constant ``c_bar`` outside the tau range; Q = 2(tau - c_bar) phi and
-    psi = Q'/2 are derived.  Reducible mode needs a positive ``q_fun``;
-    phi vanishes identically there.  The first derivative ``phi_d`` (or
-    ``q_fun_d``) is required; a missing second derivative is taken by central
-    differences of the first.
+    ``fn`` is the one profile function: phi in irreducible mode, where
+    c_bar lies outside [tau_min, 0] and Q = 2(tau - c_bar) phi and
+    psi = Q'/2 are derived; Q in reducible mode, where phi vanishes
+    identically.  Construction runs the exact check of ``validate``.
 
     ``base_curv`` is the base-surface curvature constant entering the
     horizontal curvature component linearly; ``base_area`` and
@@ -86,18 +139,12 @@ class SKRProfile:
     """
 
     mode: str
+    fn: ProfileFunction
     c_bar: float = -1.0
-    a_const: float = 1.0
     base_curv: float = 0.0
     tau_min: float = -0.5
     base_area: float = 1.0
     fiber_period: float = 2.0 * math.pi
-    phi: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    phi_d: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    phi_dd: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    q_fun: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    q_fun_d: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    q_fun_dd: Optional[Callable[[float], float]] = field(default=None, compare=False)
     label: str = ""
 
     def __post_init__(self):
@@ -105,53 +152,29 @@ class SKRProfile:
             raise ProfileError(f"unknown mode {self.mode!r}")
         if not self.tau_min < 0.0:
             raise ProfileError("tau_min must be negative (the boundary sits at tau = 0)")
-        if self.a_const == 0.0:
-            raise ProfileError("a_const must be nonzero")
-        if self.mode == "irreducible":
-            if self.phi is None or self.phi_d is None:
-                raise ProfileError("irreducible profile needs phi and phi_d")
-            if self.tau_min <= self.c_bar <= 0.0:
-                raise ProfileError("c_bar must lie outside [tau_min, 0]")
-        else:
-            if self.q_fun is None or self.q_fun_d is None:
-                raise ProfileError("reducible profile needs q_fun and q_fun_d")
+        if self.mode == "irreducible" and self.tau_min <= self.c_bar <= 0.0:
+            raise ProfileError("c_bar must lie outside [tau_min, 0]")
         self.validate()
 
-    # ------------------------------------------------------------------ validation
-
-    def validate(self, samples: int = 50) -> None:
-        """Check Q > 0 (and phi of one sign, irreducible) on (tau_min, 0]."""
-        taus = np.linspace(self.tau_min, 0.0, samples + 1)[1:]
-        for tau in taus:
-            d = derived_functions(self, float(tau))
-            if self.mode == "irreducible" and d.phi == 0.0:
-                raise ProfileError(f"phi vanishes at tau = {tau:.6g}")
-        # derived_functions already raises on Q <= 0
-
-    # ------------------------------------------------------------------ factories
+    def validate(self) -> None:
+        """Check that Q > 0 on (tau_min, 0]: phi (Q, reducible) has no zero there, one
+        at tau_min (up to rounding) being a degenerate inner end, and Q(0) > 0."""
+        name = "phi" if self.mode == "irreducible" else "Q"
+        for tau in self.fn.zeros(self.tau_min, 0.0):
+            if tau > self.tau_min * (1.0 - 1e-12):
+                raise ProfileError(f"{name} vanishes at tau = {tau:.6g}")
+        derived_functions(self, 0.0)  # raises on Q(0) <= 0
 
     @classmethod
     def irreducible_polynomial(cls, phi_coeffs, c_bar, **kw) -> "SKRProfile":
         """Irreducible profile with phi a polynomial (coefficients lowest first)."""
-        phi, phi_d, phi_dd = _polynomial_evaluators(phi_coeffs)
-        return cls(
-            mode="irreducible", c_bar=float(c_bar), phi=phi, phi_d=phi_d, phi_dd=phi_dd, **kw
-        )
+        return cls("irreducible", ProfileFunction.piecewise([phi_coeffs]), float(c_bar), **kw)
 
     @classmethod
     def reducible_polynomial(cls, q_coeffs, **kw) -> "SKRProfile":
         """Reducible profile with Q a positive polynomial (coefficients lowest first)."""
-        q_fun, q_fun_d, q_fun_dd = _polynomial_evaluators(q_coeffs)
         kw.setdefault("c_bar", 1.0)
-        return cls(mode="reducible", q_fun=q_fun, q_fun_d=q_fun_d, q_fun_dd=q_fun_dd, **kw)
-
-
-def _polynomial_evaluators(coeffs) -> tuple:
-    """Horner evaluators of a polynomial (coefficients lowest first) and of its
-    first two derivatives."""
-    poly = np.polynomial.Polynomial(tuple(float(c) for c in coeffs))
-    tables = [tuple(float(c) for c in poly.deriv(m).coef) for m in (0, 1, 2)]
-    return tuple((lambda t, tab=tab: float(_horner(tab, t))) for tab in tables)
+        return cls("reducible", ProfileFunction.piecewise([q_coeffs]), **kw)
 
 
 class DerivedFunctions(NamedTuple):
@@ -166,24 +189,16 @@ def derived_functions(p: SKRProfile, tau: float) -> DerivedFunctions:
     """phi, psi, Q and derivatives at tau.
 
     Irreducible: Q = 2(tau - c_bar) phi, psi = phi + (tau - c_bar) phi',
-    psi' = 2 phi' + (tau - c_bar) phi''.  Reducible: phi = 0, Q = q_fun,
+    psi' = 2 phi' + (tau - c_bar) phi''.  Reducible: phi = 0, Q = fn,
     psi = Q'/2, psi' = Q''/2.
     """
+    f, f_d, f_dd = p.fn.at(tau)
     if p.mode == "irreducible":
-        phi = p.phi(tau)
-        phi_d = p.phi_d(tau)
-        phi_dd = p.phi_dd(tau) if p.phi_dd is not None else _central_d(p.phi_d, tau)
         shift = tau - p.c_bar
-        q = 2.0 * shift * phi
-        psi = phi + shift * phi_d
-        psi_d = 2.0 * phi_d + shift * phi_dd
+        phi, psi, q, phi_d = f, f + shift * f_d, 2.0 * shift * f, f_d
+        psi_d = 2.0 * f_d + shift * f_dd
     else:
-        q = p.q_fun(tau)
-        q_d = p.q_fun_d(tau)
-        q_dd = p.q_fun_dd(tau) if p.q_fun_dd is not None else _central_d(p.q_fun_d, tau)
-        phi, phi_d = 0.0, 0.0
-        psi = 0.5 * q_d
-        psi_d = 0.5 * q_dd
+        phi, psi, q, phi_d, psi_d = 0.0, 0.5 * f_d, f, 0.0, 0.5 * f_dd
     if not q > 0.0:
         raise ProfileError(f"Q(tau) = {q:.6g} <= 0 at tau = {tau:.6g}")
     return DerivedFunctions(phi, psi, q, phi_d, psi_d)
@@ -316,7 +331,7 @@ def _lbar_triple(germ: AnalyticGerm, x: float):
     """(Lbar, Lbar', Lbar'') at x for Lbar(y) = exp(2 f(iy)), the restriction of
     the inner L-function to rotation angles."""
     near = abs((x + math.pi) % (2.0 * math.pi) - math.pi)  # distance to 2 pi Z
-    if x != 0.0 and near < 1e-8:
+    if abs(x) > math.pi and near < 1e-8:  # the nonzero multiples only
         raise SingularInputError(f"L-function pole at rotation angle {x:.6g}")
     _check_angle(germ, x)
     value = math.exp(2.0 * germ.eval_i(x))
@@ -426,6 +441,8 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
     a2 -= a2.transpose(1, 0, 2)
 
     a3_m = mat_mul(theta_m, theta_m)
+    if not (np.isfinite(a1).all() and np.isfinite(a3_m.data).all()):
+        raise EquicharError("non-finite boundary curvature (a float overflow)")
 
     return BoundaryData(
         phi0=d.phi,

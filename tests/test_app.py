@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,49 @@ def test_tabulated_profile_round_trip(tmp_path):
 
 
 
+def _tabulated(tmp_path, order, mode="irreducible"):
+    """Profile from 15 uneven samples of a non-polynomial phi (or Q)."""
+    taus = np.sort(np.random.default_rng(order).uniform(-0.6, 0.1, 15))
+    taus[0], taus[-1] = -0.6, 0.1
+    what = "phi" if mode == "irreducible" else "q"
+    vals = 0.5 + 0.25 * np.sin(3.0 * taus) + 0.1 * taus**3
+    payload = {
+        "profile": {
+            "mode": mode,
+            f"{what}_samples": {"tau": list(taus), what: list(vals), "interp_order": order},
+            "tau_min": -0.5,
+        }
+    }
+    return build_profile(load_config(write_cfg(tmp_path, payload))), taus, vals
+
+
+@pytest.mark.parametrize("mode", ["irreducible", "reducible"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_spline_pieces_match_scipy(tmp_path, order, mode):
+    """The pieces evaluate FITPACK's interpolating spline and its first two
+    derivatives, relative to the largest value of each on the range."""
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
+    p, taus, vals = _tabulated(tmp_path, order, mode)
+    spline = InterpolatedUnivariateSpline(taus, vals, k=order)
+    grid = np.concatenate([np.linspace(-0.5, 0.0, 301), taus[(taus >= -0.5) & (taus <= 0.0)]])
+    got = np.array([p.fn.at(float(t)) for t in grid])
+    for m in (0, 1, 2):
+        want = spline.derivative(m)(grid) if m else spline(grid)
+        assert np.max(np.abs(got[:, m] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_linear_spline_has_no_second_derivative_spike(tmp_path):
+    """interp_order 1 is piecewise linear: phi'' = 0, so psi' = 2 phi' right
+    next to a knot; a central difference of phi' read about 1e3 there."""
+    p, taus, _ = _tabulated(tmp_path, 1)
+    for knot in taus[(taus > -0.5) & (taus < 0.0)]:
+        for tau in (knot - 1e-6, knot, knot + 1e-6):
+            assert p.fn.at(float(tau))[2] == 0.0
+            d = skr.derived_functions(p, float(tau))
+            assert d.psi_d == 2.0 * d.phi_d
+
+
 @pytest.mark.parametrize("what,mode", [("phi", "irreducible"), ("q", "reducible")])
 @pytest.mark.parametrize("lo,hi", [(-0.2, 0.0), (-0.5, -0.01)])
 def test_tabulated_profile_must_cover_the_tau_range(tmp_path, capsys, what, mode, lo, hi):
@@ -261,7 +307,7 @@ def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
     }
     cfg = load_config(write_cfg(tmp_path, payload, "sing.json"))
     p = build_profile(cfg)
-    assert p.phi(p.tau_min) == 0.0
+    assert p.fn.at(p.tau_min)[0] == 0.0
     rep = eta_invariant(cfg, profile=p)
     reference = app._bulk_quadrature(p, 400)
     assert abs(rep.bulk_integral["value"] - reference) <= 1e-13 * abs(reference)
@@ -529,6 +575,140 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["lform", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command,profile,code,message",
+    [
+        # phi < 0 only on (-0.106, -0.104), between 50 equal samples: eta exited 0
+        ("eta", {"phi_coeffs": [0.105**2 - 1e-6, 0.21, 1.0]}, 2, "phi vanishes at tau = -0.106"),
+        # phi vanishes at tau_min only, a degenerate inner end
+        ("eta", {"phi_coeffs": [0.5, 1.0]}, 0, ""),
+        # psi = 5e-10 is near 0, the multiple of 2 pi where Lbar is regular: eta exited 1
+        ("eta", {"mode": "reducible", "q_coeffs": [1.0, 1e-9]}, 0, ""),
+        # an empty list, an overflow of phi^2, a singular chart metric: tracebacks
+        ("eta", {"phi_coeffs": []}, 2, "config error: invalid profile: a profile polynomial"),
+        ("eta", {"phi_coeffs": [1e300, 0.0]}, 1, "numerical failure:"),
+        (
+            "oracle",
+            {"phi_coeffs": [1e154, 0.22], "c_bar": -0.509, "tau_min": -0.189},
+            1,
+            "numerical failure: Singular matrix",
+        ),
+        # the bulk integral overflows: eta exited 0 with -Infinity in report.json
+        (
+            "eta",
+            {"phi_coeffs": [-2.0], "c_bar": 1e154, "base_curv": 1.0, "tau_min": -1.0},
+            1,
+            "numerical failure: non-finite result -inf",
+        ),
+        # L-form rows overflow to -inf and nan: lform exited 0 and wrote them
+        (
+            "lform",
+            {"phi_coeffs": [0.5, 0.25], "c_bar": -0.7, "base_curv": 1e308},
+            1,
+            "numerical failure: non-finite result -inf",
+        ),
+        # 2 |c_bar| base_curv overflows in the boundary curvature: a ValueError
+        (
+            "check",
+            {"phi_coeffs": [0.5], "c_bar": -1e154, "base_curv": 1e154, "tau_min": -1.0},
+            1,
+            "numerical failure: non-finite boundary curvature",
+        ),
+    ],
+    ids=[
+        "negative-between-samples",
+        "zero-at-tau-min",
+        "small-rotation-angle",
+        "empty-coeffs",
+        "overflowing-phi-squared",
+        "singular-chart-metric",
+        "overflowing-report",
+        "overflowing-lform-rows",
+        "overflowing-boundary-curvature",
+    ],
+)
+def test_cli_exit_code_per_profile(tmp_path, capsys, command, profile, code, message):
+    payload = {"profile": {"mode": "irreducible", "c_bar": -1.0, "tau_min": -0.5, **profile}}
+    out = tmp_path / "out"
+    assert main([command, str(write_cfg(tmp_path, payload)), "-o", str(out)]) == code
+    assert message in capsys.readouterr().err
+    written = sorted(path.name for path in out.glob("*"))
+    assert written == (["lform.csv", "report.json", "transgression.csv"] if code == 0 else [])
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+_FUZZ_NUMBER = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 1e-300, 1e-9, -1e-9, 1e154, -1e154, 1e300, -1e300]),
+)
+
+
+@st.composite
+def _fuzz_case(draw):
+    """A subcommand and a config: mostly plausible profiles, some extreme."""
+    mode = draw(st.sampled_from(["irreducible", "reducible"]))
+    what = "phi" if mode == "irreducible" else "q"
+    tau_min = draw(st.one_of(st.floats(-1.0, -0.01), _FUZZ_NUMBER))
+    values = st.one_of(st.floats(0.1, 0.7), _FUZZ_NUMBER)
+    profile = {
+        "mode": mode,
+        "c_bar": draw(st.one_of(st.floats(-3.0, -1.0), st.floats(0.1, 3.0), _FUZZ_NUMBER)),
+        "tau_min": tau_min,
+        "base_curv": draw(_FUZZ_NUMBER),
+    }
+    if draw(st.booleans()):
+        profile[f"{what}_coeffs"] = draw(st.lists(values, max_size=4))
+    else:
+        n = draw(st.integers(2, 8))
+        lo = min(tau_min, 0.0) - 0.1
+        profile[f"{what}_samples"] = {
+            "tau": [lo + (0.2 - lo) * k / (n - 1) for k in range(n)],
+            what: draw(st.lists(values, min_size=n, max_size=n)),
+            "interp_order": draw(st.integers(1, 5)),
+        }
+    numerics = {"quad_nodes": draw(st.integers(2, 6)), "tau_samples": draw(st.integers(2, 6))}
+    command = draw(st.sampled_from(["check", "lform", "transgression", "eta", "oracle"]))
+    return command, {"profile": profile, "numerics": numerics}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_case())
+def test_cli_fuzz_exit_codes_and_finite_report(case):
+    """Any config ends in exit 0, 1 or 2 without a traceback, and a written
+    report.json holds no NaN or Infinity."""
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp), payload)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(cfg), "-o", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        report = Path(tmp) / "out" / "report.json"
+        if report.exists():
+            json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+def test_eta_on_polynomial_profile_imports_no_scipy(tmp_path):
+    cfg = write_cfg(tmp_path, IRRED)
+    code = (
+        "import sys; from equichar.app import main; "
+        f"assert main(['eta', {str(cfg)!r}, '-o', {str(tmp_path / 'out')!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(app.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_entry_point_subprocess(tmp_path):

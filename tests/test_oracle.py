@@ -241,9 +241,7 @@ def test_base_curvature_enters_linearly(rng):
             c_bar=p0.c_bar,
             base_curv=rh,
             tau_min=p0.tau_min,
-            phi=p0.phi,
-            phi_d=p0.phi_d,
-            phi_dd=p0.phi_dd,
+            fn=p0.fn,
         )
         d = skr.derived_functions(p, pt.tau)
         cc = skr.curvature_components(p, d)

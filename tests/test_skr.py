@@ -43,8 +43,8 @@ def test_polynomial_profiles_match_numpy_polynomial():
     for tau in np.linspace(-0.4, 0.0, 17):
         tau = float(tau)
         want = [float(poly.deriv(m)(tau)) for m in (0, 1, 2)]
-        assert [irred.phi(tau), irred.phi_d(tau), irred.phi_dd(tau)] == want
-        assert [red.q_fun(tau), red.q_fun_d(tau), red.q_fun_dd(tau)] == want
+        assert list(irred.fn.at(tau)) == want
+        assert list(red.fn.at(tau)) == want
 
 
 def test_derived_functions_reducible():
@@ -75,6 +75,27 @@ def test_invalid_profiles_raise():
         SKRProfile.reducible_polynomial([-1.0], tau_min=-0.5)  # Q < 0
     with pytest.raises(ProfileError):
         SKRProfile.irreducible_polynomial([0.1, 1.0], c_bar=-2.0, tau_min=-0.5)  # phi crosses 0
+    # phi < 0 only on (-0.106, -0.104), between any 50 equal samples of [-0.5, 0]
+    with pytest.raises(ProfileError, match="phi vanishes at tau = -0.106"):
+        SKRProfile.irreducible_polynomial([0.105**2 - 1e-6, 0.21, 1.0], c_bar=-1.0, tau_min=-0.5)
+    # (tau + 0.105)^2 touches 0 without changing sign
+    with pytest.raises(ProfileError, match="phi vanishes at tau = -0.105"):
+        SKRProfile.irreducible_polynomial([0.105**2, 0.21, 1.0], c_bar=-1.0, tau_min=-0.5)
+
+
+@pytest.mark.parametrize("coeffs", [[0.5, 1.0], [0.2, 0.6, 0.4]])
+def test_zero_of_phi_at_tau_min_is_accepted(coeffs):
+    """phi = tau + 0.5 and 0.4 (tau + 0.5)(tau + 1) vanish at tau_min = -0.5
+    only: a degenerate inner end, not a zero on (tau_min, 0]."""
+    p = SKRProfile.irreducible_polynomial(coeffs, c_bar=-1.0, tau_min=-0.5)
+    assert p.fn.zeros(p.tau_min, 0.0) == [-0.5]
+
+
+def test_profiles_compare_by_their_function():
+    a = SKRProfile.irreducible_polynomial([0.5, 0.25], -1.0)
+    assert a != SKRProfile.irreducible_polynomial([0.7, 0.1], -1.0)
+    assert a == SKRProfile.irreducible_polynomial([0.5, 0.25], -1.0)
+    assert hash(a) == hash(SKRProfile.irreducible_polynomial([0.5, 0.25], -1.0))
 
 
 # ----------------------------------------------------------------- curvature
@@ -243,6 +264,8 @@ def test_l_form_closed_pole_guard(worked_profile):
     cc = skr.curvature_components(worked_profile, d)
     with pytest.raises(SingularInputError):
         skr._lbar_triple(GERM, 2.0 * math.pi)
+    for x in (5e-10, -5e-10, 0.0):  # 0 is the multiple of 2 pi where Lbar is regular
+        assert skr._lbar_triple(GERM, x)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_closed_route_rejects_angles_past_germ_radius():
