@@ -622,18 +622,20 @@ def main(argv=None) -> int:
 
     out_dir = args.out or cfg.output_dir or "."
     try:
-        if args.command == "check":
-            results = run_check(cfg)
-            return 0 if all(r.passed for r in results) else 1
-        if args.command == "oracle":
-            results = run_oracle(cfg)
-            return 0 if all(r.passed for r in results) else 1
-        if args.command == "lform":
-            paths = emit_tables(cfg, out_dir, which=("lform",))
-        elif args.command == "transgression":
-            paths = emit_tables(cfg, out_dir, which=("transgression",))
-        else:
-            paths = emit_tables(cfg, out_dir, which=("lform", "transgression", "report"))
+        # a numpy overflow or NaN raises an ArithmeticError: one line, no warnings
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "check":
+                results = run_check(cfg)
+                return 0 if all(r.passed for r in results) else 1
+            if args.command == "oracle":
+                results = run_oracle(cfg)
+                return 0 if all(r.passed for r in results) else 1
+            if args.command == "lform":
+                paths = emit_tables(cfg, out_dir, which=("lform",))
+            elif args.command == "transgression":
+                paths = emit_tables(cfg, out_dir, which=("transgression",))
+            else:
+                paths = emit_tables(cfg, out_dir, which=("lform", "transgression", "report"))
         for path in paths:
             print(path)
         return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -303,11 +303,15 @@ class SqrtACoeffs(NamedTuple):
 def sqrt_a_coeffs(phi: float, psi: float, cc: CurvatureComponents) -> SqrtACoeffs:
     """Coefficients of sqrt(A) = alpha + beta e^12 + gamma e^34 + delta e^1234.
 
-    Solves the square identity coefficient by coefficient; singular when
-    phi = psi = 0 (use the generic germ route near that limit instead).
+    Solves the square identity coefficient by coefficient.  At phi = psi = 0,
+    A = 2(bc + cd - 4r^2) e^1234: its root is 0 when A = 0 (a flat product),
+    and a nonzero nilpotent A has none (use the generic germ route near
+    that limit instead).
     """
     norm2 = phi * phi + psi * psi
     if norm2 == 0.0:
+        if cc.b * cc.c + cc.c * cc.d - 4.0 * cc.r**2 == 0.0:
+            return SqrtACoeffs(0.0, 0.0, 0.0, 0.0)
         raise SingularInputError("sqrt_a_coeffs undefined at phi = psi = 0")
     alpha = math.sqrt(norm2)
     beta = (cc.b * phi + cc.c * psi) / alpha
@@ -474,30 +478,25 @@ def boundary_family(bd: BoundaryData) -> ConnectionFamily:
 
 # --------------------------------------------------------------------------- transgression
 
-def _m_sum(phi: float, b: float, m: int, parity: int) -> float:
-    """sum over k of given parity of phi^k b^(2m-k) + b^k phi^(2m-k); odd runs
-    k = 1..2m-1, even runs k = 0..2m."""
-    start = 1 if parity else 0
-    acc = 0.0
-    for kk in range(start, 2 * m - start + 1, 2):
-        acc += phi**kk * b ** (2 * m - kk) + b**kk * phi ** (2 * m - kk)
-    return acc
-
-
 def closed_transgression_integrand(
     bd: BoundaryData,
     t: float,
-    germ: Optional[AnalyticGerm] = None,
     order: int = DEFAULT_SERIES_ORDER,
     nabla_scale: float = 1.0,
 ) -> float:
     """Coefficient of e^123 in the closed-series transgression integrand at t.
 
+    The series pairs a_m = (-1)^m (2m + 2) f_(2m+2), m = 0..order, for the
+    Taylor coefficients f_j of the L-log germ, with the sums of
+    phi^k (t psi)^(2m - k) over odd and over even k: 2 phi t psi h_(m-1) and
+    2 h_m for the complete homogeneous sums h_m = u h_(m-1) + v^m
+    (h_(-1) = 0) of u = phi^2 and v = (t psi)^2, summed in one pass over m.
+
     ``nabla_scale`` rescales the Killing-derivative arguments only (the
     second-fundamental-form data k, l and the curvature inputs stay fixed);
     the scale-to-zero limit recovers f''(0) Tr[Theta R^t].
     """
-    g = germ if germ is not None else hirzebruch_l_log_germ()
+    g = hirzebruch_l_log_germ()
     phi = nabla_scale * bd.phi0
     tpsi = t * nabla_scale * bd.psi0
     _check_angle(g, max(abs(phi), abs(tpsi)))
@@ -513,18 +512,16 @@ def closed_transgression_integrand(
         + t * bd.r_1234 * f1_tpsi * f1_tpsi
     )
 
-    series = 0.0
-    for m in range(order + 1):
-        a_m = (2 * m + 2) * g.coeff(2 * m + 2)
-        if a_m == 0.0:
-            continue
-        sgn = -1.0 if m % 2 else 1.0
-        odd_sum = _m_sum(phi, tpsi, m, parity=1)
-        even_sum = _m_sum(phi, tpsi, m, parity=0)
-        series += a_m * (
-            (sgn * bd.r0_2323 - sgn * t * t * bd.k * bd.l) * odd_sum
-            - sgn * t * bd.r_2314 * even_sum
-        )
+    u, v = phi * phi, tpsi * tpsi
+    h_prev, h, v_m = 0.0, 1.0, 1.0  # h_(m-1), h_m and v^m at m = 0
+    odd = even = 0.0  # the sums of a_m h_(m-1) and of a_m h_m
+    for m, coeff in enumerate(g.taylor[2 : 2 * order + 3 : 2]):
+        a_m = (-1) ** m * (2 * m + 2) * coeff
+        odd += a_m * h_prev
+        even += a_m * h
+        v_m *= v
+        h_prev, h = h, u * h + v_m
+    series = 2.0 * ((bd.r0_2323 - t * t * bd.k * bd.l) * phi * tpsi * odd - t * bd.r_2314 * even)
     term2 = 2.0 * bd.k * series
 
     term3 = -2.0 * t * bd.l * bd.r_1234 * f2_tpsi
@@ -565,9 +562,8 @@ def transgression_pullback_closed(
 ) -> ClosedPullback:
     """Closed-series route to the boundary pull-back of the degree-3
     transgression of the equivariant L-form; a multiple of e^123."""
-    germ = hirzebruch_l_log_germ()
     xs, ws = quad.rule()
-    integrand = [closed_transgression_integrand(bd, float(x), germ, order) for x in xs]
+    integrand = [closed_transgression_integrand(bd, float(x), order) for x in xs]
     acc = 0.0
     for w, val in zip(ws, integrand):
         acc += float(w) * val

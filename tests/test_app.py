@@ -261,13 +261,15 @@ def test_tabulated_profile_needs_more_points_than_its_order(tmp_path, capsys):
 # ----------------------------------------------------------------- eta
 
 def test_eta_reducible_is_minus_signature(tmp_path):
-    for sig in (0, 3, -2):
-        payload = dict(RED)
-        payload["topology"] = {"signature": sig}
-        rep = eta_invariant(load_config(write_cfg(tmp_path, payload)))
-        assert rep.eta["value"] == -float(sig)
-        assert rep.bulk_integral["value"] == 0.0
-        assert rep.boundary_integral["value"] == 0.0
+    """Also for the flat product, Q constant, where phi = psi = 0 and A = 0."""
+    flat = {"mode": "reducible", "q_coeffs": [1.0], "base_curv": 1.5}
+    for profile in (RED["profile"], flat):
+        for sig in (0, 3, -2):
+            payload = {"profile": profile, "topology": {"signature": sig}}
+            rep = eta_invariant(load_config(write_cfg(tmp_path, payload)))
+            assert rep.eta["value"] == -float(sig)
+            assert rep.bulk_integral["value"] == 0.0
+            assert rep.boundary_integral["value"] == 0.0
 
 
 def test_eta_signature_shift(tmp_path):
@@ -586,6 +588,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("eta", {"phi_coeffs": [0.5, 1.0]}, 0, ""),
         # psi = 5e-10 is near 0, the multiple of 2 pi where Lbar is regular: eta exited 1
         ("eta", {"mode": "reducible", "q_coeffs": [1.0, 1e-9]}, 0, ""),
+        # a flat product, phi = psi = 0: sqrt_a_coeffs raised and eta exited 1
+        ("eta", {"mode": "reducible", "q_coeffs": [1.0]}, 0, ""),
         # an empty list, an overflow of phi^2, a singular chart metric: tracebacks
         ("eta", {"phi_coeffs": []}, 2, "config error: invalid profile: a profile polynomial"),
         ("eta", {"phi_coeffs": [1e300, 0.0]}, 1, "numerical failure:"),
@@ -616,17 +620,33 @@ def test_cli_exit_codes(tmp_path, capsys):
             1,
             "numerical failure: non-finite boundary curvature",
         ),
+        # NaN in the finite differences: RuntimeWarning lines came first on stderr
+        (
+            "oracle",
+            {
+                "c_bar": -1e154,
+                "phi_samples": {
+                    "tau": [-0.6, -0.3, 0.0, 0.2],
+                    "phi": [1.0, 0.2, 0.7, 0.4],
+                    "interp_order": 1,
+                },
+            },
+            1,
+            "numerical failure: invalid value encountered",
+        ),
     ],
     ids=[
         "negative-between-samples",
         "zero-at-tau-min",
         "small-rotation-angle",
+        "flat-product",
         "empty-coeffs",
         "overflowing-phi-squared",
         "singular-chart-metric",
         "overflowing-report",
         "overflowing-lform-rows",
         "overflowing-boundary-curvature",
+        "numpy-invalid-value",
     ],
 )
 def test_cli_exit_code_per_profile(tmp_path, capsys, command, profile, code, message):

@@ -20,7 +20,7 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN = {
     "example_irreducible.json": {
         "lform.csv": "d0536dfa82a0b115faba4d4b51e2fd3af7c2da66e2a7d6970ba3568d03529331",
-        "transgression.csv": "8e4bdd119df3b411cb16178e61928deffa9fc75b493b5c3e0fc88fc72c6b2f8d",
+        "transgression.csv": "29051bb14dfcbbda0bb9a0e2922c6989311c55b15966dac5bac166e83608bd5c",
         "report.json": "e969f7b1258e5c13a63cacc1fa993c8f9f267c52928da12a83eaebd4ad857824",
     },
     "example_reducible.json": {
@@ -44,7 +44,7 @@ def test_eta_outputs_match_golden_digests(tmp_path, capsys, example):
 # sha256 of the whole stdout of ``equichar check``: both batched transgression
 # routes, the 2n-node report and the oracle suite, residuals included
 CHECK_STDOUT = {
-    "example_irreducible.json": "97977e052768129ae6d20f287c62879828016ced0d60643a96445c7b0950187d",
+    "example_irreducible.json": "b11a3ac7a73aeb68f8c50932d5ddcb6bee4669c371bbb282cb191571710f5839",
     "example_reducible.json": "d8820a17a7e1a63b7c99679a2da4b5e24b5492c14c4ddca11f8e54ec255d106a",
 }
 

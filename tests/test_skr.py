@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -195,8 +196,11 @@ def test_sqrt_a_reducible_vanishing():
 
 
 def test_sqrt_a_singular_input():
+    """At phi = psi = 0, A = 2(bc + cd - 4r^2) e^1234: a nonzero nilpotent A
+    has no square root, and A = 0 (a flat product) has the root 0."""
     with pytest.raises(SingularInputError):
-        skr.sqrt_a_coeffs(0.0, 0.0, skr.CurvatureComponents(1, 0, 0, 0))
+        skr.sqrt_a_coeffs(0.0, 0.0, skr.CurvatureComponents(1, 1, 0, 0))
+    assert skr.sqrt_a_coeffs(0.0, 0.0, skr.CurvatureComponents(1, 0, 0, 0)) == (0.0,) * 4
 
 
 def _pfaffian(m):
@@ -277,7 +281,7 @@ def test_closed_route_rejects_angles_past_germ_radius():
         skr.l4_coefficient(p, -0.25)
     bd = skr.boundary_data(p)
     with pytest.raises(ConvergenceRadiusError):
-        skr.closed_transgression_integrand(bd, 0.5, GERM)
+        skr.closed_transgression_integrand(bd, 0.5)
     with pytest.raises(ConvergenceRadiusError):
         skr.transgression_pullback_direct(bd, 16, QUAD)
 
@@ -462,11 +466,56 @@ def test_closed_integrand_killing_scale_limit(worked_profile):
     for s in scales:
         worst = 0.0
         for t in (0.25, 0.7, 1.0):
-            got = skr.closed_transgression_integrand(bd, t, GERM, 16, nabla_scale=s)
+            got = skr.closed_transgression_integrand(bd, t, 16, nabla_scale=s)
             worst = max(worst, abs(got - reference(t)))
         errs.append(worst)
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= 1.9
+
+
+def _mp_closed_integrand(bd, t, order):
+    """The closed integrand at 40 digits, summing the series as the double
+    sum over k of phi^k (t psi)^(2m - k) by parity; the germ values and
+    coefficients are the float ones.  Returns the value and the summed
+    absolute size of its terms."""
+    with mp.workdps(40):
+        k, l, r1234, r2314 = (mp.mpf(x) for x in (bd.k, bd.l, bd.r_1234, bd.r_2314))
+        t, phi = mp.mpf(t), mp.mpf(bd.phi0)
+        tpsi = t * mp.mpf(bd.psi0)
+        f1_phi, f1_tpsi = GERM.eval_i_d1(bd.phi0), GERM.eval_i_d1(float(tpsi))
+        weight = mp.exp(2 * (mp.mpf(GERM.eval_i(bd.phi0)) + GERM.eval_i(float(tpsi))))
+        terms = [
+            -4 * l * (t * t * k * k - bd.r0_1212) * f1_phi * f1_tpsi,
+            4 * l * t * r1234 * f1_tpsi * f1_tpsi,
+            -2 * t * l * r1234 * GERM.eval_i_d2(float(tpsi)),
+        ]
+        phi_pow = [phi**j for j in range(2 * order + 1)]
+        tpsi_pow = [tpsi**j for j in range(2 * order + 1)]
+        for m in range(order + 1):
+            a_m = 2 * k * (-1) ** m * (2 * m + 2) * mp.mpf(GERM.coeff(2 * m + 2))
+            for kk in range(2 * m + 1):
+                pair = phi_pow[kk] * tpsi_pow[2 * m - kk] + tpsi_pow[kk] * phi_pow[2 * m - kk]
+                factor = bd.r0_2323 - t * t * k * l if kk % 2 else -t * r2314
+                terms.append(a_m * factor * pair)
+        return weight * mp.fsum(terms), weight * mp.fsum(abs(x) for x in terms)
+
+
+@pytest.mark.parametrize(
+    "phi_coeffs,c_bar,base_curv",
+    [([0.5, 0.25], -1.0, 2.0), ([-0.4, 0.3], 1.0, 0.0), ([1.5, 0.25], -1.0, 0.0)],
+    ids=["worked", "negative-phi", "large-angle"],
+)
+def test_closed_integrand_matches_double_sum(phi_coeffs, c_bar, base_curv):
+    """The O(order) recurrence sums the series of the double sum it replaced,
+    within 1e-15 of the size of the integrand's terms."""
+    p = SKRProfile.irreducible_polynomial(phi_coeffs, c_bar, base_curv=base_curv, tau_min=-0.5)
+    bd = skr.boundary_data(p)
+    for order in (4, 16):
+        for nodes in (32, 64):
+            for t in QuadratureSpec(nodes).rule()[0]:
+                want, size = _mp_closed_integrand(bd, float(t), order)
+                got = skr.closed_transgression_integrand(bd, float(t), order)
+                assert abs(got - want) <= 1e-15 * size
 
 
 def test_closed_tail_bound_small(worked_profile):
