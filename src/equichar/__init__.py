@@ -9,7 +9,7 @@ from .errors import (
     ProfileError,
     SingularInputError,
 )
-from .exterior import ExteriorForm, MultiIndex, degree_component, exp_form, wedge
+from .exterior import ExteriorForm, degree_component, exp_form, wedge
 from .matforms import (
     AnalyticGerm,
     FormMatrix,

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -309,8 +310,8 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
 
     bd = skr.boundary_data(p)
     closed = skr.transgression_pullback_closed(bd, order, quad)
-    tl3_closed = closed.coefficient((1, 2, 3))
-    tl3_direct = skr.transgression_pullback_direct(bd, order, quad).coefficient((1, 2, 3))
+    tl3_closed = closed.value
+    tl3_direct = skr.transgression_pullback_direct(bd, order, quad)
     discrepancy = abs(tl3_closed - tl3_direct)
     tail = skr.closed_transgression_tail(bd, order)
 
@@ -351,7 +352,7 @@ def _lform_row(p: SKRProfile, tau: float) -> dict:
         "beta": sq.beta,
         "gamma": sq.gamma,
         "delta": sq.delta,
-        "L4": skr.l_form_from_sqrt(sq).coefficient((1, 2, 3, 4)),
+        "L4": skr.l4_from_sqrt(sq),
     }
 
 
@@ -642,6 +643,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # a float ** or math call, whose message names no quantity: name the function
+        where = traceback.extract_tb(exc.__traceback__)[-1].name
+        print(f"numerical failure: float overflow in {where}", file=sys.stderr)
+        return 1
     except (EquicharError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

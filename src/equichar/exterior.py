@@ -14,14 +14,13 @@ where a size x size matrix of forms is a ``(size, size, 2**n)`` array.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 
 __all__ = [
-    "MultiIndex",
     "ExteriorForm",
     "wedge",
     "degree_component",
@@ -29,26 +28,6 @@ __all__ = [
     "mask_of_indices",
     "indices_of_mask",
 ]
-
-
-class MultiIndex(tuple):
-    """Strictly increasing tuple of coframe indices, e.g. ``MultiIndex((1, 3))`` for e^{13}.
-
-    The empty multi-index denotes the degree-0 basis element 1.
-    """
-
-    def __new__(cls, indices: Iterable[int] = ()):
-        idx = tuple(int(i) for i in indices)
-        for a, b in zip(idx, idx[1:]):
-            if a >= b:
-                raise ValueError(f"multi-index {idx} is not strictly increasing")
-        if idx and idx[0] < 1:
-            raise ValueError(f"coframe indices start at 1, got {idx}")
-        return super().__new__(cls, idx)
-
-    @property
-    def degree(self) -> int:
-        return len(self)
 
 
 def mask_of_indices(indices: Sequence[int], dimension: int) -> int:
@@ -65,7 +44,8 @@ def mask_of_indices(indices: Sequence[int], dimension: int) -> int:
     return mask
 
 
-def indices_of_mask(mask: int) -> MultiIndex:
+def indices_of_mask(mask: int) -> tuple:
+    """The strictly increasing multi-index of a bitmask; () for the unit 1."""
     out = []
     i = 1
     while mask:
@@ -73,7 +53,7 @@ def indices_of_mask(mask: int) -> MultiIndex:
             out.append(i)
         mask >>= 1
         i += 1
-    return MultiIndex(out)
+    return tuple(out)
 
 
 def _wedge_sign(mask_a: int, mask_b: int) -> int:
@@ -168,7 +148,7 @@ class ExteriorForm:
 
     @property
     def coefficients(self) -> dict:
-        """Nonzero coefficients as a MultiIndex -> float mapping."""
+        """Nonzero coefficients as a multi-index tuple -> float mapping."""
         return {
             indices_of_mask(m): float(v)
             for m, v in enumerate(self.coeffs)

@@ -6,11 +6,13 @@ tau together with the constant c_bar in the irreducible case, or a positive
 Q of tau in the reducible (local product) case, held as one piecewise
 polynomial (:class:`ProfileFunction`) and validated exactly.  This module
 derives the associated eigenfunctions phi, psi and Q, the curvature
-components in the adapted orthonormal frame, closed-form expressions for the
-equivariant Hirzebruch L-form, the boundary data at {tau = 0}, and the closed
-series formula for the pull-back of the degree-3 transgression of the
-L-form, alongside the generic-machinery route through
-:mod:`equichar.charforms`.
+components in the adapted orthonormal frame, the degree-4 coefficient of the
+equivariant Hirzebruch L-form in closed form, the boundary data at
+{tau = 0}, and the e^123 coefficient of the boundary pull-back of the
+degree-3 transgression of the L-form, by the closed series formula and by
+the generic-machinery route through :mod:`equichar.charforms`.  Both the
+bulk and the boundary quantities are returned as floats; the only exterior
+form built here is the reference A of :func:`eigenvalue_square`.
 
 Frame conventions: e_1 is a normalized horizontal lift, e_2 = J e_1,
 e_3 = u/sqrt(Q) for the Killing field u, and e_4 = -v/sqrt(Q) for the
@@ -52,8 +54,7 @@ __all__ = [
     "equivariant_curvature_matrix",
     "eigenvalue_square",
     "sqrt_a_coeffs",
-    "l_form_from_sqrt",
-    "l_form_closed",
+    "l4_from_sqrt",
     "l4_coefficient",
     "volume_weight",
     "boundary_data",
@@ -331,9 +332,10 @@ def _check_angle(germ: AnalyticGerm, x: float) -> None:
         raise ConvergenceRadiusError(abs(x), germ.radius, germ.name)
 
 
-def _lbar_triple(germ: AnalyticGerm, x: float):
+def _lbar_triple(x: float):
     """(Lbar, Lbar', Lbar'') at x for Lbar(y) = exp(2 f(iy)), the restriction of
-    the inner L-function to rotation angles."""
+    the inner L-function to rotation angles (f the L-log germ)."""
+    germ = hirzebruch_l_log_germ()
     near = abs((x + math.pi) % (2.0 * math.pi) - math.pi)  # distance to 2 pi Z
     if abs(x) > math.pi and near < 1e-8:  # the nonzero multiples only
         raise SingularInputError(f"L-function pole at rotation angle {x:.6g}")
@@ -344,33 +346,20 @@ def _lbar_triple(germ: AnalyticGerm, x: float):
     return value, -2.0 * d1 * value, (4.0 * d1 * d1 - 2.0 * d2) * value
 
 
-def l_form_from_sqrt(sq: SqrtACoeffs) -> ExteriorForm:
-    """Equivariant L-form from the coefficients of sqrt(A):
-
-    Lbar(alpha) + Lbar'(alpha)(beta e^12 + gamma e^34 + delta e^1234)
-    + Lbar''(alpha) beta gamma e^1234.
-    """
-    f0, f1, f2 = _lbar_triple(hirzebruch_l_log_germ(), sq.alpha)
-    return ExteriorForm(
-        4,
-        {
-            (): f0,
-            (1, 2): f1 * sq.beta,
-            (3, 4): f1 * sq.gamma,
-            (1, 2, 3, 4): f1 * sq.delta + f2 * sq.beta * sq.gamma,
-        },
-    )
-
-
-def l_form_closed(p: SKRProfile, tau: float) -> ExteriorForm:
-    """Closed-form equivariant L-form at tau via the eigenvalue route."""
-    d = derived_functions(p, tau)
-    return l_form_from_sqrt(sqrt_a_coeffs(d.phi, d.psi, curvature_components(p, d)))
+def l4_from_sqrt(sq: SqrtACoeffs) -> float:
+    """Degree-4 coefficient of the equivariant L-form from the coefficients of
+    sqrt(A): Lbar'(alpha) delta + Lbar''(alpha) beta gamma.  The leading 0.0 +
+    turns the -0.0 of a reducible profile into +0.0.  A Python float, not a
+    numpy one, so that an overflow downstream gives inf (caught by the
+    report's finiteness check) rather than raising under numpy's errstate."""
+    _, f1, f2 = _lbar_triple(sq.alpha)
+    return float(0.0 + (f1 * sq.delta + f2 * sq.beta * sq.gamma))
 
 
 def l4_coefficient(p: SKRProfile, tau: float) -> float:
-    """Degree-4 coefficient of the closed-form equivariant L-form."""
-    return l_form_closed(p, tau).coefficient((1, 2, 3, 4))
+    """Degree-4 coefficient of the closed-form equivariant L-form at tau."""
+    d = derived_functions(p, tau)
+    return l4_from_sqrt(sqrt_a_coeffs(d.phi, d.psi, curvature_components(p, d)))
 
 
 def volume_weight(p: SKRProfile, tau: float) -> float:
@@ -482,7 +471,6 @@ def closed_transgression_integrand(
     bd: BoundaryData,
     t: float,
     order: int = DEFAULT_SERIES_ORDER,
-    nabla_scale: float = 1.0,
 ) -> float:
     """Coefficient of e^123 in the closed-series transgression integrand at t.
 
@@ -491,14 +479,10 @@ def closed_transgression_integrand(
     phi^k (t psi)^(2m - k) over odd and over even k: 2 phi t psi h_(m-1) and
     2 h_m for the complete homogeneous sums h_m = u h_(m-1) + v^m
     (h_(-1) = 0) of u = phi^2 and v = (t psi)^2, summed in one pass over m.
-
-    ``nabla_scale`` rescales the Killing-derivative arguments only (the
-    second-fundamental-form data k, l and the curvature inputs stay fixed);
-    the scale-to-zero limit recovers f''(0) Tr[Theta R^t].
     """
     g = hirzebruch_l_log_germ()
-    phi = nabla_scale * bd.phi0
-    tpsi = t * nabla_scale * bd.psi0
+    phi = bd.phi0
+    tpsi = t * bd.psi0
     _check_angle(g, max(abs(phi), abs(tpsi)))
     weight = math.exp(2.0 * (g.eval_i(phi) + g.eval_i(tpsi)))
     f1_phi = g.eval_i_d1(phi)
@@ -544,15 +528,13 @@ def closed_transgression_tail(bd: BoundaryData, order: int) -> float:
     return 2.0 * abs(bd.k) * tail
 
 
-class ClosedPullback(ExteriorForm):
-    """The closed route's pull-back, a multiple of e^123, together with the
-    integrand values at the ascending quadrature nodes that it sums."""
+class ClosedPullback(NamedTuple):
+    """The closed route's pull-back, the coefficient of e^123 (a Python float,
+    as in :func:`l4_from_sqrt`), together with the integrand values at the
+    ascending quadrature nodes that it sums."""
 
-    __slots__ = ("integrand",)
-
-    def __init__(self, coefficient: float, integrand: list):
-        super().__init__(3, {(1, 2, 3): coefficient})
-        self.integrand = integrand
+    value: float
+    integrand: list
 
 
 def transgression_pullback_closed(
@@ -560,21 +542,22 @@ def transgression_pullback_closed(
     order: int = DEFAULT_SERIES_ORDER,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ClosedPullback:
-    """Closed-series route to the boundary pull-back of the degree-3
-    transgression of the equivariant L-form; a multiple of e^123."""
+    """Closed-series route to the e^123 coefficient of the boundary pull-back
+    of the degree-3 transgression of the equivariant L-form."""
     xs, ws = quad.rule()
     integrand = [closed_transgression_integrand(bd, float(x), order) for x in xs]
     acc = 0.0
     for w, val in zip(ws, integrand):
         acc += float(w) * val
-    return ClosedPullback(acc, integrand)
+    return ClosedPullback(float(acc), integrand)
 
 
 def transgression_pullback_direct(
     bd: BoundaryData,
     order: int = DEFAULT_SERIES_ORDER,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> ExteriorForm:
-    """Generic-machinery route: the boundary family pushed through the
-    degree-3 transgression integrand."""
-    return transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad, order)
+) -> float:
+    """Generic-machinery route: the e^123 coefficient of the boundary family
+    pushed through the degree-3 transgression integrand."""
+    form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad, order)
+    return form.coefficient((1, 2, 3))

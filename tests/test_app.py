@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import importlib.util
 import io
 import json
 import math
@@ -592,7 +594,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("eta", {"mode": "reducible", "q_coeffs": [1.0]}, 0, ""),
         # an empty list, an overflow of phi^2, a singular chart metric: tracebacks
         ("eta", {"phi_coeffs": []}, 2, "config error: invalid profile: a profile polynomial"),
-        ("eta", {"phi_coeffs": [1e300, 0.0]}, 1, "numerical failure:"),
+        (
+            "eta",
+            {"phi_coeffs": [1e300, 0.0]},
+            1,
+            "numerical failure: float overflow in curvature_components",
+        ),
         (
             "oracle",
             {"phi_coeffs": [1e154, 0.22], "c_bar": -0.509, "tau_min": -0.189},
@@ -742,3 +749,17 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").exists()
 
+
+
+def test_eta_sweep_script_smoke(tmp_path, capsys):
+    """scripts/eta_sweep.py writes one row per point, each with a finite eta."""
+    spec = importlib.util.spec_from_file_location("eta_sweep", EXAMPLES / "eta_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    out = tmp_path / "sweep.csv"
+    sweep.main(["--points", "3", "--out", str(out)])
+    capsys.readouterr()
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row["eta"])) for row in rows)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from equichar.errors import DimensionMismatchError
 from equichar.exterior import (
     ExteriorForm,
-    MultiIndex,
     degree_component,
     degree_component_coeffs,
     exp_coeffs,
@@ -52,11 +51,6 @@ def test_degree_component_top():
 
 
 def test_multi_index_validation():
-    assert MultiIndex((1, 3)).degree == 2
-    with pytest.raises(ValueError):
-        MultiIndex((2, 2))
-    with pytest.raises(ValueError):
-        MultiIndex((0, 1))
     with pytest.raises(ValueError):
         ExteriorForm.basis(3, (1, 4))
 

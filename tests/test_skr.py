@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -260,16 +261,17 @@ def test_l_form_closed_reducible_degree4_vanishes(rng):
     for _ in range(10):
         p = make_reducible(rng)
         for t in np.linspace(p.tau_min * 0.95, -1e-3, 9):
-            assert skr.l4_coefficient(p, float(t)) == 0.0
+            l4 = skr.l4_coefficient(p, float(t))
+            assert l4 == 0.0 and math.copysign(1.0, l4) == 1.0
 
 
 def test_l_form_closed_pole_guard(worked_profile):
     d = skr.derived_functions(worked_profile, 0.0)
     cc = skr.curvature_components(worked_profile, d)
     with pytest.raises(SingularInputError):
-        skr._lbar_triple(GERM, 2.0 * math.pi)
+        skr._lbar_triple(2.0 * math.pi)
     for x in (5e-10, -5e-10, 0.0):  # 0 is the multiple of 2 pi where Lbar is regular
-        assert skr._lbar_triple(GERM, x)[0] == pytest.approx(1.0, abs=1e-15)
+        assert skr._lbar_triple(x)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_closed_route_rejects_angles_past_germ_radius():
@@ -294,7 +296,7 @@ def test_l_form_double_route_small_killing(rng):
     while count < 20:
         p = make_irreducible(rng, scale=2e-7)
         for t in np.linspace(p.tau_min * 0.85, -1e-3, 5):
-            closed = skr.l_form_closed(p, float(t)).coefficient((1, 2, 3, 4))
+            closed = skr.l4_coefficient(p, float(t))
             generic = l_form(skr.equivariant_curvature_matrix(p, float(t))).coefficient(
                 (1, 2, 3, 4)
             )
@@ -314,7 +316,7 @@ def test_l_form_double_route_quartic_convergence(worked_profile):
         p = SKRProfile.irreducible_polynomial(
             [0.5 * s, 0.25 * s], c_bar=-1.0, base_curv=2.0, tau_min=-0.5
         )
-        closed = skr.l_form_closed(p, tau).coefficient((1, 2, 3, 4))
+        closed = skr.l4_coefficient(p, tau)
         generic = l_form(skr.equivariant_curvature_matrix(p, tau)).coefficient((1, 2, 3, 4))
         errs.append(abs(closed - generic))
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
@@ -322,26 +324,21 @@ def test_l_form_double_route_quartic_convergence(worked_profile):
     # full-scale worked profile: the deviation is real but dominated by alpha^4
     d = skr.derived_functions(worked_profile, tau)
     alpha = math.hypot(d.phi, d.psi)
-    closed = skr.l_form_closed(worked_profile, tau).coefficient((1, 2, 3, 4))
+    closed = skr.l4_coefficient(worked_profile, tau)
     generic = l_form(skr.equivariant_curvature_matrix(worked_profile, tau)).coefficient(
         (1, 2, 3, 4)
     )
     assert 1e-4 < abs(closed - generic) < alpha**4
 
 
-def test_l_form_closed_degree0_and_2(worked_profile):
-    """Structure of the closed form: Lbar(alpha) at degree 0 and
-    Lbar'(alpha) (beta e12 + gamma e34) at degree 2."""
+def test_l_form_closed_degree4_from_sqrt(worked_profile):
+    """The closed L4 is Lbar'(alpha) delta + Lbar''(alpha) beta gamma."""
     tau = -0.3
     d = skr.derived_functions(worked_profile, tau)
     cc = skr.curvature_components(worked_profile, d)
     sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
-    lf = skr.l_form_closed(worked_profile, tau)
-    f0, f1, f2 = skr._lbar_triple(GERM, sq.alpha)
-    assert lf.coefficient(()) == pytest.approx(f0, rel=1e-14)
-    assert lf.coefficient((1, 2)) == pytest.approx(f1 * sq.beta, rel=1e-13)
-    assert lf.coefficient((3, 4)) == pytest.approx(f1 * sq.gamma, rel=1e-13)
-    assert lf.coefficient((1, 2, 3, 4)) == pytest.approx(
+    _, f1, f2 = skr._lbar_triple(sq.alpha)
+    assert skr.l4_coefficient(worked_profile, tau) == pytest.approx(
         f1 * sq.delta + f2 * sq.beta * sq.gamma, rel=1e-13
     )
 
@@ -411,22 +408,17 @@ def test_boundary_reducible_structure(rng):
 
 def test_transgression_worked_profile(worked_profile):
     bd = skr.boundary_data(worked_profile)
-    closed = skr.transgression_pullback_closed(bd, 16, QUAD)
-    direct = skr.transgression_pullback_direct(bd, 16, QUAD)
-    c3 = closed.coefficient((1, 2, 3))
-    d3 = direct.coefficient((1, 2, 3))
+    c3 = skr.transgression_pullback_closed(bd, 16, QUAD).value
+    d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
     assert abs(c3 - d3) / max(abs(c3), abs(d3)) < 1e-8
-    # pure e123 multiples
-    assert (closed - degree_component(closed, 3)).max_abs() == 0.0
-    assert (direct - degree_component(direct, 3)).max_abs() < 1e-15
 
 
 def test_transgression_sweep_closed_vs_direct(rng):
     for _ in range(8):
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
-        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).coefficient((1, 2, 3))
-        d3 = skr.transgression_pullback_direct(bd, 16, QUAD).coefficient((1, 2, 3))
+        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).value
+        d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
         assert abs(c3 - d3) / max(abs(c3), abs(d3), 1e-12) < 1e-8
 
 
@@ -434,16 +426,14 @@ def test_transgression_reducible_vanishes(rng):
     for _ in range(6):
         p = make_reducible(rng)
         bd = skr.boundary_data(p)
-        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).coefficient((1, 2, 3))
-        d3 = skr.transgression_pullback_direct(bd, 16, QUAD).coefficient((1, 2, 3))
+        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).value
+        d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
         assert abs(c3) < 1e-10
         assert abs(d3) < 1e-10
 
 
 def test_transgression_zero_theta_forced(worked_profile):
     """Forcing k = l = 0 kills the transgression entirely."""
-    from dataclasses import replace
-
     from equichar.matforms import FormMatrix
 
     fam = replace(skr.boundary_family(skr.boundary_data(worked_profile)), theta=FormMatrix(4, 3))
@@ -451,7 +441,7 @@ def test_transgression_zero_theta_forced(worked_profile):
 
 
 def test_closed_integrand_killing_scale_limit(worked_profile):
-    """Scaling only the Killing-derivative arguments to zero, the closed
+    """Scaling only the Killing-derivative data phi0, psi0 to zero, the closed
     integrand converges to f''(0) Tr[Theta R^t] with the curvature and
     second-fundamental-form data held fixed."""
     bd = skr.boundary_data(worked_profile)
@@ -466,7 +456,8 @@ def test_closed_integrand_killing_scale_limit(worked_profile):
     for s in scales:
         worst = 0.0
         for t in (0.25, 0.7, 1.0):
-            got = skr.closed_transgression_integrand(bd, t, 16, nabla_scale=s)
+            scaled = replace(bd, phi0=s * bd.phi0, psi0=s * bd.psi0)
+            got = skr.closed_transgression_integrand(scaled, t, 16)
             worst = max(worst, abs(got - reference(t)))
         errs.append(worst)
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
