@@ -3,16 +3,17 @@
 Provides the square matrices of forms that curvature and connection data live
 in, power-series application of analytic germs to such matrices, the
 non-commutative second-derivative pairing, and exp-of-trace characteristic
-form evaluation.  Degree-0 matrices (rotation generators) get a fast numeric
-path since every series here is dominated by them.
+form evaluation.  A product with a degree-0 factor (a rotation generator)
+takes a fast numeric path in :func:`mat_mul`, which every series here runs
+through.  :func:`l_log_at_angle` evaluates the L-log germ on rotation angles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "spectral_radius_degree0",
     "hirzebruch_l_inner_germ",
     "hirzebruch_l_log_germ",
+    "l_log_at_angle",
     "DEFAULT_SERIES_ORDER",
 ]
 
@@ -80,21 +82,17 @@ def _horner(coeffs: Sequence[float], x: float) -> float:
 
 @dataclass(frozen=True)
 class AnalyticGerm:
-    """Even or general analytic germ at 0 with optional exact imaginary-axis evaluators.
+    """Even or general analytic germ at 0, given by its Taylor coefficients.
 
-    taylor[k] holds f^(k)(0)/k!.  For an even germ, ``eval_i(x)`` returns the
-    real value f(ix), ``eval_i_d1(x)`` returns f'(ix)/i (the real number whose
-    product rules reproduce products of the purely imaginary f'(ix)), and
-    ``eval_i_d2(x)`` returns the real value f''(ix).
+    taylor[k] holds f^(k)(0)/k! as a Python float; ``radius`` is the radius of
+    convergence that :func:`apply_germ` checks.  The L-log germ's values on
+    rotation angles come from :func:`l_log_at_angle`.
     """
 
     taylor: tuple
     even: bool
     radius: float
     name: str = ""
-    eval_i: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    eval_i_d1: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    eval_i_d2: Optional[Callable[[float], float]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.even and any(c != 0.0 for c in self.taylor[1::2]):
@@ -104,7 +102,7 @@ class AnalyticGerm:
         return self.taylor[k] if k < len(self.taylor) else 0.0
 
     def derivative(self) -> "AnalyticGerm":
-        """Germ of f', by coefficient shift; evaluators are not propagated."""
+        """Germ of f', by coefficient shift."""
         shifted = tuple((k + 1) * c for k, c in enumerate(self.taylor[1:]))
         return AnalyticGerm(
             taylor=shifted,
@@ -134,68 +132,43 @@ def _sinhc_half_even(n: int) -> np.ndarray:
     return np.array([0.25**k / math.factorial(2 * k + 1) for k in range(n)])
 
 
-def _eval_even_series(half_coeffs: np.ndarray, x: float) -> float:
-    return _horner(half_coeffs, x * x)
-
-
-def _log_pair_evaluators(fbar, fbar_d1, fbar_d2):
-    """Imaginary-axis evaluators of g = log(F)/2 from those of F(ix) =: Fbar.
-
-    g(ix) = log(Fbar)/2, g'(ix)/i = -Fbar'/(2 Fbar), g''(ix) = -(Fbar''*Fbar - Fbar'^2)/(2 Fbar^2).
-    """
-
-    def eval_i(x: float) -> float:
-        return 0.5 * math.log(fbar(x))
-
-    def eval_i_d1(x: float) -> float:
-        return -0.5 * fbar_d1(x) / fbar(x)
-
-    def eval_i_d2(x: float) -> float:
-        value = fbar(x)
-        d1 = fbar_d1(x)
-        return -0.5 * (fbar_d2(x) * value - d1 * d1) / (value * value)
-
-    return eval_i, eval_i_d1, eval_i_d2
-
-
 def _l_inner_series(n_coeffs: int) -> np.ndarray:
     # (x/2)/tanh(x/2) = cosh(x/2) / (sinh(x/2)/(x/2)),  coefficients in x^2
     half = (n_coeffs + 1) // 2 + 1
     return _series_div(_cosh_half_even(half), _sinhc_half_even(half))
 
 
-def _l_bar_evaluators(inner: np.ndarray):
-    """Fbar(x) = F(ix) = x/(2 tan(x/2)) and its two plain x-derivatives.
+# Fbar(x) = F(ix) = x/(2 tan(x/2)) for F = (x/2)/tanh(x/2): the coefficients of
+# Fbar in x^2 are those of F with alternating signs; Fbar' is x times a series
+# in x^2, and Fbar'' a series in x^2.
+_BAR = tuple((-1.0) ** k * c for k, c in enumerate(_l_inner_series(_GERM_COEFFS).tolist()))
+_BAR_D1 = tuple(2 * k * c for k, c in enumerate(_BAR) if k)
+_BAR_D2 = tuple(2 * k * (2 * k - 1) * c for k, c in enumerate(_BAR) if k)
 
-    F = (x/2)/tanh(x/2) has coefficients ``inner`` in x^2, so those of Fbar
-    alternate in sign.  The series branch is used for |x| < 0.5, where the
-    trigonometric closed forms lose digits to cancellation.
+
+def l_log_at_angle(x: float) -> tuple:
+    """(g(ix), g'(ix)/i, g''(ix)) for the L-log germ g = log((x/2)/tanh(x/2))/2
+    at a rotation angle x: three real numbers, g'(ix)/i being the one whose
+    products reproduce those of the purely imaginary g'(ix).
+
+    From Fbar(x) = x/(2 tan(x/2)) and its two x-derivatives: g(ix) =
+    log(Fbar)/2, g'(ix)/i = -Fbar'/(2 Fbar) and g''(ix) = -(Fbar'' Fbar -
+    Fbar'^2)/(2 Fbar^2).  Fbar is summed from its series for |x| < 0.5, where
+    the trigonometric closed forms lose digits to cancellation.  Raises
+    ConvergenceRadiusError for |x| >= pi, the germ's radius, past which Fbar
+    turns negative.
     """
-    signs = np.array([(-1.0) ** k for k in range(len(inner))])
-    bar = inner * signs                            # Fbar coefficients in x^2
-    # d/dx sum b_k x^{2k} = sum 2k b_k x^{2k-1}  -> odd series, evaluate as x * S(x^2)
-    bar_d1 = np.array([2 * k * bar[k] for k in range(1, len(bar))])
-    bar_d2 = np.array([2 * k * (2 * k - 1) * bar[k] for k in range(1, len(bar))])
-
-    def f(x: float) -> float:
-        if abs(x) < 0.5:
-            return _eval_even_series(bar, x)
-        return 0.5 * x / math.tan(0.5 * x)
-
-    def f1(x: float) -> float:
-        if abs(x) < 0.5:
-            return x * _eval_even_series(bar_d1, x)
-        s = math.sin(0.5 * x)
-        return 0.5 / math.tan(0.5 * x) - 0.25 * x / (s * s)
-
-    def f2(x: float) -> float:
-        if abs(x) < 0.5:
-            return _eval_even_series(bar_d2, x)
-        s = math.sin(0.5 * x)
-        cot = 1.0 / math.tan(0.5 * x)
-        return (-0.5 + 0.25 * x * cot) / (s * s)
-
-    return f, f1, f2
+    if abs(x) >= math.pi:
+        raise ConvergenceRadiusError(abs(x), math.pi, "l_log")
+    if abs(x) < 0.5:
+        xx = x * x
+        f, f1, f2 = _horner(_BAR, xx), x * _horner(_BAR_D1, xx), _horner(_BAR_D2, xx)
+    else:
+        tan, s = math.tan(0.5 * x), math.sin(0.5 * x)
+        f = 0.5 * x / tan
+        f1 = 0.5 / tan - 0.25 * x / (s * s)
+        f2 = (-0.5 + 0.25 * x * (1.0 / tan)) / (s * s)
+    return 0.5 * math.log(f), -0.5 * f1 / f, -0.5 * (f2 * f - f1 * f1) / (f * f)
 
 
 # The germ factories are cached: an AnalyticGerm is frozen with a tuple of
@@ -203,17 +176,11 @@ def _l_bar_evaluators(inner: np.ndarray):
 @lru_cache(maxsize=None)
 def hirzebruch_l_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of (x/2)/tanh(x/2); restricted to the imaginary axis it is x/(2 tan(x/2))."""
-    inner = _l_inner_series(n_coeffs)
-    f, f1, f2 = _l_bar_evaluators(inner)
-    # for an even germ F, F'(ix)/i = -Fbar'(x) and F''(ix) = -Fbar''(x)
     return AnalyticGerm(
-        taylor=tuple(_even_series(inner)[:n_coeffs]),
+        taylor=tuple(_even_series(_l_inner_series(n_coeffs))[:n_coeffs].tolist()),
         even=True,
         radius=2.0 * math.pi,
         name="l_inner",
-        eval_i=f,
-        eval_i_d1=lambda x: -f1(x),
-        eval_i_d2=lambda x: -f2(x),
     )
 
 
@@ -221,15 +188,11 @@ def hirzebruch_l_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
 def hirzebruch_l_log_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
     """Germ of log((x/2)/tanh(x/2))/2; the exp-of-trace kernel of the L-form."""
     inner = _l_inner_series(n_coeffs)
-    e0, e1, e2 = _log_pair_evaluators(*_l_bar_evaluators(inner))
     return AnalyticGerm(
-        taylor=tuple(_even_series(0.5 * _series_log(inner))[:n_coeffs]),
+        taylor=tuple(_even_series(0.5 * _series_log(inner))[:n_coeffs].tolist()),
         even=True,
         radius=math.pi,
         name="l_log",
-        eval_i=e0,
-        eval_i_d1=e1,
-        eval_i_d2=e2,
     )
 
 
@@ -412,28 +375,14 @@ def apply_germ_data(
 ) -> np.ndarray:
     """Kernel of :func:`apply_germ`."""
     _check_radius(germ, m[..., 0])
-    size = m.shape[-2]
-    if _is_degree0(m):
-        # numeric series on the scalar parts; one array of forms at the end
-        m0 = m[..., 0]
-        acc = np.eye(size) * germ.coeff(0)
-        power = np.eye(size)
-        for k in range(1, order + 1):
-            power = np.einsum("...ij,...jk->...ik", power, m0)
-            c = germ.coeff(k)
-            if c != 0.0:
-                acc = acc + power * c
-        out = np.zeros(m.shape)
-        out[..., 0] = acc
-        return out
-    unit = identity(size, _dimension_of(m)).data
-    acc = np.broadcast_to(unit * float(germ.coeff(0)), m.shape)
+    unit = identity(m.shape[-2], _dimension_of(m)).data
+    acc = np.broadcast_to(unit * germ.coeff(0), m.shape)
     power = unit
     for k in range(1, order + 1):
         power = mat_mul_data(power, m)
         c = germ.coeff(k)
         if c != 0.0:
-            acc = acc + power * float(c)
+            acc = acc + power * c
     return acc
 
 

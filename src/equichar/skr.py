@@ -29,15 +29,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
-from .errors import ConvergenceRadiusError, EquicharError, ProfileError, SingularInputError
+from .errors import EquicharError, ProfileError, SingularInputError
 from .exterior import ExteriorForm, mask_of_indices
 from .matforms import (
     _GERM_COEFFS,
     DEFAULT_SERIES_ORDER,
-    AnalyticGerm,
     FormMatrix,
     _horner,
     hirzebruch_l_log_germ,
+    l_log_at_angle,
     mat_mul,
 )
 
@@ -325,35 +325,21 @@ def sqrt_a_coeffs(phi: float, psi: float, cc: CurvatureComponents) -> SqrtACoeff
     return SqrtACoeffs(alpha, beta, gamma, delta)
 
 
-def _check_angle(germ: AnalyticGerm, x: float) -> None:
-    """Rotation angles at or past the germ's radius leave the domain of its
-    imaginary-axis evaluators (the L-function turns negative past pi)."""
-    if abs(x) >= germ.radius:
-        raise ConvergenceRadiusError(abs(x), germ.radius, germ.name)
-
-
 def _lbar_triple(x: float):
-    """(Lbar, Lbar', Lbar'') at x for Lbar(y) = exp(2 f(iy)), the restriction of
-    the inner L-function to rotation angles (f the L-log germ)."""
-    germ = hirzebruch_l_log_germ()
-    near = abs((x + math.pi) % (2.0 * math.pi) - math.pi)  # distance to 2 pi Z
-    if abs(x) > math.pi and near < 1e-8:  # the nonzero multiples only
-        raise SingularInputError(f"L-function pole at rotation angle {x:.6g}")
-    _check_angle(germ, x)
-    value = math.exp(2.0 * germ.eval_i(x))
-    d1 = germ.eval_i_d1(x)
-    d2 = germ.eval_i_d2(x)
+    """(Lbar, Lbar', Lbar'') at x for Lbar(y) = exp(2 g(iy)), the restriction of
+    the inner L-function to rotation angles, from one evaluation of the L-log
+    germ g by :func:`l_log_at_angle` (which rejects |x| >= pi)."""
+    g, d1, d2 = l_log_at_angle(x)
+    value = math.exp(2.0 * g)
     return value, -2.0 * d1 * value, (4.0 * d1 * d1 - 2.0 * d2) * value
 
 
 def l4_from_sqrt(sq: SqrtACoeffs) -> float:
     """Degree-4 coefficient of the equivariant L-form from the coefficients of
     sqrt(A): Lbar'(alpha) delta + Lbar''(alpha) beta gamma.  The leading 0.0 +
-    turns the -0.0 of a reducible profile into +0.0.  A Python float, not a
-    numpy one, so that an overflow downstream gives inf (caught by the
-    report's finiteness check) rather than raising under numpy's errstate."""
+    turns the -0.0 of a reducible profile into +0.0."""
     _, f1, f2 = _lbar_triple(sq.alpha)
-    return float(0.0 + (f1 * sq.delta + f2 * sq.beta * sq.gamma))
+    return 0.0 + (f1 * sq.delta + f2 * sq.beta * sq.gamma)
 
 
 def l4_coefficient(p: SKRProfile, tau: float) -> float:
@@ -483,11 +469,9 @@ def closed_transgression_integrand(
     g = hirzebruch_l_log_germ()
     phi = bd.phi0
     tpsi = t * bd.psi0
-    _check_angle(g, max(abs(phi), abs(tpsi)))
-    weight = math.exp(2.0 * (g.eval_i(phi) + g.eval_i(tpsi)))
-    f1_phi = g.eval_i_d1(phi)
-    f1_tpsi = g.eval_i_d1(tpsi)
-    f2_tpsi = g.eval_i_d2(tpsi)
+    g_phi, f1_phi, _ = l_log_at_angle(phi)
+    g_tpsi, f1_tpsi, f2_tpsi = l_log_at_angle(tpsi)
+    weight = math.exp(2.0 * (g_phi + g_tpsi))
 
     # product of the two single-trace terms; products of f'(i.) values are
     # real and carry one overall minus sign
@@ -529,9 +513,8 @@ def closed_transgression_tail(bd: BoundaryData, order: int) -> float:
 
 
 class ClosedPullback(NamedTuple):
-    """The closed route's pull-back, the coefficient of e^123 (a Python float,
-    as in :func:`l4_from_sqrt`), together with the integrand values at the
-    ascending quadrature nodes that it sums."""
+    """The closed route's pull-back, the coefficient of e^123, together with
+    the integrand values at the ascending quadrature nodes that it sums."""
 
     value: float
     integrand: list
@@ -549,7 +532,7 @@ def transgression_pullback_closed(
     acc = 0.0
     for w, val in zip(ws, integrand):
         acc += float(w) * val
-    return ClosedPullback(float(acc), integrand)
+    return ClosedPullback(acc, integrand)
 
 
 def transgression_pullback_direct(

@@ -25,6 +25,7 @@ from equichar.app import (
     run_oracle,
 )
 from equichar.errors import ConfigError, ConvergenceRadiusError, ProfileError
+from equichar.matforms import hirzebruch_l_log_germ
 from equichar.skr import SKRProfile
 
 
@@ -377,6 +378,16 @@ def test_eta_error_fields_are_floats(tmp_path):
         assert isinstance(block["value"], float)
         assert isinstance(block["error"], float)
         assert block["error"] >= 0.0
+
+
+def test_closed_route_scalars_are_python_floats(tmp_path):
+    """Under main's errstate a numpy scalar raises on overflow where a Python
+    float becomes inf, so the closed route keeps to Python floats; its small
+    transgression angles take the series branch of the L-function."""
+    rep = eta_invariant(load_config(write_cfg(tmp_path, IRRED)))
+    assert [type(v) for v in rep.closed_integrand] == [float] * len(rep.closed_integrand)
+    taylor = hirzebruch_l_log_germ().taylor
+    assert [type(c) for c in taylor] == [float] * len(taylor)
 
 
 # ----------------------------------------------------------------- tables

@@ -24,6 +24,7 @@ from equichar.matforms import (
     FormMatrix,
     apply_germ,
     hirzebruch_l_log_germ,
+    l_log_at_angle,
     mat_mul,
     star_second,
     trace,
@@ -111,7 +112,7 @@ def test_l_form_degree0_is_product_of_angles(worked_profile):
     d = skr.derived_functions(worked_profile, -0.2)
     rg = skr.equivariant_curvature_matrix(worked_profile, -0.2)
     got = l_form(rg).coefficient(())
-    want = math.exp(2.0 * (GERM.eval_i(d.phi) + GERM.eval_i(d.psi)))
+    want = math.exp(2.0 * (l_log_at_angle(d.phi)[0] + l_log_at_angle(d.psi)[0]))
     assert abs(got - want) < 1e-12
 
 

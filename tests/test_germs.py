@@ -1,14 +1,17 @@
-"""Taylor coefficients and imaginary-axis evaluators of the standard germs,
-validated against an independent high-precision oracle (mpmath)."""
+"""Taylor coefficients of the standard germs and the L-log germ's values on
+rotation angles, validated against an independent high-precision oracle
+(mpmath)."""
 
 import math
 
 import mpmath as mp
 import pytest
 
+from equichar.errors import ConvergenceRadiusError
 from equichar.matforms import (
     hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
+    l_log_at_angle,
 )
 
 mp.mp.dps = 40
@@ -54,34 +57,31 @@ def test_taylor_against_mpmath(germ, oracle):
         assert abs(germ.taylor[k] - ref[k]) <= 1e-15 * scale, (germ.name, k)
 
 
-@pytest.mark.parametrize(
-    "germ,oracle",
-    [
-        (hirzebruch_l_inner_germ(), mp_l_inner),
-        (hirzebruch_l_log_germ(), lambda z: mp.log(mp_l_inner(z)) / 2),
-    ],
-    ids=["l_inner", "l_log"],
-)
-def test_imaginary_axis_evaluators(germ, oracle):
-    for x in (0.0, 1e-4, 0.11, 0.499, 0.501, 0.9, 1.7, 2.6):
-        fx = oracle(mp.mpc(0, x))
-        d1 = mp.diff(oracle, mp.mpc(0, x), 1)
-        d2 = mp.diff(oracle, mp.mpc(0, x), 2)
-        assert abs(germ.eval_i(x) - float(fx.real)) < 1e-13
-        assert abs(fx.imag) < 1e-25
-        # f'(ix) is purely imaginary for an even germ; the evaluator returns f'(ix)/i
-        assert abs(germ.eval_i_d1(x) - float(d1.imag)) < 1e-12
-        assert abs(germ.eval_i_d2(x) - float(d2.real)) < 1e-11
+@pytest.mark.parametrize("x", [0.0, 1e-4, 0.11, 0.499, 0.501, 0.9, 1.7, 2.6])
+def test_l_log_at_angle_against_mpmath(x):
+    """Both branches (series below 0.5, trigonometric above) and the signs of
+    x, against the derivatives of log(F)/2 at ix in 40 digits."""
+    def oracle(z):
+        return mp.log(mp_l_inner(z)) / 2
+
+    fx = oracle(mp.mpc(0, x))
+    d1 = mp.diff(oracle, mp.mpc(0, x), 1)
+    d2 = mp.diff(oracle, mp.mpc(0, x), 2)
+    assert abs(fx.imag) < 1e-25
+    for sign in (1.0, -1.0):
+        g, g1, g2 = l_log_at_angle(sign * x)
+        assert abs(g - float(fx.real)) < 1e-13
+        # g'(ix) is purely imaginary and odd in x; the evaluator returns g'(ix)/i
+        assert abs(g1 - sign * float(d1.imag)) < 1e-12
+        assert abs(g2 - float(d2.real)) < 1e-11
 
 
-def test_taylor_matches_evaluators_at_zero():
-    # invariant: series coefficients and exact evaluators agree at the origin
-    for germ in (hirzebruch_l_inner_germ(), hirzebruch_l_log_germ()):
-        x = 1e-3
-        series = sum(c * (1j * x) ** k for k, c in enumerate(germ.taylor))
-        assert abs(series.real - germ.eval_i(x)) < 1e-12
-        assert abs(germ.eval_i_d1(0.0) - germ.taylor[1]) < 1e-12
-        assert abs(germ.eval_i_d2(0.0) - 2.0 * germ.taylor[2]) < 1e-12
+@pytest.mark.parametrize("x", [math.pi, -math.pi, 2.0 * math.pi])
+def test_l_log_at_angle_rejects_the_germ_radius(x):
+    with pytest.raises(ConvergenceRadiusError) as err:
+        l_log_at_angle(x)
+    assert err.value.spectral_radius == abs(x)
+    assert err.value.radius == hirzebruch_l_log_germ().radius
 
 
 def test_derivative_shift():

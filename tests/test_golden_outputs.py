@@ -1,14 +1,15 @@
 """Byte identity of the eta outputs and the check stdout on the two example
-configs.
+configs and on a small-angle profile.
 
 The digests were taken from ``equichar eta`` and ``equichar check`` on
-``scripts/example_*.json`` with Python 3.11, numpy 2.4 and scipy 1.17 on
-x86_64.  A change that moves
+``scripts/example_*.json`` and on ``SMALL_ANGLE`` with Python 3.11, numpy 2.4
+and scipy 1.17 on x86_64.  A change that moves
 any written byte fails here; if the move is intended, say why in CHANGES.md
 and take the digests again.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,37 @@ def test_check_stdout_matches_golden_digest(capsys, example):
     assert main(["check", str(EXAMPLES / example)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT[example]
+
+
+# Every rotation angle of this profile, at the bulk nodes, the L-form table
+# rows and the closed transgression nodes, lies below 0.5 (the bulk and table
+# angles in 0.25-0.36), so it pins the series branch of the L-function
+# evaluator; the example configs take its trigonometric branch in the bulk.
+SMALL_ANGLE = {
+    "profile": {
+        "mode": "irreducible",
+        "phi_coeffs": [0.2, 0.1],
+        "c_bar": -1.0,
+        "tau_min": -0.5,
+        "base_curv": 0.5,
+    },
+}
+
+SMALL_ANGLE_GOLDEN = {
+    "lform.csv": "e76d5f06db6a331a263765550b91a1252ce537ca48fe1ecabb189985bbf25fc8",
+    "transgression.csv": "958c352552ab78dfc53c72d59df68a883f2464646015c0c5d06cff2aeaf44e63",
+    "report.json": "37a5a7672fb0fd96263930908b1c935734ea652d19812986267091ec2670d967",
+    "check": "ddeb42cd90cc4cb620d995c0ea53ed8d4fea1277533a020f026d403ba798e3f9",
+}
+
+
+def test_small_angle_outputs_match_golden_digests(tmp_path, capsys):
+    cfg = tmp_path / "small_angle.json"
+    cfg.write_text(json.dumps(SMALL_ANGLE))
+    out = tmp_path / "out"
+    assert main(["eta", str(cfg), "-o", str(out)]) == 0
+    capsys.readouterr()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert main(["check", str(cfg)]) == 0
+    digests["check"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == SMALL_ANGLE_GOLDEN

@@ -10,7 +10,7 @@ from equichar import skr
 from equichar.charforms import QuadratureSpec, l_form, transgression_degree3
 from equichar.errors import ConvergenceRadiusError, ProfileError, SingularInputError
 from equichar.exterior import ExteriorForm, degree_component, wedge
-from equichar.matforms import char_poly, hirzebruch_l_log_germ, mat_mul, trace
+from equichar.matforms import char_poly, hirzebruch_l_log_germ, l_log_at_angle, mat_mul, trace
 from equichar.skr import SKRProfile
 
 QUAD = QuadratureSpec(32)
@@ -265,10 +265,8 @@ def test_l_form_closed_reducible_degree4_vanishes(rng):
             assert l4 == 0.0 and math.copysign(1.0, l4) == 1.0
 
 
-def test_l_form_closed_pole_guard(worked_profile):
-    d = skr.derived_functions(worked_profile, 0.0)
-    cc = skr.curvature_components(worked_profile, d)
-    with pytest.raises(SingularInputError):
+def test_l_form_closed_pole_guard():
+    with pytest.raises(ConvergenceRadiusError):
         skr._lbar_triple(2.0 * math.pi)
     for x in (5e-10, -5e-10, 0.0):  # 0 is the multiple of 2 pi where Lbar is regular
         assert skr._lbar_triple(x)[0] == pytest.approx(1.0, abs=1e-15)
@@ -473,12 +471,13 @@ def _mp_closed_integrand(bd, t, order):
         k, l, r1234, r2314 = (mp.mpf(x) for x in (bd.k, bd.l, bd.r_1234, bd.r_2314))
         t, phi = mp.mpf(t), mp.mpf(bd.phi0)
         tpsi = t * mp.mpf(bd.psi0)
-        f1_phi, f1_tpsi = GERM.eval_i_d1(bd.phi0), GERM.eval_i_d1(float(tpsi))
-        weight = mp.exp(2 * (mp.mpf(GERM.eval_i(bd.phi0)) + GERM.eval_i(float(tpsi))))
+        g_phi, f1_phi, _ = l_log_at_angle(bd.phi0)
+        g_tpsi, f1_tpsi, f2_tpsi = l_log_at_angle(float(tpsi))
+        weight = mp.exp(2 * (mp.mpf(g_phi) + g_tpsi))
         terms = [
             -4 * l * (t * t * k * k - bd.r0_1212) * f1_phi * f1_tpsi,
             4 * l * t * r1234 * f1_tpsi * f1_tpsi,
-            -2 * t * l * r1234 * GERM.eval_i_d2(float(tpsi)),
+            -2 * t * l * r1234 * f2_tpsi,
         ]
         phi_pow = [phi**j for j in range(2 * order + 1)]
         tpsi_pow = [tpsi**j for j in range(2 * order + 1)]
