@@ -85,14 +85,18 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _number(value, name: str, kind=float):
-    """``value`` converted by ``kind``; non-numeric and non-finite values are
-    config errors."""
-    try:
-        x = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}") from exc
-    _require(math.isfinite(x), f"{name} must be a finite number, got {value!r}")
-    return x
+    """``value`` as a float, or as an int for ``kind=int``.  Only a finite JSON
+    number is one: a string, a bool, NaN, an infinity and an integer past
+    float range are config errors, and so is a fraction where an int is due."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(
+        number and abs(value) <= sys.float_info.max,
+        f"{name} must be a finite number, got {value!r}",
+    )
+    if kind is int:
+        _require(float(value).is_integer(), f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _numbers(values, name: str) -> list:
@@ -119,17 +123,18 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require("profile" in raw, "config needs a 'profile' section")
     if isinstance(raw["profile"], dict):
         for key, value in raw["profile"].items():
             _require_finite(value, key)
-    num = raw.get("numerics", {})
-    top = raw.get("topology", {})
-    for section, name in ((num, "numerics"), (top, "topology")):
+    num, top, out = (raw.get(name, {}) for name in ("numerics", "topology", "output"))
+    for section, name in ((num, "numerics"), (top, "topology"), (out, "output")):
         _require(isinstance(section, dict), f"'{name}' must be an object")
+    output_dir = out.get("dir")
+    _require(output_dir is None or isinstance(output_dir, str), "output.dir must be a string")
     numerics = Numerics(
         series_order=_number(num.get("series_order", DEFAULT_SERIES_ORDER), "series_order", int),
         quad_nodes=_number(num.get("quad_nodes", 32), "quad_nodes", int),
@@ -157,8 +162,6 @@ def load_config(path) -> RunConfig:
     )
     _require(topology.base_area > 0, "base_area must be positive")
     _require(topology.fiber_period > 0, "fiber_period must be positive")
-    out = raw.get("output", {})
-    output_dir = out.get("dir") if isinstance(out, dict) else None
     return RunConfig(
         profile=raw["profile"], numerics=numerics, topology=topology, output_dir=output_dir
     )

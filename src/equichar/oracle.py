@@ -7,6 +7,11 @@ central differences, and produces Christoffel symbols, frame curvature
 components, connection 1-forms and Kahler defects that the test suite
 compares against the closed expressions.
 
+A chart point is a (tau, s, x, y) vector.  The metric, the frame, J and the
+Christoffel symbols take one point or an array of shape (..., 4), with one
+profile evaluation per distinct tau; a central difference samples its whole
+stencil in one call, so a curvature evaluation makes five metric calls.
+
 Chart: coordinates (tau, s, x, y) with fiber angle s, flat base h = dx^2+dy^2
 (so the base curvature constant is 0 here) and connection potential
 theta = a(ds + 2 sigma x dy) with sigma the constant sign of tau - c_bar on
@@ -25,7 +30,7 @@ component R_3434 equals -psi').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,39 +53,41 @@ __all__ = [
 DEFAULT_FD_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     tau: float
     s: float = 0.0
     x: float = 0.0
     y: float = 0.0
 
-    def coords(self) -> np.ndarray:
-        return np.array([self.tau, self.s, self.x, self.y])
 
-    def shifted(self, axis: int, delta: float) -> "ChartPoint":
-        c = self.coords()
-        c[axis] += delta
-        return ChartPoint(*c)
+SHIFTS = np.stack([np.eye(4), -np.eye(4)], axis=1)  # SHIFTS[m] = (e_m, -e_m)
 
 
-def _metric_matrix(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
+def _q(p: SKRProfile, tau: np.ndarray) -> np.ndarray:
+    """Q at every entry of ``tau``, with one profile evaluation per distinct tau."""
+    distinct, where = np.unique(tau, return_inverse=True)
+    return np.array([derived_functions(p, t).q for t in distinct])[where].reshape(tau.shape)
+
+
+def _metric_matrix(p: SKRProfile, pt) -> np.ndarray:
     """Chart metric: (1/Q) dtau^2 + Q (ds + x dy)^2 + 2|tau - c_bar| (dx^2 + dy^2),
-    with the conformal factor replaced by 1 and no x-twist in the reducible case."""
-    d = derived_functions(p, pt.tau)
-    q = d.q
-    g = np.zeros((4, 4))
-    g[0, 0] = 1.0 / q
-    g[1, 1] = q
+    with the conformal factor replaced by 1 and no x-twist in the reducible case;
+    g[..., i, j] at the points pt[..., :]."""
+    pt = np.asarray(pt, dtype=float)
+    tau, x = pt[..., 0], pt[..., 2]
+    q = _q(p, tau)
+    g = np.zeros(tau.shape + (4, 4))
+    g[..., 0, 0] = 1.0 / q
+    g[..., 1, 1] = q
     if p.mode == "irreducible":
-        two_t = 2.0 * abs(pt.tau - p.c_bar)
-        twist = 2.0 * _branch_sign(p) * pt.x
-        g[1, 3] = g[3, 1] = q * twist
-        g[2, 2] = two_t
-        g[3, 3] = q * twist * twist + two_t
+        two_t = 2.0 * abs(tau - p.c_bar)
+        twist = 2.0 * _branch_sign(p) * x
+        g[..., 1, 3] = g[..., 3, 1] = q * twist
+        g[..., 2, 2] = two_t
+        g[..., 3, 3] = q * twist * twist + two_t
     else:
-        g[2, 2] = 1.0
-        g[3, 3] = 1.0
+        g[..., 2, 2] = 1.0
+        g[..., 3, 3] = 1.0
     return g
 
 
@@ -89,44 +96,47 @@ def _branch_sign(p: SKRProfile) -> float:
     return 1.0 if p.c_bar < p.tau_min else -1.0
 
 
-def frame_at(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
-    """Rows are the adapted orthonormal frame vectors in chart components."""
-    d = derived_functions(p, pt.tau)
-    sq = math.sqrt(d.q)
-    e = np.zeros((4, 4))
+def frame_at(p: SKRProfile, pt) -> np.ndarray:
+    """Rows e[..., i, :] are the adapted orthonormal frame vectors in chart
+    components at the points pt[..., :]."""
+    pt = np.asarray(pt, dtype=float)
+    tau, x = pt[..., 0], pt[..., 2]
+    sq = np.sqrt(_q(p, tau))
+    e = np.zeros(tau.shape + (4, 4))
     if p.mode == "irreducible":
-        root = math.sqrt(2.0 * abs(pt.tau - p.c_bar))
-        e[0, 2] = 1.0 / root
-        e[1, 1] = -2.0 * _branch_sign(p) * pt.x / root  # horizontal lift of d/dy kills theta
-        e[1, 3] = 1.0 / root
+        root = np.sqrt(2.0 * abs(tau - p.c_bar))
+        e[..., 0, 2] = 1.0 / root
+        e[..., 1, 1] = -2.0 * _branch_sign(p) * x / root  # horizontal lift of d/dy kills theta
+        e[..., 1, 3] = 1.0 / root
     else:
-        e[0, 2] = 1.0
-        e[1, 3] = 1.0
-    e[2, 1] = 1.0 / sq          # e_3 = u / sqrt(Q), u = d/ds
-    e[3, 0] = -sq               # e_4 = -v / sqrt(Q), v = Q d/dtau
+        e[..., 0, 2] = 1.0
+        e[..., 1, 3] = 1.0
+    e[..., 2, 1] = 1.0 / sq          # e_3 = u / sqrt(Q), u = d/ds
+    e[..., 3, 0] = -sq               # e_4 = -v / sqrt(Q), v = Q d/dtau
     return e
 
 
-def _central_diff(fn, pt: ChartPoint, h_step: float) -> np.ndarray:
-    """Central differences of an array-valued fn, stacked over the chart axis:
-    result[m] = d_m fn at pt."""
-    diffs = [fn(pt.shifted(m, h_step)) - fn(pt.shifted(m, -h_step)) for m in range(4)]
-    return np.stack(diffs) / (2.0 * h_step)
+def _central_diff(fn, pts, h_step: float) -> np.ndarray:
+    """Central differences of an array-valued fn of points, stacked over the
+    chart axis: result[..., m, :] = d_m fn at pts[..., :].  fn is called once,
+    on the (..., 4, 2, 4) array of the shifted points pts +- h e_m."""
+    pts = np.asarray(pts, dtype=float)
+    plus, minus = np.moveaxis(fn(pts[..., None, None, :] + h_step * SHIFTS), pts.ndim, 0)
+    return (plus - minus) / (2.0 * h_step)
 
 
-def christoffel_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Gamma[k, i, j] = Gamma^k_ij by central differences of the metric."""
+def christoffel_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Gamma[..., k, i, j] = Gamma^k_ij at the points pt[..., :], by central
+    differences of the metric."""
     g_inv = np.linalg.inv(_metric_matrix(p, pt))
-    dg = _central_diff(lambda q: _metric_matrix(p, q), pt, h_step)  # dg[m, i, j] = d_m g_ij
+    dg = _central_diff(lambda q: _metric_matrix(p, q), pt, h_step)  # dg[..., m, i, j] = d_m g_ij
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
     return 0.5 * np.einsum(
-        "kl,ijl->kij", g_inv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        "...kl,...ijl->...kij", g_inv, dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1)
     )
 
 
-def riemann_coord_fd(
-    p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def riemann_coord_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Covariant coordinate curvature R[mu, nu, rho, sigma] = <R(d_mu, d_nu) d_rho, d_sigma>
     in the commutator-first convention [nabla_mu, nabla_nu] - nabla_[.,.]."""
     gamma = christoffel_fd(p, pt, h_step)
@@ -162,20 +172,18 @@ def connection_oneform_fd(
     return np.einsum("kia,jb,ab->ijk", cov, e, g)
 
 
-def _complex_structure(p: SKRProfile, pt: ChartPoint) -> np.ndarray:
-    """J as a coordinate (1,1)-tensor, assembled from the frame pattern
-    J e_1 = e_2, J e_2 = -e_1, J e_3 = e_4, J e_4 = -e_3."""
+def _complex_structure(p: SKRProfile, pt) -> np.ndarray:
+    """J as a coordinate (1,1)-tensor at the points pt[..., :], assembled from
+    the frame pattern J e_1 = e_2, J e_2 = -e_1, J e_3 = e_4, J e_4 = -e_3."""
     e = frame_at(p, pt)
-    coframe = np.linalg.inv(e)  # coframe[mu, i] = (e^i)_mu, rows of e are frame vectors
-    j = np.zeros((4, 4))
+    coframe = np.linalg.inv(e)  # coframe[..., mu, i] = (e^i)_mu, rows of e are frame vectors
+    j = np.zeros(e.shape)
     for a, b, sign in ((1, 0, 1.0), (0, 1, -1.0), (3, 2, 1.0), (2, 3, -1.0)):
-        j += sign * np.einsum("m,n->mn", e[a], coframe[:, b])  # sign * e_a (x) e^b
-    return j  # j[alpha, beta] = J^alpha_beta
+        j += sign * (e[..., a, :, None] * coframe[..., None, :, b])  # sign * e_a (x) e^b
+    return j  # j[..., alpha, beta] = J^alpha_beta
 
 
-def kahler_defect_fd(
-    p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP
-) -> float:
+def kahler_defect_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> float:
     """max |nabla J| component; vanishes for a Kahler metric."""
     gamma = christoffel_fd(p, pt, h_step)
     dj = _central_diff(lambda q: _complex_structure(p, q), pt, h_step)
@@ -184,23 +192,16 @@ def kahler_defect_fd(
     return float(np.max(np.abs(grad)))
 
 
-def pregeodesic_defect_fd(
-    p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP
-) -> float:
+def pregeodesic_defect_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> float:
     """Size of the component of nabla_v v orthogonal to v, normalized by |v|^2;
     zero when the gradient flow lines are pre-geodesics."""
-    d = derived_functions(p, pt.tau)
-    gamma = christoffel_fd(p, pt, h_step)
-    # v = Q d/dtau; nabla_v v = Q dQ/dtau d_tau + Q^2 Gamma^l_00 d_l
-    dq = (derived_functions(p, pt.tau + h_step).q - derived_functions(p, pt.tau - h_step).q) / (
-        2.0 * h_step
-    )
-    vec = d.q * d.q * gamma[:, 0, 0]
-    vec[0] += d.q * dq
-    ortho = vec.copy()
-    ortho[0] = 0.0  # v-direction is the tau axis
+    q = derived_functions(p, pt.tau).q
+    # v = Q d/dtau; nabla_v v = Q dQ/dtau d_tau + Q^2 Gamma^l_00 d_l, and the
+    # d_tau part is the one along v
+    ortho = q * q * christoffel_fd(p, pt, h_step)[:, 0, 0]
+    ortho[0] = 0.0
     g = _metric_matrix(p, pt)
-    return float(math.sqrt(ortho @ g @ ortho)) / d.q
+    return float(math.sqrt(ortho @ g @ ortho)) / q
 
 
 def volume_integral_chart(p: SKRProfile, integrand) -> float:
@@ -212,18 +213,10 @@ def volume_integral_chart(p: SKRProfile, integrand) -> float:
     profile's base_area; used to pin the reduced 1-dimensional convention.
     """
     side = math.sqrt(p.base_area)
-
-    t_x, t_w = gauss_legendre(24, p.tau_min, 0.0)
-    s_x, s_w = gauss_legendre(6, 0.0, p.fiber_period)
-    b_x, b_w = gauss_legendre(6, 0.0, side)
-
-    total = 0.0
-    for tau, wt in zip(t_x, t_w):
-        f_val = integrand(float(tau))
-        for s, wsv in zip(s_x, s_w):
-            for x, wx in zip(b_x, b_w):
-                for y, wy in zip(b_x, b_w):
-                    g = _metric_matrix(p, ChartPoint(float(tau), float(s), float(x), float(y)))
-                    dens = math.sqrt(np.linalg.det(g))
-                    total += wt * wsv * wx * wy * f_val * dens
-    return total
+    spans = ((24, p.tau_min, 0.0), (6, 0.0, p.fiber_period), (6, 0.0, side), (6, 0.0, side))
+    rules = [gauss_legendre(*span) for span in spans]
+    grid = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
+    weight = np.einsum("i,j,k,l->ijkl", *(w for _, w in rules))
+    f_val = np.array([integrand(float(tau)) for tau in rules[0][0]])
+    dens = np.sqrt(np.linalg.det(_metric_matrix(p, grid)))
+    return float(np.sum(weight * f_val[:, None, None, None] * dens))

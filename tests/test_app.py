@@ -105,14 +105,22 @@ BAD_NUMBERS = [
     ("profile", "base_curv", float("nan")),
     ("numerics", "fd_step", float("inf")),
     ("profile", "phi_coeffs", [0.5, "x"]),
+    ("numerics", "fd_step", "1e-4"),
+    ("profile", "base_curv", True),
+    ("topology", "signature", 1.5),
+    ("topology", "signature", True),
+    ("numerics", "series_order", 16.9),
+    pytest.param("numerics", "quad_nodes", 10**400, id="numerics-quad_nodes-401-digits"),
+    pytest.param("topology", "signature", -(10**400), id="topology-signature-401-digits"),
 ]
 
 
 @pytest.mark.parametrize("command", ["check", "oracle", "lform", "transgression", "eta"])
 @pytest.mark.parametrize("section,key,value", BAD_NUMBERS)
 def test_cli_rejects_bad_numbers(tmp_path, capsys, command, section, key, value):
-    """A non-numeric or non-finite config number is a config error (exit 2)
-    in every subcommand, never a traceback or a run on NaN."""
+    """A config number that is not a finite JSON number, or not an integer where
+    one is due, is a config error (exit 2) in every subcommand, never a
+    traceback, a run on NaN or a silently truncated value."""
     payload = json.loads(json.dumps(IRRED))
     payload[section][key] = value
     cfg = write_cfg(tmp_path, payload)
@@ -120,6 +128,44 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, command, section, key, value)
     captured = capsys.readouterr()
     assert f"config error: {key} must be" in captured.err
     assert captured.out == ""
+
+
+def test_integral_floats_run_as_their_integers(tmp_path):
+    written = []
+    for order, nodes in ((16, 8), (16.0, 8.0)):
+        numerics = dict(IRRED["numerics"], series_order=order, quad_nodes=nodes)
+        cfg, out = write_cfg(tmp_path, dict(IRRED, numerics=numerics)), tmp_path / f"out{order}"
+        assert main(["eta", str(cfg), "-o", str(out)]) == 0
+        written.append((out / "report.json").read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(IRRED).replace('"signature": 0', '"signature": ' + "9" * 5000).encode(),
+        b"\xff\xfe{}",
+    ],
+    ids=["5000-digit-integer", "not-utf-8"],
+)
+def test_cli_rejects_unparsable_config(tmp_path, capsys, text):
+    """json and the UTF-8 decoder raise a plain ValueError here, which used to
+    end in a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert main(["oracle", str(cfg)]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", [5, None, {"dir": 5}, {"dir": ["out"]}])
+def test_cli_rejects_bad_output_section(tmp_path, monkeypatch, capsys, output):
+    """An output section that is not an object, or a dir that is not a string,
+    is a config error; a dir of 5 used to end in a TypeError traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, dict(IRRED, output=output))
+    assert main(["eta", str(cfg)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -686,6 +732,14 @@ _FUZZ_NUMBER = st.one_of(
 )
 
 
+def _fuzz_int(lo, hi):
+    """An integer field: mostly an integer in lo..hi, written as a JSON integer
+    or an integral float, sometimes a bool, a fraction or an integer past
+    float range."""
+    ints = st.integers(lo, hi)
+    return st.one_of(ints, ints.map(float), st.sampled_from([True, lo + 0.5, -(10**400)]))
+
+
 @st.composite
 def _fuzz_case(draw):
     """A subcommand and a config: mostly plausible profiles, some extreme."""
@@ -707,9 +761,13 @@ def _fuzz_case(draw):
         profile[f"{what}_samples"] = {
             "tau": [lo + (0.2 - lo) * k / (n - 1) for k in range(n)],
             what: draw(st.lists(values, min_size=n, max_size=n)),
-            "interp_order": draw(st.integers(1, 5)),
+            "interp_order": draw(_fuzz_int(1, 5)),
         }
-    numerics = {"quad_nodes": draw(st.integers(2, 6)), "tau_samples": draw(st.integers(2, 6))}
+    numerics = {
+        "series_order": draw(_fuzz_int(4, 16)),
+        "quad_nodes": draw(_fuzz_int(2, 6)),
+        "tau_samples": draw(_fuzz_int(2, 6)),
+    }
     command = draw(st.sampled_from(["check", "lform", "transgression", "eta", "oracle"]))
     return command, {"profile": profile, "numerics": numerics}
 

@@ -1,9 +1,11 @@
 """Byte identity of the eta outputs and the check stdout on the two example
-configs and on a small-angle profile.
+configs and on a small-angle profile, and of the oracle stdout on two
+profiles the oracle fails.
 
-The digests were taken from ``equichar eta`` and ``equichar check`` on
-``scripts/example_*.json`` and on ``SMALL_ANGLE`` with Python 3.11, numpy 2.4
-and scipy 1.17 on x86_64.  A change that moves
+The digests were taken from ``equichar eta``, ``equichar check`` and
+``equichar oracle`` on ``scripts/example_*.json``, on ``SMALL_ANGLE`` and on
+the ``ORACLE_STDOUT`` profiles with Python 3.11, numpy 2.4 and scipy 1.17 on
+x86_64.  A change that moves
 any written byte fails here; if the move is intended, say why in CHANGES.md
 and take the digests again.
 """
@@ -89,3 +91,23 @@ def test_small_angle_outputs_match_golden_digests(tmp_path, capsys):
     assert main(["check", str(cfg)]) == 0
     digests["check"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == SMALL_ANGLE_GOLDEN
+
+
+# sha256 of the whole stdout of ``equichar oracle``, and its exit code, on two
+# profiles where the chart step 1e-4 leaves a FAIL line: phi [0.5, 1.0]
+# vanishes at tau_min (kahler-parallel, curvature-symmetries) and phi
+# [3.5, 0] has rotation angles past pi (curvature-match).
+ORACLE_STDOUT = {
+    (0.5, 1.0): (1, "4b2fe207c5d3e0b58e003b742f08464a320a5eb29b21b177cbf841cccf4a0996"),
+    (3.5, 0.0): (1, "cc1cc3ca7758cc179d86cabf4a1fc3e1b5623f82f2d01321d040b7f1427cf1cc"),
+}
+
+
+@pytest.mark.parametrize("phi", sorted(ORACLE_STDOUT))
+def test_oracle_stdout_matches_golden_digest(tmp_path, capsys, phi):
+    cfg = tmp_path / "oracle.json"
+    profile = {"mode": "irreducible", "phi_coeffs": list(phi), "c_bar": -1.0, "tau_min": -0.5}
+    cfg.write_text(json.dumps({"profile": profile}))
+    code = main(["oracle", str(cfg)])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == ORACLE_STDOUT[phi]

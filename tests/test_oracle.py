@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from conftest import make_irreducible, make_reducible
 from equichar import app, oracle, skr
 from equichar.errors import ProfileError
 from equichar.skr import SKRProfile
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def flat_profile(rng=None, scale=1.0):
@@ -109,13 +112,20 @@ def test_riemann_matches_closed_components(rng):
             assert abs(got - want) <= 1e-5 * max(abs(want), 1e-2)
 
 
+def _shifted(pt, axis, delta):
+    """pt with one chart coordinate moved by delta."""
+    c = np.array(pt, dtype=float)
+    c[axis] += delta
+    return oracle.ChartPoint(*c)
+
+
 def _christoffel_loops(p, pt, h):
     """Reference Gamma^k_ij as the explicit index sum over central differences."""
     g_inv = np.linalg.inv(oracle._metric_matrix(p, pt))
     dg = np.empty((4, 4, 4))
     for m in range(4):
-        gp = oracle._metric_matrix(p, pt.shifted(m, h))
-        gm = oracle._metric_matrix(p, pt.shifted(m, -h))
+        gp = oracle._metric_matrix(p, _shifted(pt, m, h))
+        gm = oracle._metric_matrix(p, _shifted(pt, m, -h))
         dg[m] = (gp - gm) / (2.0 * h)
     gamma = np.empty((4, 4, 4))
     for k in range(4):
@@ -132,9 +142,8 @@ def _riemann_coord_loops(p, pt, h):
     gamma = _christoffel_loops(p, pt, h)
     dgamma = np.empty((4, 4, 4, 4))
     for m in range(4):
-        dgamma[m] = (
-            _christoffel_loops(p, pt.shifted(m, h), h) - _christoffel_loops(p, pt.shifted(m, -h), h)
-        ) / (2.0 * h)
+        plus = _christoffel_loops(p, _shifted(pt, m, h), h)
+        dgamma[m] = (plus - _christoffel_loops(p, _shifted(pt, m, -h), h)) / (2.0 * h)
     r_up = np.empty((4, 4, 4, 4))
     for sig in range(4):
         for rho in range(4):
@@ -161,6 +170,168 @@ def test_tensor_algebra_matches_index_loops(rng):
                 (oracle.riemann_coord_fd(p, pt, h), _riemann_coord_loops(p, pt, h)),
             ):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# Reference path: every oracle quantity point by point, one metric sample per
+# shifted point and the stencil as a Python loop over the chart axes.
+
+def _ref_metric(p, pt):
+    q = skr.derived_functions(p, pt.tau).q
+    g = np.zeros((4, 4))
+    g[0, 0] = 1.0 / q
+    g[1, 1] = q
+    if p.mode == "irreducible":
+        two_t = 2.0 * abs(pt.tau - p.c_bar)
+        twist = 2.0 * oracle._branch_sign(p) * pt.x
+        g[1, 3] = g[3, 1] = q * twist
+        g[2, 2] = two_t
+        g[3, 3] = q * twist * twist + two_t
+    else:
+        g[2, 2] = 1.0
+        g[3, 3] = 1.0
+    return g
+
+
+def _ref_frame(p, pt):
+    sq = math.sqrt(skr.derived_functions(p, pt.tau).q)
+    e = np.zeros((4, 4))
+    if p.mode == "irreducible":
+        root = math.sqrt(2.0 * abs(pt.tau - p.c_bar))
+        e[0, 2] = 1.0 / root
+        e[1, 1] = -2.0 * oracle._branch_sign(p) * pt.x / root
+        e[1, 3] = 1.0 / root
+    else:
+        e[0, 2] = 1.0
+        e[1, 3] = 1.0
+    e[2, 1] = 1.0 / sq
+    e[3, 0] = -sq
+    return e
+
+
+def _ref_central_diff(fn, pt, h):
+    diffs = [fn(_shifted(pt, m, h)) - fn(_shifted(pt, m, -h)) for m in range(4)]
+    return np.stack(diffs) / (2.0 * h)
+
+
+def _ref_christoffel(p, pt, h):
+    g_inv = np.linalg.inv(_ref_metric(p, pt))
+    dg = _ref_central_diff(lambda q: _ref_metric(p, q), pt, h)
+    return 0.5 * np.einsum(
+        "kl,ijl->kij", g_inv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    )
+
+
+def _ref_riemann_frame(p, pt, h):
+    gamma = _ref_christoffel(p, pt, h)
+    dgamma = _ref_central_diff(lambda q: _ref_christoffel(p, q, h), pt, h)
+    d_term = dgamma.transpose(1, 3, 0, 2)
+    g_term = np.einsum("sml,lnr->srmn", gamma, gamma)
+    r_up = d_term - d_term.transpose(0, 1, 3, 2) + g_term - g_term.transpose(0, 1, 3, 2)
+    r_cov = np.einsum("srmn,st->mnrt", r_up, _ref_metric(p, pt))
+    e = _ref_frame(p, pt)
+    return -np.einsum("im,jn,kr,lt,mnrt->ijkl", e, e, e, e, r_cov)
+
+
+def _ref_connection_oneform(p, pt, h):
+    gamma = _ref_christoffel(p, pt, h)
+    g = _ref_metric(p, pt)
+    e = _ref_frame(p, pt)
+    de = _ref_central_diff(lambda q: _ref_frame(p, q), pt, h)
+    cov = np.einsum("km,mia->kia", e, de) + np.einsum("km,amb,ib->kia", e, gamma, e)
+    return np.einsum("kia,jb,ab->ijk", cov, e, g)
+
+
+def _ref_complex_structure(p, pt):
+    e = _ref_frame(p, pt)
+    coframe = np.linalg.inv(e)
+    j = np.zeros((4, 4))
+    for a, b, sign in ((1, 0, 1.0), (0, 1, -1.0), (3, 2, 1.0), (2, 3, -1.0)):
+        j += sign * np.einsum("m,n->mn", e[a], coframe[:, b])
+    return j
+
+
+def _ref_kahler_defect(p, pt, h):
+    gamma = _ref_christoffel(p, pt, h)
+    dj = _ref_central_diff(lambda q: _ref_complex_structure(p, q), pt, h)
+    j = _ref_complex_structure(p, pt)
+    grad = dj + np.einsum("aml,lb->mab", gamma, j) - np.einsum("lmb,al->mab", gamma, j)
+    return float(np.max(np.abs(grad)))
+
+
+def _ref_pregeodesic_defect(p, pt, h):
+    d = skr.derived_functions(p, pt.tau)
+    gamma = _ref_christoffel(p, pt, h)
+    dq = (skr.derived_functions(p, pt.tau + h).q - skr.derived_functions(p, pt.tau - h).q) / (
+        2.0 * h
+    )
+    vec = d.q * d.q * gamma[:, 0, 0]
+    vec[0] += d.q * dq
+    ortho = vec.copy()
+    ortho[0] = 0.0
+    return float(math.sqrt(ortho @ _ref_metric(p, pt) @ ortho)) / d.q
+
+
+def _pinned_profiles():
+    """The flat-base profiles of both example configs and of a degree-4
+    reducible profile, with the chart step each runs at."""
+    out = []
+    for name in ("example_irreducible.json", "example_reducible.json"):
+        cfg = app.load_config(EXAMPLES / name)
+        out.append((app._flat_base_variant(app.build_profile(cfg)), cfg.numerics.fd_step))
+    return out + [(make_reducible(np.random.default_rng(41)), 1e-3)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_array_path_matches_point_path_bit_for_bit(index):
+    """Every oracle quantity at the oracle points equals the point-by-point
+    result exactly: the stencils hold the same floats, built by the same
+    additions, and every entry goes through the same operations."""
+    p, h = _pinned_profiles()[index]
+    pairs = (
+        (oracle.christoffel_fd, _ref_christoffel),
+        (oracle.riemann_frame_fd, _ref_riemann_frame),
+        (oracle.connection_oneform_fd, _ref_connection_oneform),
+        (oracle.kahler_defect_fd, _ref_kahler_defect),
+        (oracle.pregeodesic_defect_fd, _ref_pregeodesic_defect),
+    )
+    for pt in app._oracle_points(p, 10):
+        for got, want in pairs:
+            assert np.array_equal(got(p, pt, h), want(p, pt, h)), got.__name__
+
+
+def test_christoffel_on_point_array_stacks_point_results(worked_profile):
+    pts = [(-0.4, 0.1, 0.2, -0.3), (-0.25, 0.7, -0.1, 0.05), (-0.1, 0.3, 0.35, 0.2)]
+    stacked = oracle.christoffel_fd(worked_profile, np.array(pts))
+    assert stacked.shape == (3, 4, 4, 4)
+    each = [oracle.christoffel_fd(worked_profile, oracle.ChartPoint(*pt)) for pt in pts]
+    assert np.array_equal(stacked, np.stack(each))
+
+
+def _count_calls(monkeypatch):
+    counts = {"_metric_matrix": 0, "derived_functions": 0}
+    for name in counts:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
+    """A curvature evaluation samples the metric in at most 5 calls and the
+    profile once per distinct tau; the chart volume in one call."""
+    p = worked_profile
+    counts = _count_calls(monkeypatch)
+    for pt in app._oracle_points(p, 10):
+        counts.update(_metric_matrix=0, derived_functions=0)
+        oracle.riemann_frame_fd(p, pt)
+        assert counts["_metric_matrix"] <= 5 and counts["derived_functions"] <= 14
+    counts.update(_metric_matrix=0, derived_functions=0)
+    oracle.volume_integral_chart(p, lambda tau: 1.0)
+    assert counts == {"_metric_matrix": 1, "derived_functions": 24}
 
 
 def test_run_oracle_compares_mixed_entries(monkeypatch, capsys):
