@@ -225,9 +225,10 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
 
 def _finite(x: float) -> float:
     """``x`` as a float; a value that overflowed is a numerical failure, never an output."""
+    x = float(x)
     if not math.isfinite(x):
         raise EquicharError(f"non-finite result {x!r}")
-    return float(x)
+    return x
 
 
 def _measured(value: float, error: float) -> dict:
@@ -419,6 +420,8 @@ class CheckResult:
 
 
 def _check(name: str, residual: float, tolerance: float) -> CheckResult:
+    """A residual that is not finite is a numerical failure, never a PASS or a FAIL."""
+    residual = _finite(residual)
     return CheckResult(name, residual <= tolerance, residual, tolerance)
 
 
@@ -511,73 +514,65 @@ def _flat_base_variant(p: SKRProfile) -> SKRProfile:
     return p if p.base_curv == 0.0 else replace(p, base_curv=0.0)
 
 
-def _oracle_mismatch(p: SKRProfile, pt, r_fd: np.ndarray) -> float:
-    """Worst relative mismatch between the oracle's frame curvature r_fd at pt
-    and the closed curvature components, floored at 1e-3 in the denominator."""
-    cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
-    want = {
-        (0, 1, 0, 1): cc.b,
-        (0, 1, 2, 3): cc.c,
-        (2, 3, 2, 3): cc.d,
-        (0, 2, 0, 2): cc.r,
-        (0, 2, 1, 3): cc.r,
-        (1, 2, 0, 3): -cc.r,
-    }
-    return max(abs(r_fd[idx] - val) / max(abs(val), 1e-3) for idx, val in want.items())
+# The comparison table of the oracle: a frame curvature entry R[i, j, k, l],
+# the closed component of skr.curvature_components it equals, and its sign.
+_CURVATURE_TABLE = (
+    ((0, 1, 0, 1), "b", 1.0),
+    ((0, 1, 2, 3), "c", 1.0),
+    ((2, 3, 2, 3), "d", 1.0),
+    ((0, 2, 0, 2), "r", 1.0),
+    ((0, 2, 1, 3), "r", 1.0),
+    ((1, 2, 0, 3), "r", -1.0),
+)
+# Entries with exactly three indices drawn from the vertical pair, which vanish.
+_THREE_INDEX = ((2, 3, 2, 0), (2, 3, 2, 1), (0, 2, 2, 3), (1, 3, 2, 3))
 
 
-def _oracle_points(p: SKRProfile, n: int) -> list:
+def _entries(r: np.ndarray, indices) -> np.ndarray:
+    """r[..., i, j, k, l] for each (i, j, k, l) of indices, along a last axis."""
+    return r[(Ellipsis,) + tuple(zip(*indices))]
+
+
+def _oracle_points(p: SKRProfile, n: int) -> np.ndarray:
+    """n chart points (tau, s, x, y) as an (n, 4) array, tau in the middle of the range."""
     rng = np.random.default_rng(20240817)
-    pts = []
+    pts = rng.uniform((0.25, 0.0, -0.4, -0.4), (0.95, 1.0, 0.4, 0.4), size=(n, 4))
     span = -p.tau_min
-    for _ in range(n):
-        tau = p.tau_min + span * rng.uniform(0.25, 0.95)
-        pts.append(
-            oracle_mod.ChartPoint(
-                tau=float(tau),
-                s=float(rng.uniform(0.0, 1.0)),
-                x=float(rng.uniform(-0.4, 0.4)),
-                y=float(rng.uniform(-0.4, 0.4)),
-            )
-        )
+    pts[:, 0] = p.tau_min + span * pts[:, 0]
     return pts
 
 
 def _oracle_checks(p: SKRProfile, fd_step: float) -> list:
-    """The finite-difference chart checks of ``p``, which must have flat base."""
+    """The finite-difference chart checks of ``p``, which must have flat base:
+    each quantity is evaluated at all its points in one call."""
     pts = _oracle_points(p, 10)
-    results = []
-    worst_rel, worst_vanish, worst_sym = 0.0, 0.0, 0.0
-    for pt in pts:
-        r_fd = oracle_mod.riemann_frame_fd(p, pt, fd_step)
-        worst_rel = max(worst_rel, _oracle_mismatch(p, pt, r_fd))
-        # exactly three indices drawn from the vertical pair
-        for idx in ((2, 3, 2, 0), (2, 3, 2, 1), (0, 2, 2, 3), (1, 3, 2, 3)):
-            worst_vanish = max(worst_vanish, abs(r_fd[idx]))
-        worst_sym = max(
-            worst_sym,
-            float(np.max(np.abs(r_fd + r_fd.transpose(1, 0, 2, 3)))),
-            float(np.max(np.abs(r_fd + r_fd.transpose(0, 1, 3, 2)))),
-            float(np.max(np.abs(r_fd - r_fd.transpose(2, 3, 0, 1)))),
-        )
-    results.append(_check("oracle-curvature-match", worst_rel, 1e-5))
-    results.append(_check("oracle-three-index-vanishing", worst_vanish, 1e-6))
-    results.append(_check("oracle-curvature-symmetries", worst_sym, 1e-6))
-    results.append(
-        _check(
-            "oracle-kahler-parallel",
-            max(oracle_mod.kahler_defect_fd(p, pt, fd_step) for pt in pts[:4]),
-            1e-6,
-        )
+    r_fd = oracle_mod.riemann_frame_fd(p, pts, fd_step)
+    got = _entries(r_fd, [idx for idx, _, _ in _CURVATURE_TABLE])
+    closed = [skr.curvature_components(p, skr.derived_functions(p, t)) for t in pts[:, 0].tolist()]
+    want = np.array(
+        [[sign * getattr(cc, name) for _, name, sign in _CURVATURE_TABLE] for cc in closed]
     )
-    results.append(
+    pair_swap = np.moveaxis(r_fd, (-2, -1), (-4, -3))
+    symmetry = (r_fd + r_fd.swapaxes(-4, -3), r_fd + r_fd.swapaxes(-2, -1), r_fd - pair_swap)
+    return [
+        _check(
+            "oracle-curvature-match",
+            np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-3)),
+            1e-5,
+        ),
+        _check(
+            "oracle-three-index-vanishing", np.max(np.abs(_entries(r_fd, _THREE_INDEX))), 1e-6
+        ),
+        _check("oracle-curvature-symmetries", np.max(np.abs(symmetry)), 1e-6),
+        _check(
+            "oracle-kahler-parallel", np.max(oracle_mod.kahler_defect_fd(p, pts[:4], fd_step)), 1e-6
+        ),
         _check(
             "oracle-pregeodesic",
-            max(oracle_mod.pregeodesic_defect_fd(p, pt, fd_step) for pt in pts[:4]),
+            np.max(oracle_mod.pregeodesic_defect_fd(p, pts[:4], fd_step)),
             1e-8,
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def run_oracle(cfg: RunConfig) -> list:

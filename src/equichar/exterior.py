@@ -195,9 +195,6 @@ class ExteriorForm:
             np.array_equal(self.coeffs, other.coeffs)
         )
 
-    def __hash__(self):
-        return hash((self.dimension, self.coeffs.tobytes()))
-
     def __repr__(self) -> str:
         terms = []
         for mask, value in enumerate(self.coeffs):

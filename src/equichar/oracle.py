@@ -7,10 +7,12 @@ central differences, and produces Christoffel symbols, frame curvature
 components, connection 1-forms and Kahler defects that the test suite
 compares against the closed expressions.
 
-A chart point is a (tau, s, x, y) vector.  The metric, the frame, J and the
-Christoffel symbols take one point or an array of shape (..., 4), with one
-profile evaluation per distinct tau; a central difference samples its whole
-stencil in one call, so a curvature evaluation makes five metric calls.
+A chart point is a (tau, s, x, y) vector.  Every chart quantity here takes
+one point or an array of shape (..., 4) and returns its value at each point,
+with one profile evaluation per distinct tau; a central difference samples
+its whole stencil in one call.  A curvature evaluation makes five metric
+calls however many points it covers, and the oracle suite, which evaluates
+each quantity at all its points in one call, makes ten.
 
 Chart: coordinates (tau, s, x, y) with fiber angle s, flat base h = dx^2+dy^2
 (so the base curvature constant is 0 here) and connection potential
@@ -30,7 +32,6 @@ component R_3434 equals -psi').
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .charforms import gauss_legendre
 from .skr import SKRProfile, derived_functions
 
 __all__ = [
-    "ChartPoint",
     "frame_at",
     "christoffel_fd",
     "riemann_coord_fd",
@@ -51,13 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_FD_STEP = 1e-4
-
-
-class ChartPoint(NamedTuple):
-    tau: float
-    s: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
 
 
 SHIFTS = np.stack([np.eye(4), -np.eye(4)], axis=1)  # SHIFTS[m] = (e_m, -e_m)
@@ -136,40 +129,41 @@ def christoffel_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.nda
     )
 
 
-def riemann_coord_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Covariant coordinate curvature R[mu, nu, rho, sigma] = <R(d_mu, d_nu) d_rho, d_sigma>
+def riemann_coord_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Covariant coordinate curvature R[..., mu, nu, rho, sigma] = <R(d_mu, d_nu) d_rho, d_sigma>
     in the commutator-first convention [nabla_mu, nabla_nu] - nabla_[.,.]."""
     gamma = christoffel_fd(p, pt, h_step)
-    # dgamma[m, k, i, j] = d_m Gamma^k_ij
+    # dgamma[..., m, k, i, j] = d_m Gamma^k_ij
     dgamma = _central_diff(lambda q: christoffel_fd(p, q, h_step), pt, h_step)
     # R^sigma_{rho mu nu} = d_mu Gamma^sigma_{nu rho} - d_nu Gamma^sigma_{mu rho}
     #                     + Gamma^sigma_{mu lam} Gamma^lam_{nu rho} - (mu <-> nu)
-    d_term = dgamma.transpose(1, 3, 0, 2)  # [sig, rho, mu, nu] = d_mu Gamma^sig_{nu rho}
-    g_term = np.einsum("sml,lnr->srmn", gamma, gamma)
-    r_up = d_term - d_term.transpose(0, 1, 3, 2) + g_term - g_term.transpose(0, 1, 3, 2)
+    # d_term[..., sig, rho, mu, nu] = d_mu Gamma^sig_{nu rho}
+    d_term = np.moveaxis(dgamma, (-3, -1, -4, -2), (-4, -3, -2, -1))
+    g_term = np.einsum("...sml,...lnr->...srmn", gamma, gamma)
+    r_up = d_term - d_term.swapaxes(-2, -1) + g_term - g_term.swapaxes(-2, -1)
     g = _metric_matrix(p, pt)
-    return np.einsum("srmn,st->mnrt", r_up, g)
+    return np.einsum("...srmn,...st->...mnrt", r_up, g)
 
 
-def riemann_frame_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Frame curvature components R[i, j, k, l] for the adapted frame, in the
-    sign convention of the closed formulas (see module docstring)."""
+def riemann_frame_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Frame curvature components R[..., i, j, k, l] for the adapted frame, in
+    the sign convention of the closed formulas (see module docstring)."""
     r_cov = riemann_coord_fd(p, pt, h_step)
     e = frame_at(p, pt)
-    return -np.einsum("im,jn,kr,lt,mnrt->ijkl", e, e, e, e, r_cov)
+    return -np.einsum("...im,...jn,...kr,...lt,...mnrt->...ijkl", e, e, e, e, r_cov)
 
 
-def connection_oneform_fd(
-    p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """nu[i, j, k] = g(nabla_{e_k} e_i, e_j), the frame connection 1-form."""
+def connection_oneform_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """nu[..., i, j, k] = g(nabla_{e_k} e_i, e_j), the frame connection 1-form."""
     gamma = christoffel_fd(p, pt, h_step)
     g = _metric_matrix(p, pt)
     e = frame_at(p, pt)
-    de = _central_diff(lambda q: frame_at(p, q), pt, h_step)  # de[m, i, a] = d_m (e_i)^a
+    de = _central_diff(lambda q: frame_at(p, q), pt, h_step)  # de[..., m, i, a] = d_m (e_i)^a
     # nabla_{e_k} e_i = e_k^m ( d_m e_i^a + Gamma^a_{m b} e_i^b )
-    cov = np.einsum("km,mia->kia", e, de) + np.einsum("km,amb,ib->kia", e, gamma, e)
-    return np.einsum("kia,jb,ab->ijk", cov, e, g)
+    cov = np.einsum("...km,...mia->...kia", e, de) + np.einsum(
+        "...km,...amb,...ib->...kia", e, gamma, e
+    )
+    return np.einsum("...kia,...jb,...ab->...ijk", cov, e, g)
 
 
 def _complex_structure(p: SKRProfile, pt) -> np.ndarray:
@@ -183,25 +177,30 @@ def _complex_structure(p: SKRProfile, pt) -> np.ndarray:
     return j  # j[..., alpha, beta] = J^alpha_beta
 
 
-def kahler_defect_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> float:
-    """max |nabla J| component; vanishes for a Kahler metric."""
+def kahler_defect_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """max |nabla J| component at each point; vanishes for a Kahler metric."""
     gamma = christoffel_fd(p, pt, h_step)
     dj = _central_diff(lambda q: _complex_structure(p, q), pt, h_step)
     j = _complex_structure(p, pt)
-    grad = dj + np.einsum("aml,lb->mab", gamma, j) - np.einsum("lmb,al->mab", gamma, j)
-    return float(np.max(np.abs(grad)))
+    grad = (
+        dj
+        + np.einsum("...aml,...lb->...mab", gamma, j)
+        - np.einsum("...lmb,...al->...mab", gamma, j)
+    )
+    return np.max(np.abs(grad), axis=(-3, -2, -1))
 
 
-def pregeodesic_defect_fd(p: SKRProfile, pt: ChartPoint, h_step: float = DEFAULT_FD_STEP) -> float:
-    """Size of the component of nabla_v v orthogonal to v, normalized by |v|^2;
-    zero when the gradient flow lines are pre-geodesics."""
-    q = derived_functions(p, pt.tau).q
+def pregeodesic_defect_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Size of the component of nabla_v v orthogonal to v, normalized by |v|^2,
+    at each point; zero when the gradient flow lines are pre-geodesics."""
+    pt = np.asarray(pt, dtype=float)
+    q = _q(p, pt[..., 0])
     # v = Q d/dtau; nabla_v v = Q dQ/dtau d_tau + Q^2 Gamma^l_00 d_l, and the
     # d_tau part is the one along v
-    ortho = q * q * christoffel_fd(p, pt, h_step)[:, 0, 0]
-    ortho[0] = 0.0
+    ortho = (q * q)[..., None] * christoffel_fd(p, pt, h_step)[..., :, 0, 0]
+    ortho[..., 0] = 0.0
     g = _metric_matrix(p, pt)
-    return float(math.sqrt(ortho @ g @ ortho)) / q
+    return np.sqrt((ortho[..., None, :] @ g @ ortho[..., :, None])[..., 0, 0]) / q
 
 
 def volume_integral_chart(p: SKRProfile, integrand) -> float:

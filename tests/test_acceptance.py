@@ -171,13 +171,13 @@ def test_criterion_06_oracle_curvature():
         p = make_irreducible(rng, base_curv=0.0)
         span = -p.tau_min
         for _ in range(10):
-            pt = oracle.ChartPoint(
-                tau=float(p.tau_min + span * rng.uniform(0.25, 0.95)),
-                s=float(rng.uniform(0, 1)),
-                x=float(rng.uniform(-0.4, 0.4)),
-                y=float(rng.uniform(-0.4, 0.4)),
+            pt = (
+                float(p.tau_min + span * rng.uniform(0.25, 0.95)),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(-0.4, 0.4)),
+                float(rng.uniform(-0.4, 0.4)),
             )
-            cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
+            cc = skr.curvature_components(p, skr.derived_functions(p, pt[0]))
             r = oracle.riemann_frame_fd(p, pt)
             for got, want in (
                 (r[0, 1, 0, 1], cc.b),

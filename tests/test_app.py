@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -698,6 +699,14 @@ def test_cli_exit_codes(tmp_path, capsys):
             1,
             "numerical failure: invalid value encountered",
         ),
+        # the worked example with every finite-difference curvature entry NaN:
+        # the three curvature checks printed PASS with residual 0
+        (
+            "oracle",
+            {"phi_coeffs": [0.5, 0.25], "c_bar": -1e154, "base_curv": 2.0},
+            1,
+            "numerical failure: non-finite result nan",
+        ),
     ],
     ids=[
         "negative-between-samples",
@@ -711,6 +720,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         "overflowing-lform-rows",
         "overflowing-boundary-curvature",
         "numpy-invalid-value",
+        "nan-fd-curvature",
     ],
 )
 def test_cli_exit_code_per_profile(tmp_path, capsys, command, profile, code, message):
@@ -775,16 +785,18 @@ def _fuzz_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(_fuzz_case())
 def test_cli_fuzz_exit_codes_and_finite_report(case):
-    """Any config ends in exit 0, 1 or 2 without a traceback, and a written
-    report.json holds no NaN or Infinity."""
+    """Any config ends in exit 0, 1 or 2 without a traceback, no printed check
+    residual is NaN or infinite, and a written report.json holds no NaN or
+    Infinity."""
     command, payload = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_cfg(Path(tmp), payload)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(cfg), "-o", str(Path(tmp) / "out")])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        assert not re.search(r"residual=\S*(nan|inf)", out.getvalue())
         report = Path(tmp) / "out" / "report.json"
         if report.exists():
             json.loads(report.read_text(), parse_constant=_reject_constant)

@@ -18,15 +18,16 @@ def flat_profile(rng=None, scale=1.0):
 
 
 def chart_points(p, rng, n):
+    """n chart points (tau, s, x, y), tau in the middle of the range."""
     span = -p.tau_min
     pts = []
     for _ in range(n):
         pts.append(
-            oracle.ChartPoint(
-                tau=float(p.tau_min + span * rng.uniform(0.25, 0.95)),
-                s=float(rng.uniform(0, 1)),
-                x=float(rng.uniform(-0.4, 0.4)),
-                y=float(rng.uniform(-0.4, 0.4)),
+            (
+                float(p.tau_min + span * rng.uniform(0.25, 0.95)),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(-0.4, 0.4)),
+                float(rng.uniform(-0.4, 0.4)),
             )
         )
     return pts
@@ -36,14 +37,14 @@ def chart_points(p, rng, n):
 
 def test_metric_reducible_unit_q():
     p = SKRProfile.reducible_polynomial([1.0], tau_min=-0.5)
-    g = oracle._metric_matrix(p, oracle.ChartPoint(-0.2, 0.7, 0.3, -0.1))
+    g = oracle._metric_matrix(p, (-0.2, 0.7, 0.3, -0.1))
     assert np.allclose(g, np.eye(4))
 
 
 def test_metric_determinant_closed_form(worked_profile):
     """det g = (2 |tau - c_bar|)^2 in the irreducible chart."""
     for tau in (-0.4, -0.2, -0.05):
-        pt = oracle.ChartPoint(tau, 0.3, 0.25, -0.6)
+        pt = (tau, 0.3, 0.25, -0.6)
         det = np.linalg.det(oracle._metric_matrix(worked_profile, pt))
         want = (2.0 * abs(tau - worked_profile.c_bar)) ** 2
         assert det == pytest.approx(want, rel=1e-12)
@@ -52,7 +53,7 @@ def test_metric_determinant_closed_form(worked_profile):
 def test_metric_killing_norm(worked_profile):
     """g(u, u) = Q for the fiber generator u = d/ds."""
     for tau in (-0.35, -0.1):
-        g = oracle._metric_matrix(worked_profile, oracle.ChartPoint(tau, 0.0, 0.5, 0.2))
+        g = oracle._metric_matrix(worked_profile, (tau, 0.0, 0.5, 0.2))
         q = skr.derived_functions(worked_profile, tau).q
         assert g[1, 1] == pytest.approx(q, rel=1e-14)
 
@@ -60,11 +61,11 @@ def test_metric_killing_norm(worked_profile):
 def test_metric_positive_definite_guard():
     p = SKRProfile.reducible_polynomial([1.0, 2.4], tau_min=-0.4)
     with pytest.raises(ProfileError):
-        oracle._metric_matrix(p, oracle.ChartPoint(-0.42))  # Q <= 0 outside range
+        oracle._metric_matrix(p, (-0.42, 0.0, 0.0, 0.0))  # Q <= 0 outside range
 
 
 def test_frame_is_orthonormal(worked_profile):
-    pt = oracle.ChartPoint(-0.22, 0.4, 0.3, -0.2)
+    pt = (-0.22, 0.4, 0.3, -0.2)
     g = oracle._metric_matrix(worked_profile, pt)
     e = oracle.frame_at(worked_profile, pt)
     gram = e @ g @ e.T
@@ -75,18 +76,18 @@ def test_frame_is_orthonormal(worked_profile):
 
 def test_christoffel_constant_q_flat():
     p = SKRProfile.reducible_polynomial([1.0], tau_min=-0.5)
-    gamma = oracle.christoffel_fd(p, oracle.ChartPoint(-0.2, 0.1, 0.0, 0.0))
+    gamma = oracle.christoffel_fd(p, (-0.2, 0.1, 0.0, 0.0))
     assert np.max(np.abs(gamma)) < 1e-12
 
 
 def test_christoffel_torsion_symmetry(worked_profile):
-    gamma = oracle.christoffel_fd(worked_profile, oracle.ChartPoint(-0.3, 0.2, 0.3, 0.1))
+    gamma = oracle.christoffel_fd(worked_profile, (-0.3, 0.2, 0.3, 0.1))
     assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) < 1e-9
 
 
 def test_gradient_flow_pregeodesic(worked_profile):
     for tau in (-0.35, -0.15):
-        defect = oracle.pregeodesic_defect_fd(worked_profile, oracle.ChartPoint(tau, 0.2, 0.4, -0.3))
+        defect = oracle.pregeodesic_defect_fd(worked_profile, (tau, 0.2, 0.4, -0.3))
         assert defect < 1e-9
 
 
@@ -96,7 +97,7 @@ def test_riemann_matches_closed_components(rng):
     p = flat_profile(rng)
     pts = chart_points(p, rng, 4)
     for pt in pts:
-        cc = skr.curvature_components(p, skr.derived_functions(p, pt.tau))
+        cc = skr.curvature_components(p, skr.derived_functions(p, pt[0]))
         r = oracle.riemann_frame_fd(p, pt)
         pairs = [
             (r[0, 1, 0, 1], cc.b),
@@ -116,7 +117,7 @@ def _shifted(pt, axis, delta):
     """pt with one chart coordinate moved by delta."""
     c = np.array(pt, dtype=float)
     c[axis] += delta
-    return oracle.ChartPoint(*c)
+    return c
 
 
 def _christoffel_loops(p, pt, h):
@@ -176,13 +177,13 @@ def test_tensor_algebra_matches_index_loops(rng):
 # shifted point and the stencil as a Python loop over the chart axes.
 
 def _ref_metric(p, pt):
-    q = skr.derived_functions(p, pt.tau).q
+    q = skr.derived_functions(p, pt[0]).q
     g = np.zeros((4, 4))
     g[0, 0] = 1.0 / q
     g[1, 1] = q
     if p.mode == "irreducible":
-        two_t = 2.0 * abs(pt.tau - p.c_bar)
-        twist = 2.0 * oracle._branch_sign(p) * pt.x
+        two_t = 2.0 * abs(pt[0] - p.c_bar)
+        twist = 2.0 * oracle._branch_sign(p) * pt[2]
         g[1, 3] = g[3, 1] = q * twist
         g[2, 2] = two_t
         g[3, 3] = q * twist * twist + two_t
@@ -193,12 +194,12 @@ def _ref_metric(p, pt):
 
 
 def _ref_frame(p, pt):
-    sq = math.sqrt(skr.derived_functions(p, pt.tau).q)
+    sq = math.sqrt(skr.derived_functions(p, pt[0]).q)
     e = np.zeros((4, 4))
     if p.mode == "irreducible":
-        root = math.sqrt(2.0 * abs(pt.tau - p.c_bar))
+        root = math.sqrt(2.0 * abs(pt[0] - p.c_bar))
         e[0, 2] = 1.0 / root
-        e[1, 1] = -2.0 * oracle._branch_sign(p) * pt.x / root
+        e[1, 1] = -2.0 * oracle._branch_sign(p) * pt[2] / root
         e[1, 3] = 1.0 / root
     else:
         e[0, 2] = 1.0
@@ -259,9 +260,9 @@ def _ref_kahler_defect(p, pt, h):
 
 
 def _ref_pregeodesic_defect(p, pt, h):
-    d = skr.derived_functions(p, pt.tau)
+    d = skr.derived_functions(p, pt[0])
     gamma = _ref_christoffel(p, pt, h)
-    dq = (skr.derived_functions(p, pt.tau + h).q - skr.derived_functions(p, pt.tau - h).q) / (
+    dq = (skr.derived_functions(p, pt[0] + h).q - skr.derived_functions(p, pt[0] - h).q) / (
         2.0 * h
     )
     vec = d.q * d.q * gamma[:, 0, 0]
@@ -284,8 +285,9 @@ def _pinned_profiles():
 @pytest.mark.parametrize("index", range(3))
 def test_array_path_matches_point_path_bit_for_bit(index):
     """Every oracle quantity at the oracle points equals the point-by-point
-    result exactly: the stencils hold the same floats, built by the same
-    additions, and every entry goes through the same operations."""
+    result exactly, whether called on one point or on all ten at once: the
+    stencils hold the same floats, built by the same additions, and every
+    entry goes through the same operations."""
     p, h = _pinned_profiles()[index]
     pairs = (
         (oracle.christoffel_fd, _ref_christoffel),
@@ -294,16 +296,22 @@ def test_array_path_matches_point_path_bit_for_bit(index):
         (oracle.kahler_defect_fd, _ref_kahler_defect),
         (oracle.pregeodesic_defect_fd, _ref_pregeodesic_defect),
     )
-    for pt in app._oracle_points(p, 10):
-        for got, want in pairs:
-            assert np.array_equal(got(p, pt, h), want(p, pt, h)), got.__name__
+    pts = app._oracle_points(p, 10)
+    assert pts.shape == (10, 4)
+    for got, want in pairs:
+        stacked = got(p, pts, h)
+        assert stacked.shape[0] == 10, got.__name__
+        for k, pt in enumerate(pts):
+            ref = want(p, pt, h)
+            assert np.array_equal(got(p, pt, h), ref), got.__name__
+            assert np.array_equal(stacked[k], ref), got.__name__
 
 
 def test_christoffel_on_point_array_stacks_point_results(worked_profile):
     pts = [(-0.4, 0.1, 0.2, -0.3), (-0.25, 0.7, -0.1, 0.05), (-0.1, 0.3, 0.35, 0.2)]
     stacked = oracle.christoffel_fd(worked_profile, np.array(pts))
     assert stacked.shape == (3, 4, 4, 4)
-    each = [oracle.christoffel_fd(worked_profile, oracle.ChartPoint(*pt)) for pt in pts]
+    each = [oracle.christoffel_fd(worked_profile, pt) for pt in pts]
     assert np.array_equal(stacked, np.stack(each))
 
 
@@ -322,7 +330,9 @@ def _count_calls(monkeypatch):
 
 def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
     """A curvature evaluation samples the metric in at most 5 calls and the
-    profile once per distinct tau; the chart volume in one call."""
+    profile once per distinct tau; the chart volume in one call; the whole
+    oracle suite, which evaluates each quantity at all its points at once, in
+    at most 10 calls."""
     p = worked_profile
     counts = _count_calls(monkeypatch)
     for pt in app._oracle_points(p, 10):
@@ -332,6 +342,9 @@ def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
     counts.update(_metric_matrix=0, derived_functions=0)
     oracle.volume_integral_chart(p, lambda tau: 1.0)
     assert counts == {"_metric_matrix": 1, "derived_functions": 24}
+    counts.update(_metric_matrix=0, derived_functions=0)
+    app._oracle_checks(p, oracle.DEFAULT_FD_STEP)
+    assert counts["_metric_matrix"] <= 10
 
 
 def test_run_oracle_compares_mixed_entries(monkeypatch, capsys):
@@ -344,7 +357,7 @@ def test_run_oracle_compares_mixed_entries(monkeypatch, capsys):
 
     def shifted(p, pt, h_step=oracle.DEFAULT_FD_STEP):
         r = original(p, pt, h_step).copy()
-        r[1, 2, 0, 3] += 1e-3
+        r[..., 1, 2, 0, 3] += 1e-3
         return r
 
     monkeypatch.setattr(oracle, "riemann_frame_fd", shifted)
@@ -379,7 +392,7 @@ def test_connection_oneform_matches_display(rng):
     p = flat_profile(rng)
     pt = chart_points(p, rng, 1)[0]
     nu = oracle.connection_oneform_fd(p, pt)
-    d = skr.derived_functions(p, pt.tau)
+    d = skr.derived_functions(p, pt[0])
     k = d.phi / math.sqrt(d.q)
     l = d.psi / math.sqrt(d.q)
     assert abs(nu[0, 2, 1] - k) < 1e-6   # nu_13 = k e^2
@@ -414,7 +427,7 @@ def test_base_curvature_enters_linearly(rng):
             tau_min=p0.tau_min,
             fn=p0.fn,
         )
-        d = skr.derived_functions(p, pt.tau)
+        d = skr.derived_functions(p, pt[0])
         cc = skr.curvature_components(p, d)
         linear_term = -abs(d.phi / d.q) * rh
         assert abs((r_fd[0, 1, 0, 1] + linear_term) - cc.b) < 1e-6
