@@ -7,7 +7,6 @@ from .errors import (
     DimensionMismatchError,
     EquicharError,
     ProfileError,
-    SingularInputError,
 )
 from .exterior import ExteriorForm, degree_component, exp_form, wedge
 from .matforms import (

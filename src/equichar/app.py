@@ -29,8 +29,8 @@ from . import oracle as oracle_mod
 from . import skr
 from .charforms import QuadratureSpec, gauss_legendre, transgression_degree3_alt
 from .errors import ConfigError, EquicharError, ProfileError
-from .exterior import ExteriorForm, wedge
-from .matforms import DEFAULT_SERIES_ORDER, hirzebruch_l_log_germ
+from .exterior import exp_coeffs
+from .matforms import DEFAULT_SERIES_ORDER, apply_germ_data, hirzebruch_l_log_germ, trace_data
 from .skr import SKRProfile
 
 __all__ = [
@@ -298,6 +298,16 @@ def _bulk_integral(p: SKRProfile, cfg: RunConfig) -> dict:
     return _measured(fine, abs(fine - coarse))
 
 
+def _boundary_volume(p: SKRProfile, q0: float) -> float:
+    radial = 2.0 * abs(p.c_bar) if p.mode == "irreducible" else 1.0
+    return radial * p.base_area * p.fiber_period * math.sqrt(q0)
+
+
+def _eta_value(cfg: RunConfig, bulk: float, boundary: float) -> float:
+    """eta = -(1/pi^2) [bulk - boundary] - signature."""
+    return -(bulk - boundary) / math.pi**2 - cfg.topology.signature
+
+
 def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Report:
     """Assemble the infinitesimal equivariant eta invariant of the boundary.
 
@@ -319,11 +329,8 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     discrepancy = abs(tl3_closed - tl3_direct)
     tail = skr.closed_transgression_tail(bd, order)
 
-    radial = 2.0 * abs(p.c_bar) if p.mode == "irreducible" else 1.0
-    boundary_volume = radial * p.base_area * p.fiber_period * math.sqrt(bd.q0)
-    boundary = _measured(tl3_closed * boundary_volume, (discrepancy + tail) * boundary_volume)
-
-    eta_val = -(bulk["value"] - boundary["value"]) / math.pi**2 - cfg.topology.signature
+    volume = _boundary_volume(p, bd.q0)
+    boundary = _measured(tl3_closed * volume, (discrepancy + tail) * volume)
     eta_err = (bulk["error"] + boundary["error"]) / math.pi**2
 
     return Report(
@@ -334,9 +341,17 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
         series_tail_bound=tail,
         bulk_integral=bulk,
         boundary_integral=boundary,
-        eta=_measured(eta_val, eta_err),
+        eta=_measured(_eta_value(cfg, bulk["value"], boundary["value"]), eta_err),
         closed_integrand=closed.integrand,
     )
+
+
+def _refined_eta(p: SKRProfile, cfg: RunConfig, bd: skr.BoundaryData) -> float:
+    """The eta of :func:`eta_invariant` at 2n nodes: 4n-node bulk, 2n-node closed route."""
+    n = cfg.numerics.quad_nodes
+    tl3 = skr.transgression_pullback_closed(bd, cfg.numerics.series_order, QuadratureSpec(2 * n))
+    boundary = _finite(tl3.value * _boundary_volume(p, bd.q0))
+    return _eta_value(cfg, _finite(_bulk_quadrature(p, 4 * n)), boundary)
 
 
 # --------------------------------------------------------------------------- tables
@@ -349,15 +364,8 @@ def _lform_taus(p: SKRProfile, n: int) -> list:
 
 def _lform_row(p: SKRProfile, tau: float) -> dict:
     d = skr.derived_functions(p, tau)
-    sq = skr.sqrt_a_coeffs(d.phi, d.psi, skr.curvature_components(p, d))
-    return {
-        "tau": tau,
-        "alpha": sq.alpha,
-        "beta": sq.beta,
-        "gamma": sq.gamma,
-        "delta": sq.delta,
-        "L4": skr.l4_from_sqrt(sq),
-    }
+    l4 = skr.l4_closed(d.phi, d.psi, skr.curvature_components(p, d))
+    return {"tau": tau, "phi": d.phi, "psi": d.psi, "L4": l4}
 
 
 def _fmt(x: float) -> str:
@@ -378,7 +386,7 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
     # each file is formatted in full before it is opened, so that a
     # non-finite value leaves no partial file behind
     if "lform" in which:
-        cols = ("tau", "alpha", "beta", "gamma", "delta", "L4")
+        cols = ("tau", "phi", "psi", "L4")
         lines = [",".join(cols)] + [",".join(_fmt(r[c]) for c in cols) for r in rows]
         path = out / "lform.csv"
         path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -425,6 +433,24 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, residual <= tolerance, residual, tolerance)
 
 
+def _generic_l4(p: SKRProfile, taus, order: int) -> list:
+    """Degree-4 coefficients of charforms.l_form, exp(Tr f(R_X)) for the L-log
+    germ f, at all ``taus`` in one pass through the batched kernels."""
+    stack = np.stack([skr.equivariant_curvature_matrix(p, t).data for t in taus])
+    forms = exp_coeffs(trace_data(apply_germ_data(hirzebruch_l_log_germ(), stack, order)))
+    return forms[:, -1].tolist()
+
+
+def _truncation_tolerance(angle: float, order: int) -> float:
+    """Ten times a bound on the generic L-form's truncation at ``order``, in
+    the units of lform-closed-vs-generic, at rotation angles up to ``angle``:
+    the e^1234 part of a dropped term f_k Tr R_X^k of the L-log germ is at
+    most 2 k (k - 1) |f_k| angle^(k - 2) times the curvature products."""
+    taylor = hirzebruch_l_log_germ().taylor
+    tail = sum(k * (k - 1) * abs(f) * angle ** (k - 2) for k, f in enumerate(taylor) if k > order)
+    return max(20.0 * tail, 1e-12)  # and rounding
+
+
 def run_check(cfg: RunConfig) -> list:
     """Run the invariant suite, then the oracle suite, on the configured
     profile; print one line per check."""
@@ -449,26 +475,25 @@ def run_check(cfg: RunConfig) -> list:
                 res = max(res, abs(d.q * d.phi_d - 2.0 * (d.psi - d.phi) * d.phi))
     results.append(_check("profile-relations", res, 1e-8))
 
-    # curvature structure and the sqrt(A) square identity at ten taus
-    res_curv, res_sqrt = 0.0, 0.0
+    # curvature structure at ten taus; at three of them, the closed L4 against the
+    # generic L-form, relative to the largest |bc| + |cd| + |bd| + c^2 + 4r^2 there,
+    # the curvature products that the L4 of both routes are built of
+    picks = taus[::40]
+    res_curv, closed_l4, products, angle = 0.0, [], 1e-12, 0.0
     for t in taus[::10]:
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, d)
+        b, c, dd, r = cc = skr.curvature_components(p, d)
         if p.mode == "irreducible":
-            res_curv = max(res_curv, abs(cc.r - 0.5 * cc.c))
+            res_curv = max(res_curv, abs(r - 0.5 * c))
         else:
-            res_curv = max(res_curv, abs(cc.r), abs(cc.c))
-        try:
-            sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
-        except EquicharError:
-            continue
-        root = ExteriorForm(
-            4, {(): sq.alpha, (1, 2): sq.beta, (3, 4): sq.gamma, (1, 2, 3, 4): sq.delta}
-        )
-        sq_defect = wedge(root, root) - skr.eigenvalue_square(d.phi, d.psi, cc)
-        res_sqrt = max(res_sqrt, sq_defect.max_abs())
+            res_curv = max(res_curv, abs(r), abs(c))
+        if t in picks:
+            closed_l4.append(skr.l4_closed(d.phi, d.psi, cc))
+            products = max(products, abs(b * c) + abs(c * dd) + abs(b * dd) + c * c + 4.0 * r * r)
+            angle = max(angle, abs(d.phi), abs(d.psi))
     results.append(_check("curvature-relations", res_curv, 1e-14))
-    results.append(_check("sqrt-a-square-identity", res_sqrt, 1e-13))
+    res = max(abs(x - y) for x, y in zip(closed_l4, _generic_l4(p, picks, order))) / products
+    results.append(_check("lform-closed-vs-generic", res, _truncation_tolerance(angle, order)))
 
     # transgression routes, as computed by the report at the configured nodes
     report = eta_invariant(cfg, profile=p)
@@ -477,10 +502,10 @@ def run_check(cfg: RunConfig) -> list:
     scale = max(abs(closed), abs(direct), 1e-12)
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
 
-    fam = skr.boundary_family(skr.boundary_data(p))
-    alt = transgression_degree3_alt(hirzebruch_l_log_germ(), fam, quad, order).coefficient(
-        (1, 2, 3)
-    )
+    bd = skr.boundary_data(p)
+    alt = transgression_degree3_alt(
+        hirzebruch_l_log_germ(), skr.boundary_family(bd), quad, order
+    ).coefficient((1, 2, 3))
     results.append(_check("transgression-alt-route", abs(direct - alt) / scale, 1e-10))
 
     if p.mode == "reducible":
@@ -491,17 +516,9 @@ def run_check(cfg: RunConfig) -> list:
         )
 
     # eta stability under quadrature refinement
-    fine_numerics = replace(cfg.numerics, quad_nodes=2 * cfg.numerics.quad_nodes)
-    cfg_fine = replace(cfg, numerics=fine_numerics)
-    report_fine = eta_invariant(cfg_fine, profile=p)
-    eta_scale = max(abs(report.eta["value"]), abs(report_fine.eta["value"]), 1.0)
-    results.append(
-        _check(
-            "eta-quadrature-stability",
-            abs(report.eta["value"] - report_fine.eta["value"]) / eta_scale,
-            1e-8,
-        )
-    )
+    eta, eta_fine = report.eta["value"], _refined_eta(p, cfg, bd)
+    eta_scale = max(abs(eta), abs(eta_fine), 1.0)
+    results.append(_check("eta-quadrature-stability", abs(eta - eta_fine) / eta_scale, 1e-8))
 
     results += _oracle_checks(_flat_base_variant(p), cfg.numerics.fd_step)
     for r in results:

@@ -29,9 +29,5 @@ class ProfileError(EquicharError):
     """Invalid SKR profile data (e.g. Q <= 0 on the requested range)."""
 
 
-class SingularInputError(EquicharError):
-    """An operation hit a genuinely singular input (e.g. phi = psi = 0)."""
-
-
 class ConfigError(EquicharError):
     """Malformed or inconsistent run configuration."""

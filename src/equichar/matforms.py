@@ -144,6 +144,8 @@ def _l_inner_series(n_coeffs: int) -> np.ndarray:
 _BAR = tuple((-1.0) ** k * c for k, c in enumerate(_l_inner_series(_GERM_COEFFS).tolist()))
 _BAR_D1 = tuple(2 * k * c for k, c in enumerate(_BAR) if k)
 _BAR_D2 = tuple(2 * k * (2 * k - 1) * c for k, c in enumerate(_BAR) if k)
+# for x^2 < 1/4 the terms past the 13th lie below 2^-90 of the sum: no bit moves
+_SMALL = (_BAR[:13], _BAR_D1[:13], _BAR_D2[:13])
 
 
 def l_log_at_angle(x: float) -> tuple:
@@ -162,7 +164,7 @@ def l_log_at_angle(x: float) -> tuple:
         raise ConvergenceRadiusError(abs(x), math.pi, "l_log")
     if abs(x) < 0.5:
         xx = x * x
-        f, f1, f2 = _horner(_BAR, xx), x * _horner(_BAR_D1, xx), _horner(_BAR_D2, xx)
+        f, f1, f2 = _horner(_SMALL[0], xx), x * _horner(_SMALL[1], xx), _horner(_SMALL[2], xx)
     else:
         tan, s = math.tan(0.5 * x), math.sin(0.5 * x)
         f = 0.5 * x / tan

@@ -63,7 +63,7 @@ def _q(p: SKRProfile, tau: np.ndarray) -> np.ndarray:
 
 
 def _metric_matrix(p: SKRProfile, pt) -> np.ndarray:
-    """Chart metric: (1/Q) dtau^2 + Q (ds + x dy)^2 + 2|tau - c_bar| (dx^2 + dy^2),
+    """Chart metric: (1/Q) dtau^2 + Q (ds + 2 sigma x dy)^2 + 2|tau - c_bar| (dx^2 + dy^2),
     with the conformal factor replaced by 1 and no x-twist in the reducible case;
     g[..., i, j] at the points pt[..., :]."""
     pt = np.asarray(pt, dtype=float)

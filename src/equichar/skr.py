@@ -6,17 +6,17 @@ tau together with the constant c_bar in the irreducible case, or a positive
 Q of tau in the reducible (local product) case, held as one piecewise
 polynomial (:class:`ProfileFunction`) and validated exactly.  This module
 derives the associated eigenfunctions phi, psi and Q, the curvature
-components in the adapted orthonormal frame, the degree-4 coefficient of the
-equivariant Hirzebruch L-form in closed form, the boundary data at
+components in the adapted orthonormal frame, the exact degree-4 coefficient
+of the equivariant Hirzebruch L-form in closed form, the boundary data at
 {tau = 0}, and the e^123 coefficient of the boundary pull-back of the
 degree-3 transgression of the L-form, by the closed series formula and by
 the generic-machinery route through :mod:`equichar.charforms`.  Both the
-bulk and the boundary quantities are returned as floats; the only exterior
-form built here is the reference A of :func:`eigenvalue_square`.
+bulk and the boundary quantities are returned as floats, and no exterior
+form is built for the bulk.
 
 Frame conventions: e_1 is a normalized horizontal lift, e_2 = J e_1,
 e_3 = u/sqrt(Q) for the Killing field u, and e_4 = -v/sqrt(Q) for the
-gradient v of tau, which is outward pointing at the boundary.
+gradient v = Q d/dtau of tau, which points outward at the boundary: e_4 points into M.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
-from .errors import EquicharError, ProfileError, SingularInputError
-from .exterior import ExteriorForm, mask_of_indices
+from .errors import EquicharError, ProfileError
+from .exterior import mask_of_indices
 from .matforms import (
+    _BAR,
     _GERM_COEFFS,
     DEFAULT_SERIES_ORDER,
     FormMatrix,
@@ -52,9 +53,7 @@ __all__ = [
     "curvature_matrix",
     "nabla_x_matrix",
     "equivariant_curvature_matrix",
-    "eigenvalue_square",
-    "sqrt_a_coeffs",
-    "l4_from_sqrt",
+    "l4_closed",
     "l4_coefficient",
     "volume_weight",
     "boundary_data",
@@ -205,8 +204,7 @@ def derived_functions(p: SKRProfile, tau: float) -> DerivedFunctions:
     return DerivedFunctions(phi, psi, q, phi_d, psi_d)
 
 
-@dataclass(frozen=True)
-class CurvatureComponents:
+class CurvatureComponents(NamedTuple):
     """Curvature entries in the adapted frame: horizontal plane (b), the
     mixed Kahler component (c), the vertical plane (d) and the off-block
     coefficient r = c/2 in the irreducible case."""
@@ -227,7 +225,7 @@ def curvature_components(p: SKRProfile, d: DerivedFunctions) -> CurvatureCompone
         b = -p.base_curv
         c = 0.0
         r = 0.0
-    return CurvatureComponents(b=b, c=c, d=-d.psi_d, r=r)
+    return CurvatureComponents(b, c, -d.psi_d, r)
 
 
 def curvature_matrix(cc: CurvatureComponents) -> FormMatrix:
@@ -268,7 +266,7 @@ def equivariant_curvature_matrix(p: SKRProfile, tau: float) -> FormMatrix:
     """Equivariant curvature in the adapted frame.
 
     The circle action is generated by the Killing field u itself; with the
-    flow convention fixed by the closed eigenvalue formulas below, its moment
+    flow convention fixed by the closed L-form below, its moment
     endomorphism adds (rather than subtracts) the nabla-u rotation block, so
     the (1,2) entry reads phi + b e^12 + c e^34.
     """
@@ -277,75 +275,62 @@ def equivariant_curvature_matrix(p: SKRProfile, tau: float) -> FormMatrix:
     return curvature_matrix(cc) + nabla_x_matrix(d.phi, d.psi, dimension=4)
 
 
-def eigenvalue_square(phi: float, psi: float, cc: CurvatureComponents) -> ExteriorForm:
-    """The even form A with spec(R_g) = {0, 0, +-i sqrt(A)}:
+# for |phi - psi| <= _CROSSING (|phi| + |psi|) the quotient for lambda'[phi, psi] loses digits
+_CROSSING = 0.025
 
-    A = phi^2 + psi^2 + 2(phi b + psi c) e^12 + 2(phi c + psi d) e^34
-        + 2(bc + cd - 4r^2) e^1234.
+
+def l4_closed(phi: float, psi: float, cc: CurvatureComponents) -> float:
+    """Degree-4 coefficient of the equivariant L-form at one tau.
+
+    The even forms here lie in span{1, e^12, e^34, e^1234} and commute.
+    det(lam - R_X) = lam^4 + A lam^2 + Pf^2 with A = phi^2 + psi^2
+    + 2(phi b + psi c) e^12 + 2(phi c + psi d) e^34 + 2(bc + cd - 4r^2) e^1234
+    and Pf = phi psi + (phi c + psi b) e^12 + (phi d + psi c) e^34
+    + (bd + c^2 + 4r^2) e^1234, whose angle forms (x1^2 + x2^2 = A, x1 x2 = Pf)
+    are x1 = phi + b e^12 + c e^34 - n e^1234 and x2 = psi + c e^12 + d e^34
+    + n e^1234, n = 4r^2/(phi - psi).  So L = Lbar(x1) Lbar(x2), with
+    Lbar(x) = x/(2 tan(x/2)) = exp(lambda(x)), has the e^1234 coefficient
+    Lbar(phi) Lbar(psi) [-4r^2 lambda'[phi, psi] + lambda''(phi) bc + lambda''(psi) cd
+    + (lambda'(phi) b + lambda'(psi) c)(lambda'(phi) c + lambda'(psi) d)], where the
+    divided difference lambda'[phi, psi] is lambda''(phi) at the crossing
+    phi = psi (constant phi, the flat product).  0.0 + turns -0.0 into +0.0.
     """
-    return ExteriorForm(
-        4,
-        {
-            (): phi * phi + psi * psi,
-            (1, 2): 2.0 * (phi * cc.b + psi * cc.c),
-            (3, 4): 2.0 * (phi * cc.c + psi * cc.d),
-            (1, 2, 3, 4): 2.0 * (cc.b * cc.c + cc.c * cc.d - 4.0 * cc.r**2),
-        },
-    )
+    b, c, d, r = cc
+    # lambda(x) = 2 g(ix) for the L-log germ g: lambda' = -2 s and lambda'' = -2 t
+    g1, s1, t1 = l_log_at_angle(phi)
+    g2, s2, t2 = l_log_at_angle(psi)
+    d1, d2 = -2.0 * s1, -2.0 * s2
+    if abs(phi - psi) > _CROSSING * (abs(phi) + abs(psi)):
+        divided = (d1 - d2) / (phi - psi)
+    else:
+        divided = _lambda_divided_difference(phi, psi, d2, math.exp(2.0 * g1))
+    log4 = (d1 * b + d2 * c) * (d1 * c + d2 * d) - 2.0 * (t1 * b * c + t2 * c * d)
+    return 0.0 + math.exp(2.0 * (g1 + g2)) * (log4 - 4.0 * r * r * divided)
 
 
-class SqrtACoeffs(NamedTuple):
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-
-def sqrt_a_coeffs(phi: float, psi: float, cc: CurvatureComponents) -> SqrtACoeffs:
-    """Coefficients of sqrt(A) = alpha + beta e^12 + gamma e^34 + delta e^1234.
-
-    Solves the square identity coefficient by coefficient.  At phi = psi = 0,
-    A = 2(bc + cd - 4r^2) e^1234: its root is 0 when A = 0 (a flat product),
-    and a nonzero nilpotent A has none (use the generic germ route near
-    that limit instead).
-    """
-    norm2 = phi * phi + psi * psi
-    if norm2 == 0.0:
-        if cc.b * cc.c + cc.c * cc.d - 4.0 * cc.r**2 == 0.0:
-            return SqrtACoeffs(0.0, 0.0, 0.0, 0.0)
-        raise SingularInputError("sqrt_a_coeffs undefined at phi = psi = 0")
-    alpha = math.sqrt(norm2)
-    beta = (cc.b * phi + cc.c * psi) / alpha
-    gamma = (cc.c * phi + cc.d * psi) / alpha
-    delta = (
-        (cc.c * cc.d - 4.0 * cc.r**2) * phi * phi
-        + (cc.b * cc.c - 4.0 * cc.r**2) * psi * psi
-        - phi * psi * (cc.b * cc.d + cc.c * cc.c)
-    ) / alpha**3
-    return SqrtACoeffs(alpha, beta, gamma, delta)
-
-
-def _lbar_triple(x: float):
-    """(Lbar, Lbar', Lbar'') at x for Lbar(y) = exp(2 g(iy)), the restriction of
-    the inner L-function to rotation angles, from one evaluation of the L-log
-    germ g by :func:`l_log_at_angle` (which rejects |x| >= pi)."""
-    g, d1, d2 = l_log_at_angle(x)
-    value = math.exp(2.0 * g)
-    return value, -2.0 * d1 * value, (4.0 * d1 * d1 - 2.0 * d2) * value
-
-
-def l4_from_sqrt(sq: SqrtACoeffs) -> float:
-    """Degree-4 coefficient of the equivariant L-form from the coefficients of
-    sqrt(A): Lbar'(alpha) delta + Lbar''(alpha) beta gamma.  The leading 0.0 +
-    turns the -0.0 of a reducible profile into +0.0."""
-    _, f1, f2 = _lbar_triple(sq.alpha)
-    return 0.0 + (f1 * sq.delta + f2 * sq.beta * sq.gamma)
+def _lambda_divided_difference(phi: float, psi: float, d1_psi: float, lbar_phi: float) -> float:
+    """lambda'[phi, psi] = (Lbar'[phi, psi] - lambda'(psi) Lbar[phi, psi]) / Lbar(phi),
+    which never divides by phi - psi: for Lbar = sum_k c_k x^(2k),
+    Lbar[phi, psi] = sum_k c_k h_(2k-1) and Lbar'[phi, psi] = sum_k 2k c_k h_(2k-2),
+    with h_n = sum_j phi^j psi^(n - j) = phi h_(n-1) + psi^n.  The terms fall
+    off like (max(|phi|, |psi|) / 2 pi)^(2k); the sum stops once they no
+    longer change it."""
+    h, psi_n, lbar_dd, lbar_d1_dd = 1.0, 1.0, 0.0, 0.0  # h_0 and psi^0
+    for k, c_k in enumerate(_BAR[1:], 1):
+        term = 2 * k * c_k * h
+        lbar_d1_dd += term
+        h, psi_n = phi * h + psi_n * psi, psi_n * psi * psi  # h_(2k-1), psi^(2k)
+        lbar_dd += c_k * h
+        h = phi * h + psi_n
+        if abs(term) <= 1e-17 * abs(lbar_d1_dd):
+            break
+    return (lbar_d1_dd - d1_psi * lbar_dd) / lbar_phi
 
 
 def l4_coefficient(p: SKRProfile, tau: float) -> float:
     """Degree-4 coefficient of the closed-form equivariant L-form at tau."""
     d = derived_functions(p, tau)
-    return l4_from_sqrt(sqrt_a_coeffs(d.phi, d.psi, curvature_components(p, d)))
+    return l4_closed(d.phi, d.psi, curvature_components(p, d))
 
 
 def volume_weight(p: SKRProfile, tau: float) -> float:

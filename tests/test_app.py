@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,102 @@ def test_bulk_integral_moves_with_end_slopes():
     assert abs(moved - base) > 1e-3 * abs(base)
 
 
+def test_worked_example_bulk_and_eta():
+    """The exact L-form's bulk integral of the worked example, and its eta,
+    which the sqrt(A) route put at 0.0372553 (bulk -0.0923719)."""
+    rep = eta_invariant(load_config(EXAMPLES / "example_irreducible.json"))
+    assert rep.bulk_integral["value"] == pytest.approx(-0.07698921789, abs=1e-10)
+    assert rep.eta["value"] == pytest.approx(0.035697, abs=1e-6)
+    assert abs(rep.eta["value"] - 0.037255320024982774) > 1e-3
+
+
+# phi = psi everywhere, psi = -phi at tau = -0.25, a flat product, and psi = 5e-10
+CROSSING_PROFILES = {
+    "constant-phi": {"mode": "irreducible", "phi_coeffs": [0.5, 0.0]},
+    "psi-minus-phi": {"mode": "irreducible", "phi_coeffs": [0.1, -0.8]},
+    "flat-product": {"mode": "reducible", "q_coeffs": [1.0]},
+    "reducible-small-psi": {"mode": "reducible", "q_coeffs": [1.0, 1e-9]},
+}
+
+
+@pytest.mark.parametrize("command", ["eta", "lform"])
+@pytest.mark.parametrize("name", sorted(CROSSING_PROFILES))
+def test_crossing_profiles_run(tmp_path, capsys, command, name):
+    profile = {"c_bar": -1.0, "base_curv": 1.0, "tau_min": -0.5, **CROSSING_PROFILES[name]}
+    cfg = write_cfg(tmp_path, {"profile": profile})
+    assert main([command, str(cfg), "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out" / "lform.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(cell)) for line in lines for cell in line.split(","))
+
+
+def _sqrt_a_l4(phi, psi, cc):
+    """The L4 of the replaced sqrt(A) route, which took spec(R_X) to be
+    {0, 0, +-i sqrt(A)} and so dropped Pf(R_X)."""
+    b, c, d, r = cc
+    alpha = math.hypot(phi, psi)
+    beta, gamma = (b * phi + c * psi) / alpha, (c * phi + d * psi) / alpha
+    delta = (
+        (c * d - 4.0 * r * r) * phi**2 + (b * c - 4.0 * r * r) * psi**2 - phi * psi * (b * d + c * c)
+    ) / alpha**3
+    g, d1, d2 = skr.l_log_at_angle(alpha)
+    value = math.exp(2.0 * g)
+    return -2.0 * d1 * value * delta + (4.0 * d1 * d1 - 2.0 * d2) * value * beta * gamma
+
+
+def test_lform_check_fails_the_sqrt_a_route(monkeypatch, capsys):
+    cfg = load_config(EXAMPLES / "example_irreducible.json")
+    assert all(r.passed for r in run_check(cfg))
+    monkeypatch.setattr(skr, "l4_closed", _sqrt_a_l4)
+    results = {r.name: r for r in run_check(cfg)}
+    assert not results["lform-closed-vs-generic"].passed
+    assert "FAIL  lform-closed-vs-generic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("angle", [0.3, 0.77, 1.0, 1.2, 1.35])
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_lform_check_tolerance_bounds_the_truncation(angle, order):
+    """The tolerance of lform-closed-vs-generic is at least the actual
+    truncation of the generic L-form at series order ``order``, measured
+    against order 40 and in the check's units, on a profile whose largest
+    rotation angle at the checked taus is ``angle``: phi = a (1 + 0.3 tau)
+    and c_bar = -1 give psi = a (1.3 + 0.6 tau), largest at the last one."""
+    picks = app._lform_taus(SKRProfile.irreducible_polynomial([1.0], c_bar=-1.0), 100)[::40]
+    a = angle / (1.3 + 0.6 * picks[-1])
+    p = SKRProfile.irreducible_polynomial([a, 0.3 * a], c_bar=-1.0, base_curv=1.0)
+    coarse, fine = app._generic_l4(p, picks, order), app._generic_l4(p, picks, 40)
+    derived = [skr.derived_functions(p, t) for t in picks]
+    largest = max(max(abs(d.phi), abs(d.psi)) for d in derived)
+    products = max(
+        abs(b * c) + abs(c * d) + abs(b * d) + c * c + 4.0 * r * r
+        for b, c, d, r in (skr.curvature_components(p, d) for d in derived)
+    )
+    actual = max(abs(x - y) for x, y in zip(coarse, fine)) / products
+    assert 0.99 * angle <= largest <= angle
+    assert app._truncation_tolerance(largest, order) >= actual
+
+
+def _perfbench_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_configs", Path(__file__).resolve().parents[1] / "perfbench" / "configs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_passes_on_the_perfbench_check_profiles(tmp_path, capsys):
+    """The benchmark counts a FAIL line of check as a failed op; every check
+    line passes on the 24 check profiles of seeds 1-3."""
+    configs = _perfbench_configs()
+    for seed in (1, 2, 3):
+        for i, profile in enumerate(configs.profiles("check", seed)):
+            payload = {"profile": profile, "numerics": configs.NUMERICS, "topology": configs.TOPOLOGY}
+            cfg = write_cfg(tmp_path, payload, f"check_{seed}_{i}.json")
+            assert main(["check", str(cfg)]) == 0, (seed, i, capsys.readouterr().out)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["check", "lform", "transgression", "eta"])
 def test_cli_rotation_angle_past_germ_radius(tmp_path, capsys, command):
     """Angles of 3.5 > pi on the closed route are a numerical failure, as on
@@ -453,11 +550,11 @@ def test_lform_csv_format(tmp_path):
     cfg = load_config(write_cfg(tmp_path, IRRED))
     emit_tables(cfg, tmp_path / "out", which=("lform",))
     lines = (tmp_path / "out" / "lform.csv").read_text().splitlines()
-    assert lines[0] == "tau,alpha,beta,gamma,delta,L4"
+    assert lines[0] == "tau,phi,psi,L4"
     assert len(lines) == 1 + cfg.numerics.tau_samples
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == 6
+        assert len(cells) == 4
         [float(c) for c in cells]
         assert "." in cells[0]
 
@@ -571,8 +668,9 @@ def test_run_check_passes(tmp_path, capsys):
 
 
 def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch, capsys):
-    """The 32-node routes come from the report; only the 64-node refinement
-    evaluates them again."""
+    """The 32-node routes and the 32- and 64-node bulk come from the report;
+    the refined eta adds only the 64-node closed route and the 128-node bulk,
+    and no direct route, whose value it does not read."""
     nodes = {"closed": [], "direct": []}
     for name in nodes:
         original = getattr(skr, f"transgression_pullback_{name}")
@@ -582,15 +680,36 @@ def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch
             return _original(bd, order, quad)
 
         monkeypatch.setattr(skr, f"transgression_pullback_{name}", counting)
+    bulk_nodes = []
+    original_bulk = app._bulk_quadrature
+
+    def counting_bulk(p, n_nodes):
+        bulk_nodes.append(n_nodes)
+        return original_bulk(p, n_nodes)
+
+    monkeypatch.setattr(app, "_bulk_quadrature", counting_bulk)
     cfg = load_config(write_cfg(tmp_path, IRRED))
     assert all(r.passed for r in run_check(cfg))
-    assert nodes == {"closed": [32, 64], "direct": [32, 64]}
+    assert nodes == {"closed": [32, 64], "direct": [32]}
+    assert bulk_nodes == [32, 64, 128]
 
 
-@pytest.mark.parametrize("command,calls", [("eta", 1), ("check", 3)])
+@pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])
+def test_refined_eta_is_the_report_at_twice_the_nodes(example):
+    """The eta that eta-quadrature-stability compares is, bit for bit, the eta
+    of a report at twice the configured nodes."""
+    cfg = load_config(EXAMPLES / example)
+    p = build_profile(cfg)
+    doubled = replace(cfg, numerics=replace(cfg.numerics, quad_nodes=2 * cfg.numerics.quad_nodes))
+    refined = app._refined_eta(p, cfg, skr.boundary_data(p))
+    assert refined.hex() == eta_invariant(doubled, profile=p).eta["value"].hex()
+
+
+@pytest.mark.parametrize("command,calls", [("eta", 1), ("check", 2)])
 def test_boundary_data_built_once_per_report(tmp_path, monkeypatch, capsys, command, calls):
     """Each report builds the boundary once and hands it to every route; check
-    makes two reports (32 and 64 nodes) and one alternate route."""
+    makes one report and builds the boundary once more for the alternate
+    route and the refined eta."""
     seen = []
     original = skr.boundary_data
 
@@ -648,7 +767,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("eta", {"phi_coeffs": [0.5, 1.0]}, 0, ""),
         # psi = 5e-10 is near 0, the multiple of 2 pi where Lbar is regular: eta exited 1
         ("eta", {"mode": "reducible", "q_coeffs": [1.0, 1e-9]}, 0, ""),
-        # a flat product, phi = psi = 0: sqrt_a_coeffs raised and eta exited 1
+        # a flat product, phi = psi = 0: the bulk raised and eta exited 1
         ("eta", {"mode": "reducible", "q_coeffs": [1.0]}, 0, ""),
         # an empty list, an overflow of phi^2, a singular chart metric: tracebacks
         ("eta", {"phi_coeffs": []}, 2, "config error: invalid profile: a profile polynomial"),
@@ -676,7 +795,7 @@ def test_cli_exit_codes(tmp_path, capsys):
             "lform",
             {"phi_coeffs": [0.5, 0.25], "c_bar": -0.7, "base_curv": 1e308},
             1,
-            "numerical failure: non-finite result -inf",
+            "numerical failure: non-finite result nan",
         ),
         # 2 |c_bar| base_curv overflows in the boundary curvature: a ValueError
         (

@@ -7,7 +7,10 @@ The digests were taken from ``equichar eta``, ``equichar check`` and
 the ``ORACLE_STDOUT`` profiles with Python 3.11, numpy 2.4 and scipy 1.17 on
 x86_64.  A change that moves
 any written byte fails here; if the move is intended, say why in CHANGES.md
-and take the digests again.
+and take the digests again.  The L-form, report and check digests were
+taken again when the exact closed L-form replaced the sqrt(A) route and
+lform.csv took the columns tau,phi,psi,L4; the transgression and oracle
+digests did not move.
 """
 
 import hashlib
@@ -22,14 +25,14 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
 
 GOLDEN = {
     "example_irreducible.json": {
-        "lform.csv": "d0536dfa82a0b115faba4d4b51e2fd3af7c2da66e2a7d6970ba3568d03529331",
+        "lform.csv": "37c59b0200f348664a261445ad9bb99b215b11bf07668fff54118f6b3a98f746",
         "transgression.csv": "29051bb14dfcbbda0bb9a0e2922c6989311c55b15966dac5bac166e83608bd5c",
-        "report.json": "e969f7b1258e5c13a63cacc1fa993c8f9f267c52928da12a83eaebd4ad857824",
+        "report.json": "28cadfb067b3be985d493a5f7e6ed4ab7e84531866d007f8638ed67b91b913af",
     },
     "example_reducible.json": {
-        "lform.csv": "b9567876cd8e99baba252f4d0b88cd3f2261cdb51352f245c66e369f4cc92066",
+        "lform.csv": "e39b3f259ce14514c55a99f1b2d048aef01d2c09362d12276be6171e093581e9",
         "transgression.csv": "96f7412ee4e20797bd29489d0a62f3046371c241993be577c1f36e6a60b1b7a1",
-        "report.json": "4b513eb66aea03660e94204f279e75e458ff299888bffa14eacd3a0f57ab3bd2",
+        "report.json": "e53ad0e753edc72c2d5cbe688e641b1c7e966147f4335eb0bbff855eaaaca6f9",
     },
 }
 
@@ -44,11 +47,12 @@ def test_eta_outputs_match_golden_digests(tmp_path, capsys, example):
     assert digests == GOLDEN[example]
 
 
-# sha256 of the whole stdout of ``equichar check``: both batched transgression
-# routes, the 2n-node report and the oracle suite, residuals included
+# sha256 of the whole stdout of ``equichar check``: the closed and generic
+# L-forms, both batched transgression routes, the refined eta and the oracle
+# suite, residuals included
 CHECK_STDOUT = {
-    "example_irreducible.json": "b11a3ac7a73aeb68f8c50932d5ddcb6bee4669c371bbb282cb191571710f5839",
-    "example_reducible.json": "d8820a17a7e1a63b7c99679a2da4b5e24b5492c14c4ddca11f8e54ec255d106a",
+    "example_irreducible.json": "0b820100310eb633f42f8a6164febeee0d9696d198acd19e3d6e6ae4a4b9ac3e",
+    "example_reducible.json": "af1c06f2b62b920e6c82e30426f9b5ac46f54490d82446bb810ad75dcbb7bbcf",
 }
 
 
@@ -74,10 +78,10 @@ SMALL_ANGLE = {
 }
 
 SMALL_ANGLE_GOLDEN = {
-    "lform.csv": "e76d5f06db6a331a263765550b91a1252ce537ca48fe1ecabb189985bbf25fc8",
+    "lform.csv": "aad9556e1273b437183f75b3a1fda6b2abacdfb9d4324e05a8dae55d7f9ecefa",
     "transgression.csv": "958c352552ab78dfc53c72d59df68a883f2464646015c0c5d06cff2aeaf44e63",
-    "report.json": "37a5a7672fb0fd96263930908b1c935734ea652d19812986267091ec2670d967",
-    "check": "ddeb42cd90cc4cb620d995c0ea53ed8d4fea1277533a020f026d403ba798e3f9",
+    "report.json": "ba53ebd61879a14d0b5931dbbba7b762766e2a7cc56223aa591a2c9be9b34397",
+    "check": "eb9f8513d1b96275ec59f5d6b599f5a02195bb2024af7fafcebe5f3f59d831cb",
 }
 
 

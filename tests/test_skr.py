@@ -5,10 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import make_irreducible, make_reducible
+from conftest import char_poly_forms, make_irreducible, make_reducible
 from equichar import skr
 from equichar.charforms import QuadratureSpec, l_form, transgression_degree3
-from equichar.errors import ConvergenceRadiusError, ProfileError, SingularInputError
+from equichar.errors import ConvergenceRadiusError, ProfileError
 from equichar.exterior import ExteriorForm, degree_component, wedge
 from equichar.matforms import char_poly, hirzebruch_l_log_germ, l_log_at_angle, mat_mul, trace
 from equichar.skr import SKRProfile
@@ -161,47 +161,10 @@ def test_nabla_x_matrix_layout():
     assert np.allclose(sq, -np.diag([0.25, 0.25, 0.5625, 0.5625]))
 
 
-# ----------------------------------------------------------------- sqrt(A) and eigenstructure
+# ----------------------------------------------------------------- characteristic polynomial
 
-def test_sqrt_a_worked_values(worked_profile):
-    d = skr.derived_functions(worked_profile, 0.0)
-    cc = skr.curvature_components(worked_profile, d)
-    sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
-    root13 = math.sqrt(13.0)
-    assert sq.alpha == pytest.approx(root13 / 4.0, abs=1e-15)
-    assert sq.beta == pytest.approx(-19.0 / (4.0 * root13), abs=1e-14)
-    assert sq.gamma == pytest.approx(-2.0 / root13, abs=1e-14)
-    assert sq.delta == pytest.approx(-35.0 / (52.0 * root13), abs=1e-14)
-
-
-def test_sqrt_a_square_identity(rng):
-    for _ in range(10):
-        p = make_irreducible(rng)
-        for t in np.linspace(p.tau_min * 0.9, 0.0, 5):
-            d = skr.derived_functions(p, float(t))
-            cc = skr.curvature_components(p, d)
-            sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
-            root = ExteriorForm(
-                4, {(): sq.alpha, (1, 2): sq.beta, (3, 4): sq.gamma, (1, 2, 3, 4): sq.delta}
-            )
-            a_form = skr.eigenvalue_square(d.phi, d.psi, cc)
-            assert (wedge(root, root) - a_form).max_abs() < 1e-13
-
-
-def test_sqrt_a_reducible_vanishing():
-    p = SKRProfile.reducible_polynomial([1.0, 0.5, -0.3], tau_min=-0.4)
-    d = skr.derived_functions(p, -0.1)
-    cc = skr.curvature_components(p, d)
-    sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
-    assert sq.beta == 0.0 and sq.delta == 0.0
-
-
-def test_sqrt_a_singular_input():
-    """At phi = psi = 0, A = 2(bc + cd - 4r^2) e^1234: a nonzero nilpotent A
-    has no square root, and A = 0 (a flat product) has the root 0."""
-    with pytest.raises(SingularInputError):
-        skr.sqrt_a_coeffs(0.0, 0.0, skr.CurvatureComponents(1, 1, 0, 0))
-    assert skr.sqrt_a_coeffs(0.0, 0.0, skr.CurvatureComponents(1, 0, 0, 0)) == (0.0,) * 4
+def _form(a0, a12, a34, a1234):
+    return ExteriorForm(4, {(): a0, (1, 2): a12, (3, 4): a34, (1, 2, 3, 4): a1234})
 
 
 def _pfaffian(m):
@@ -214,48 +177,64 @@ def _pfaffian(m):
 
 def test_char_poly_exact_identity_full_scale(rng):
     """Exact structure at any Killing scale: det(lam - R_g) =
-    lam^4 + A lam^2 + Pf(R_g)^2 with A the coefficient-squares form."""
+    lam^4 + A lam^2 + Pf(R_g)^2, with A and Pf as l4_closed states them."""
     for _ in range(5):
         p = make_irreducible(rng)
         t = float(p.tau_min * 0.4)
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, d)
+        a_form, pf_form = char_poly_forms(d.phi, d.psi, skr.curvature_components(p, d))
         rg = skr.equivariant_curvature_matrix(p, t)
         coeffs = char_poly(rg)
-        a_form = skr.eigenvalue_square(d.phi, d.psi, cc)
         pf = _pfaffian(rg)
         assert coeffs[1].max_abs() < 1e-13
         assert (coeffs[2] - a_form).max_abs() < 1e-12
         assert coeffs[3].max_abs() < 1e-13
+        assert (pf - pf_form).max_abs() < 1e-13
         assert (coeffs[4] - wedge(pf, pf)).max_abs() < 1e-13
 
 
-def test_char_poly_reduced_form_small_killing(rng):
-    """In the infinitesimal-Killing regime (and exactly in the reducible
-    case) the Pfaffian square is negligible and the characteristic
-    polynomial collapses to lam^4 + A lam^2."""
-    for _ in range(5):
-        p = make_irreducible(rng, scale=1e-5, base_curv=0.0)
-        t = float(p.tau_min * 0.4)
-        d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, d)
-        coeffs = char_poly(skr.equivariant_curvature_matrix(p, t))
-        a_form = skr.eigenvalue_square(d.phi, d.psi, cc)
-        assert coeffs[1].max_abs() < 1e-13
-        assert (coeffs[2] - a_form).max_abs() < 1e-12
-        assert coeffs[3].max_abs() < 1e-13
-        assert coeffs[4].max_abs() < 1e-12
+def test_char_poly_reducible_has_no_pfaffian_square(rng):
+    """A reducible R_X has phi = 0 and c = r = 0, so Pf^2 vanishes exactly."""
     for _ in range(3):
         p = make_reducible(rng)
         t = float(p.tau_min * 0.4)
         d = skr.derived_functions(p, t)
-        cc = skr.curvature_components(p, d)
         coeffs = char_poly(skr.equivariant_curvature_matrix(p, t))
-        assert (coeffs[2] - skr.eigenvalue_square(d.phi, d.psi, cc)).max_abs() < 1e-13
+        a_form, _ = char_poly_forms(d.phi, d.psi, skr.curvature_components(p, d))
+        assert (coeffs[2] - a_form).max_abs() < 1e-13
         assert coeffs[4].max_abs() == 0.0
 
 
+def test_angle_forms_solve_the_char_poly(rng):
+    """The angle forms of l4_closed's docstring have x1^2 + x2^2 = A and
+    x1 x2 = Pf, the identities the closed L4 rests on."""
+    for _ in range(10):
+        p = make_irreducible(rng)
+        for t in np.linspace(p.tau_min * 0.9, 0.0, 4):
+            d = skr.derived_functions(p, float(t))
+            b, c, dd, r = cc = skr.curvature_components(p, d)
+            if d.phi == d.psi:
+                continue
+            n3 = 4.0 * r * r / (d.phi - d.psi)
+            x1, x2 = _form(d.phi, b, c, -n3), _form(d.psi, c, dd, n3)
+            a_form, pf_form = char_poly_forms(d.phi, d.psi, cc)
+            assert (wedge(x1, x1) + wedge(x2, x2) - a_form).max_abs() < 1e-13
+            assert (wedge(x1, x2) - pf_form).max_abs() < 1e-13
+
+
 # ----------------------------------------------------------------- closed L-form
+
+def _generic_l4(p, tau, order=40):
+    return l_form(skr.equivariant_curvature_matrix(p, tau), order).coefficient((1, 2, 3, 4))
+
+
+def test_l4_worked_value(worked_profile):
+    """The exact closed L4 of the worked profile, which the order-16 generic
+    route also gives to 7e-14."""
+    assert skr.l4_coefficient(worked_profile, -0.495) == pytest.approx(
+        -0.14432311293079, abs=1e-13
+    )
+
 
 def test_l_form_closed_reducible_degree4_vanishes(rng):
     for _ in range(10):
@@ -266,10 +245,14 @@ def test_l_form_closed_reducible_degree4_vanishes(rng):
 
 
 def test_l_form_closed_pole_guard():
-    with pytest.raises(ConvergenceRadiusError):
-        skr._lbar_triple(2.0 * math.pi)
-    for x in (5e-10, -5e-10, 0.0):  # 0 is the multiple of 2 pi where Lbar is regular
-        assert skr._lbar_triple(x)[0] == pytest.approx(1.0, abs=1e-15)
+    """Both branches reject rotation angles at or past pi, the radius of the
+    L-log germ, and the angle 0, where Lbar is regular, passes."""
+    cc = skr.CurvatureComponents(1.0, 0.5, -0.5, 0.25)
+    for phi, psi in ((2.0 * math.pi, 0.1), (0.1, -math.pi), (3.2, 3.2)):
+        with pytest.raises(ConvergenceRadiusError):
+            skr.l4_closed(phi, psi, cc)
+    for phi, psi in ((5e-10, 0.3), (-5e-10, 5e-10), (0.0, 0.0)):
+        assert math.isfinite(skr.l4_closed(phi, psi, cc))
 
 
 def test_closed_route_rejects_angles_past_germ_radius():
@@ -287,8 +270,7 @@ def test_closed_route_rejects_angles_past_germ_radius():
 
 
 def test_l_form_double_route_small_killing(rng):
-    """Closed eigenvalue route vs generic determinant route, in the regime
-    where the eigenvalue reduction is valid (Killing data ~ 1e-7): the
+    """Closed route vs generic determinant route at Killing data ~ 1e-7: the
     degree-4 coefficients agree to 1e-10 relative."""
     count = 0
     while count < 20:
@@ -303,42 +285,58 @@ def test_l_form_double_route_small_killing(rng):
             count += 1
 
 
-def test_l_form_double_route_quartic_convergence(worked_profile):
-    """At finite Killing data the two routes differ by the quartic-order
-    terms the eigenvalue reduction drops; the deviation must shrink at
-    measured order >= 2.9 in the profile scale and stay below alpha^4."""
-    scales = (1e-1, 1e-2, 1e-3)
-    tau = -0.2
-    errs = []
-    for s in scales:
-        p = SKRProfile.irreducible_polynomial(
-            [0.5 * s, 0.25 * s], c_bar=-1.0, base_curv=2.0, tau_min=-0.5
-        )
-        closed = skr.l4_coefficient(p, tau)
-        generic = l_form(skr.equivariant_curvature_matrix(p, tau)).coefficient((1, 2, 3, 4))
-        errs.append(abs(closed - generic))
-    slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
-    assert slope >= 2.9
-    # full-scale worked profile: the deviation is real but dominated by alpha^4
-    d = skr.derived_functions(worked_profile, tau)
-    alpha = math.hypot(d.phi, d.psi)
-    closed = skr.l4_coefficient(worked_profile, tau)
-    generic = l_form(skr.equivariant_curvature_matrix(worked_profile, tau)).coefficient(
-        (1, 2, 3, 4)
-    )
-    assert 1e-4 < abs(closed - generic) < alpha**4
+def test_l_form_closed_matches_generic_up_to_wide_angles(rng):
+    """At full scale, with rotation angles up to 1.35, the closed L4 equals the
+    order-40 generic L-form to 1e-10 relative.  The sqrt(A) route this
+    replaced was off by 0.13 relative on the worked profile."""
+    draws = 0
+    while draws < 12:
+        p = make_irreducible(rng, scale=1.35 / 0.8)
+        t = float(p.tau_min * rng.uniform(0.05, 0.95))
+        d = skr.derived_functions(p, t)
+        if max(abs(d.phi), abs(d.psi)) < 1.0:
+            continue
+        closed, generic = skr.l4_coefficient(p, t), _generic_l4(p, t)
+        assert abs(closed - generic) <= 1e-10 * abs(generic)
+        draws += 1
 
 
-def test_l_form_closed_degree4_from_sqrt(worked_profile):
-    """The closed L4 is Lbar'(alpha) delta + Lbar''(alpha) beta gamma."""
-    tau = -0.3
-    d = skr.derived_functions(worked_profile, tau)
-    cc = skr.curvature_components(worked_profile, d)
-    sq = skr.sqrt_a_coeffs(d.phi, d.psi, cc)
-    _, f1, f2 = skr._lbar_triple(sq.alpha)
-    assert skr.l4_coefficient(worked_profile, tau) == pytest.approx(
-        f1 * sq.delta + f2 * sq.beta * sq.gamma, rel=1e-13
-    )
+# the crossings: phi = psi everywhere (constant phi), psi = -phi at tau = -0.25
+# (phi = 0.1 - 0.8 tau, c_bar = -1), a flat product and a reducible psi = 5e-10
+CROSSINGS = [
+    (SKRProfile.irreducible_polynomial([0.5, 0.0], c_bar=-1.0, base_curv=1.0), -0.25),
+    (SKRProfile.irreducible_polynomial([0.1, -0.8], c_bar=-1.0, base_curv=1.0), -0.25),
+    (SKRProfile.reducible_polynomial([1.0], base_curv=0.5), -0.25),
+    (SKRProfile.reducible_polynomial([1.0, 1e-9], base_curv=0.5), -0.25),
+]
+
+
+@pytest.mark.parametrize("p,tau", CROSSINGS)
+def test_l_form_closed_at_crossings(p, tau):
+    d = skr.derived_functions(p, tau)
+    assert d.phi == d.psi or d.phi == -d.psi or abs(d.psi) < 1e-9
+    assert abs(skr.l4_coefficient(p, tau) - _generic_l4(p, tau)) <= 1e-12
+
+
+def test_divided_difference_series_matches_the_quotient():
+    """Away from the crossing, the series of the crossing branch and the
+    quotient of differences give the same lambda'[phi, psi]."""
+    for phi, psi in ((0.4, 0.6), (-1.2, -0.9), (2.0, 2.6), (0.05, 0.3)):
+        g1, s1, _ = l_log_at_angle(phi)
+        _, s2, _ = l_log_at_angle(psi)
+        series = skr._lambda_divided_difference(phi, psi, -2.0 * s2, math.exp(2.0 * g1))
+        assert series == pytest.approx(-2.0 * (s1 - s2) / (phi - psi), rel=1e-13, abs=1e-15)
+
+
+def test_l_form_closed_branches_agree_at_the_band_edge(monkeypatch):
+    """Just inside the crossing band, the quotient of differences, forced by
+    closing the band, still agrees with the series branch to 1e-12."""
+    cc = skr.CurvatureComponents(-2.5, -0.3, -0.6, -0.15)
+    pairs = [(phi, phi * (1.0 - gap)) for phi in (0.3, -0.9, 1.3) for gap in (0.048, 0.03)]
+    inside = [skr.l4_closed(phi, psi, cc) for phi, psi in pairs]
+    monkeypatch.setattr(skr, "_CROSSING", 0.0)
+    for (phi, psi), value in zip(pairs, inside):
+        assert skr.l4_closed(phi, psi, cc) == pytest.approx(value, rel=1e-12)
 
 
 # ----------------------------------------------------------------- boundary data
