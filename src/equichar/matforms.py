@@ -393,8 +393,9 @@ def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_OR
 
     Raises ConvergenceRadiusError when the degree-0 part of M has spectral
     radius outside the germ's disk of convergence.  Terms past ``order`` are
-    dropped without an estimate; the closed transgression route reports its
-    own tail bound.
+    dropped without an estimate; on the boundary term they show as the
+    discrepancy between the direct route and the closed one, which has no
+    truncation.
     """
     return FormMatrix(m.size, m.dimension, apply_germ_data(germ, m.data, order))
 

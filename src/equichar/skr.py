@@ -9,8 +9,9 @@ derives the associated eigenfunctions phi, psi and Q, the curvature
 components in the adapted orthonormal frame, the exact degree-4 coefficient
 of the equivariant Hirzebruch L-form in closed form, the boundary data at
 {tau = 0}, and the e^123 coefficient of the boundary pull-back of the
-degree-3 transgression of the L-form, by the closed series formula and by
-the generic-machinery route through :mod:`equichar.charforms`.  Both the
+degree-3 transgression of the L-form, by the closed series formula, summed
+exactly through the divided difference of the bulk, and by the
+generic-machinery route through :mod:`equichar.charforms`.  Both the
 bulk and the boundary quantities are returned as floats, and no exterior
 form is built for the bulk.
 
@@ -33,7 +34,6 @@ from .errors import EquicharError, ProfileError
 from .exterior import mask_of_indices
 from .matforms import (
     _BAR,
-    _GERM_COEFFS,
     DEFAULT_SERIES_ORDER,
     FormMatrix,
     _horner,
@@ -300,12 +300,18 @@ def l4_closed(phi: float, psi: float, cc: CurvatureComponents) -> float:
     g1, s1, t1 = l_log_at_angle(phi)
     g2, s2, t2 = l_log_at_angle(psi)
     d1, d2 = -2.0 * s1, -2.0 * s2
-    if abs(phi - psi) > _CROSSING * (abs(phi) + abs(psi)):
-        divided = (d1 - d2) / (phi - psi)
-    else:
-        divided = _lambda_divided_difference(phi, psi, d2, math.exp(2.0 * g1))
+    divided = _divided_difference(phi, psi, d1, d2, g1)
     log4 = (d1 * b + d2 * c) * (d1 * c + d2 * d) - 2.0 * (t1 * b * c + t2 * c * d)
     return 0.0 + math.exp(2.0 * (g1 + g2)) * (log4 - 4.0 * r * r * divided)
+
+
+def _divided_difference(phi: float, psi: float, d1: float, d2: float, g1: float) -> float:
+    """lambda'[phi, psi] from lambda'(phi) = d1, lambda'(psi) = d2 and
+    g1 = lambda(phi)/2: their quotient of differences outside the crossing
+    band, the series of :func:`_lambda_divided_difference` inside it."""
+    if abs(phi - psi) > _CROSSING * (abs(phi) + abs(psi)):
+        return (d1 - d2) / (phi - psi)
+    return _lambda_divided_difference(phi, psi, d2, math.exp(2.0 * g1))
 
 
 def _lambda_divided_difference(phi: float, psi: float, d1_psi: float, lbar_phi: float) -> float:
@@ -438,63 +444,43 @@ def boundary_family(bd: BoundaryData) -> ConnectionFamily:
 
 # --------------------------------------------------------------------------- transgression
 
-def closed_transgression_integrand(
-    bd: BoundaryData,
-    t: float,
-    order: int = DEFAULT_SERIES_ORDER,
-) -> float:
+def closed_transgression_integrand(bd: BoundaryData, t: float) -> float:
     """Coefficient of e^123 in the closed-series transgression integrand at t.
 
-    The series pairs a_m = (-1)^m (2m + 2) f_(2m+2), m = 0..order, for the
-    Taylor coefficients f_j of the L-log germ, with the sums of
-    phi^k (t psi)^(2m - k) over odd and over even k: 2 phi t psi h_(m-1) and
-    2 h_m for the complete homogeneous sums h_m = u h_(m-1) + v^m
-    (h_(-1) = 0) of u = phi^2 and v = (t psi)^2, summed in one pass over m.
+    Its series sum_m a_m h_m(phi^2, w^2), a_m = (-1)^m (2m + 2) f_(2m+2) for
+    the Taylor coefficients f_j of the L-log germ g and w = t psi, is summed
+    in closed form.  With s(x) = g'(ix)/i = sum_m a_m x^(2m+1), the divided
+    differences D+- = s[phi, +-w] = -lambda'[phi, +-w]/2 give
+    sum_m a_m h_m = (D+ + D-)/2 and phi w sum_m a_m h_(m-1) = (D+ - D-)/2;
+    s(-w) = -s(w) needs no further evaluation.
     """
-    g = hirzebruch_l_log_germ()
     phi = bd.phi0
-    tpsi = t * bd.psi0
-    g_phi, f1_phi, _ = l_log_at_angle(phi)
-    g_tpsi, f1_tpsi, f2_tpsi = l_log_at_angle(tpsi)
-    weight = math.exp(2.0 * (g_phi + g_tpsi))
+    w = t * bd.psi0
+    g_phi, s_phi, _ = l_log_at_angle(phi)
+    g_w, s_w, f2_w = l_log_at_angle(w)
+    weight = math.exp(2.0 * (g_phi + g_w))
 
     # product of the two single-trace terms; products of f'(i.) values are
     # real and carry one overall minus sign
     term1 = 4.0 * bd.l * (
-        -(t * t * bd.k * bd.k - bd.r0_1212) * f1_phi * f1_tpsi
-        + t * bd.r_1234 * f1_tpsi * f1_tpsi
+        -(t * t * bd.k * bd.k - bd.r0_1212) * s_phi * s_w + t * bd.r_1234 * s_w * s_w
     )
 
-    u, v = phi * phi, tpsi * tpsi
-    h_prev, h, v_m = 0.0, 1.0, 1.0  # h_(m-1), h_m and v^m at m = 0
-    odd = even = 0.0  # the sums of a_m h_(m-1) and of a_m h_m
-    for m, coeff in enumerate(g.taylor[2 : 2 * order + 3 : 2]):
-        a_m = (-1) ** m * (2 * m + 2) * coeff
-        odd += a_m * h_prev
-        even += a_m * h
-        v_m *= v
-        h_prev, h = h, u * h + v_m
-    series = 2.0 * ((bd.r0_2323 - t * t * bd.k * bd.l) * phi * tpsi * odd - t * bd.r_2314 * even)
-    term2 = 2.0 * bd.k * series
+    # D+- from lambda' = -2 s; odd = 2 phi w sum_m a_m h_(m-1), even = 2 sum_m a_m h_m
+    d_plus = -0.5 * _divided_difference(phi, w, -2.0 * s_phi, -2.0 * s_w, g_phi)
+    d_minus = -0.5 * _divided_difference(phi, -w, -2.0 * s_phi, 2.0 * s_w, g_phi)
+    odd, even = d_plus - d_minus, d_plus + d_minus
+    term2 = 2.0 * bd.k * ((bd.r0_2323 - t * t * bd.k * bd.l) * odd - t * bd.r_2314 * even)
 
-    term3 = -2.0 * t * bd.l * bd.r_1234 * f2_tpsi
+    term3 = -2.0 * t * bd.l * bd.r_1234 * f2_w
     return weight * (term1 + term2 + term3)
 
 
-# closed_transgression_tail reads Taylor coefficients up to index 2 order + 10
-MAX_SERIES_ORDER = (_GERM_COEFFS - 11) // 2
-
-
-def closed_transgression_tail(bd: BoundaryData, order: int) -> float:
-    """Coarse bound on the dropped series tail of the closed integrand."""
-    g = hirzebruch_l_log_germ()
-    rho = max(abs(bd.phi0), abs(bd.psi0))
-    scale = abs(bd.r0_2323) + abs(bd.phi0 * bd.psi0 / bd.q0) + abs(bd.r_2314)
-    tail = 0.0
-    for m in range(order + 1, order + 5):
-        a_m = abs((2 * m + 2) * g.coeff(2 * m + 2))
-        tail += a_m * 2.0 * (2 * m + 1) * rho ** (2 * m) * scale
-    return 2.0 * abs(bd.k) * tail
+# The highest series order a config may ask for.  The direct route reads the
+# germ's Taylor coefficients up to index order + 1, and the truncation
+# tolerance of `check` sums those past the order; at 16 that sum still holds
+# the 13 even coefficients 18..42 of the 44 precomputed ones.
+MAX_SERIES_ORDER = 16
 
 
 class ClosedPullback(NamedTuple):
@@ -506,14 +492,12 @@ class ClosedPullback(NamedTuple):
 
 
 def transgression_pullback_closed(
-    bd: BoundaryData,
-    order: int = DEFAULT_SERIES_ORDER,
-    quad: QuadratureSpec = QuadratureSpec(),
+    bd: BoundaryData, quad: QuadratureSpec = QuadratureSpec()
 ) -> ClosedPullback:
     """Closed-series route to the e^123 coefficient of the boundary pull-back
     of the degree-3 transgression of the equivariant L-form."""
     xs, ws = quad.rule()
-    integrand = [closed_transgression_integrand(bd, float(x), order) for x in xs]
+    integrand = [closed_transgression_integrand(bd, float(x)) for x in xs]
     acc = 0.0
     for w, val in zip(ws, integrand):
         acc += float(w) * val

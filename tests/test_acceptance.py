@@ -53,7 +53,7 @@ def test_criterion_01_reducible_vanishing():
         for tau in np.linspace(p.tau_min * 0.95, -1e-3, 8):
             worst_l4 = max(worst_l4, abs(skr.l4_coefficient(p, float(tau))))
         bd = skr.boundary_data(p)
-        closed = skr.transgression_pullback_closed(bd, 16, QUAD).value
+        closed = skr.transgression_pullback_closed(bd, QUAD).value
         direct = skr.transgression_pullback_direct(bd, 16, QUAD)
         worst_tl3 = max(worst_tl3, abs(closed), abs(direct))
         sig = int(rng.integers(-3, 4))
@@ -79,7 +79,7 @@ def test_criterion_02_closed_vs_direct_transgression():
     for i in range(20):
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
-        closed = skr.transgression_pullback_closed(bd, 16, QUAD).value
+        closed = skr.transgression_pullback_closed(bd, QUAD).value
         direct = skr.transgression_pullback_direct(bd, 16, QUAD)
         worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct)))
     elapsed = time.perf_counter() - t0

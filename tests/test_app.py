@@ -85,8 +85,10 @@ def test_config_rejects_nonpositive_q(tmp_path):
 
 
 def test_config_rejects_series_order_beyond_germ_coefficients(tmp_path, capsys):
-    """The closed tail bound reads Taylor coefficients up to 2 order + 10; an
-    order past the precomputed germs used to report a zero tail and exit 0."""
+    """series_order stops at MAX_SERIES_ORDER = 16: check bounds the generic
+    L-form's truncation by the germ's Taylor coefficients past the order, and
+    past the cap that bound has ever fewer of the precomputed ones to sum.  A
+    higher order is a config error, exit 2."""
     payload = json.loads(json.dumps(IRRED))
     payload["numerics"]["series_order"] = skr.MAX_SERIES_ORDER
     cfg = load_config(write_cfg(tmp_path, payload, "max.json"))
@@ -667,6 +669,20 @@ def test_run_check_passes(tmp_path, capsys):
     assert captured.count("PASS") == len(results)
 
 
+def test_check_passes_where_tl3_crosses_zero(tmp_path, capsys):
+    """At base_curv -0.754859 the worked example's TL3 is near zero, while
+    its two routes still differ by only 2.4e-12.  Relative to |TL3| alone,
+    transgression-closed-vs-direct printed FAIL at 2.1e-3 and exited 1;
+    relative to the integrand's size sum_i w_i |f_i| as well, it passes."""
+    payload = json.loads(json.dumps(IRRED))
+    payload["profile"]["base_curv"] = -0.754859
+    rep = eta_invariant(load_config(write_cfg(tmp_path, payload)))
+    assert abs(rep.tl3_closed["value"]) < 1e-5 and rep.tl3_discrepancy < 1e-11
+    assert main(["check", str(write_cfg(tmp_path, payload))]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "PASS  transgression-closed-vs-direct" in out
+
+
 def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch, capsys):
     """The 32-node routes and the 32- and 64-node bulk come from the report;
     the refined eta adds only the 64-node closed route and the 128-node bulk,
@@ -675,9 +691,9 @@ def test_run_check_computes_each_route_once_per_node_count(tmp_path, monkeypatch
     for name in nodes:
         original = getattr(skr, f"transgression_pullback_{name}")
 
-        def counting(bd, order, quad, _original=original, _seen=nodes[name]):
-            _seen.append(quad.nodes)
-            return _original(bd, order, quad)
+        def counting(bd, *args, _original=original, _seen=nodes[name]):
+            _seen.append(args[-1].nodes)  # the quadrature, after the direct route's order
+            return _original(bd, *args)
 
         monkeypatch.setattr(skr, f"transgression_pullback_{name}", counting)
     bulk_nodes = []

@@ -10,7 +10,11 @@ any written byte fails here; if the move is intended, say why in CHANGES.md
 and take the digests again.  The L-form, report and check digests were
 taken again when the exact closed L-form replaced the sqrt(A) route and
 lform.csv took the columns tau,phi,psi,L4; the transgression and oracle
-digests did not move.
+digests did not move.  The transgression, report and check digests were
+taken again when the closed transgression summed its series exactly: the
+series_tail_bound key left report.json, and the closed integrand, TL3 and
+eta moved in their last digits.  The L-form digests, the reducible
+transgression and check digests and the oracle digests did not move.
 """
 
 import hashlib
@@ -26,13 +30,13 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN = {
     "example_irreducible.json": {
         "lform.csv": "37c59b0200f348664a261445ad9bb99b215b11bf07668fff54118f6b3a98f746",
-        "transgression.csv": "29051bb14dfcbbda0bb9a0e2922c6989311c55b15966dac5bac166e83608bd5c",
-        "report.json": "28cadfb067b3be985d493a5f7e6ed4ab7e84531866d007f8638ed67b91b913af",
+        "transgression.csv": "68a5a758cc26482869ad2e81526e205e7be907cefa58444aba8223fde480bde0",
+        "report.json": "759b3bbc5cc8759591d4cfd044108ac1d6206de66f0112726d55633fe910e819",
     },
     "example_reducible.json": {
         "lform.csv": "e39b3f259ce14514c55a99f1b2d048aef01d2c09362d12276be6171e093581e9",
         "transgression.csv": "96f7412ee4e20797bd29489d0a62f3046371c241993be577c1f36e6a60b1b7a1",
-        "report.json": "e53ad0e753edc72c2d5cbe688e641b1c7e966147f4335eb0bbff855eaaaca6f9",
+        "report.json": "667c09816c72e1a8a8c3ba07b84279a8666d6bbcce288d5bf4d6f848f14dadf1",
     },
 }
 
@@ -51,7 +55,7 @@ def test_eta_outputs_match_golden_digests(tmp_path, capsys, example):
 # L-forms, both batched transgression routes, the refined eta and the oracle
 # suite, residuals included
 CHECK_STDOUT = {
-    "example_irreducible.json": "0b820100310eb633f42f8a6164febeee0d9696d198acd19e3d6e6ae4a4b9ac3e",
+    "example_irreducible.json": "f92120000026e30350bfa1978502b55aaa66d0913ec6c7994e43081faead04d6",
     "example_reducible.json": "af1c06f2b62b920e6c82e30426f9b5ac46f54490d82446bb810ad75dcbb7bbcf",
 }
 
@@ -79,9 +83,9 @@ SMALL_ANGLE = {
 
 SMALL_ANGLE_GOLDEN = {
     "lform.csv": "aad9556e1273b437183f75b3a1fda6b2abacdfb9d4324e05a8dae55d7f9ecefa",
-    "transgression.csv": "958c352552ab78dfc53c72d59df68a883f2464646015c0c5d06cff2aeaf44e63",
-    "report.json": "ba53ebd61879a14d0b5931dbbba7b762766e2a7cc56223aa591a2c9be9b34397",
-    "check": "eb9f8513d1b96275ec59f5d6b599f5a02195bb2024af7fafcebe5f3f59d831cb",
+    "transgression.csv": "66d64832532d134295582e90a4faded6d0389b707ac03ca4aeb7a74e4ad47073",
+    "report.json": "9015f9607484f8c03d9c1457fe5a5c927f22e8a3c6fe258128b8f618a7aa6ffe",
+    "check": "f263df7e281723ca3227a882520f624f98ecaa09085f6f0655baa464f219de0a",
 }
 
 

@@ -328,15 +328,27 @@ def test_divided_difference_series_matches_the_quotient():
         assert series == pytest.approx(-2.0 * (s1 - s2) / (phi - psi), rel=1e-13, abs=1e-15)
 
 
-def test_l_form_closed_branches_agree_at_the_band_edge(monkeypatch):
+def test_l_form_closed_branches_agree_at_the_band_edge(monkeypatch, worked_profile):
     """Just inside the crossing band, the quotient of differences, forced by
-    closing the band, still agrees with the series branch to 1e-12."""
+    closing the band, still agrees with the series branch to 1e-12: in the
+    bulk L4 and in the transgression integrand of the worked profile, where
+    t psi0 crosses phi0 at t = 2/3."""
     cc = skr.CurvatureComponents(-2.5, -0.3, -0.6, -0.15)
     pairs = [(phi, phi * (1.0 - gap)) for phi in (0.3, -0.9, 1.3) for gap in (0.048, 0.03)]
-    inside = [skr.l4_closed(phi, psi, cc) for phi, psi in pairs]
+    bd = skr.boundary_data(worked_profile)
+    ts = [bd.phi0 * ratio / bd.psi0 for ratio in (1.0 - 0.048, 1.0 - 0.03, 1.0 + 0.03, 1.0 + 0.05)]
+    for t in ts:
+        w = t * bd.psi0
+        assert 0.0 < abs(bd.phi0 - w) <= skr._CROSSING * (abs(bd.phi0) + abs(w))
+
+    def values():
+        l4 = [skr.l4_closed(phi, psi, cc) for phi, psi in pairs]
+        return l4 + [skr.closed_transgression_integrand(bd, t) for t in ts]
+
+    inside = values()
     monkeypatch.setattr(skr, "_CROSSING", 0.0)
-    for (phi, psi), value in zip(pairs, inside):
-        assert skr.l4_closed(phi, psi, cc) == pytest.approx(value, rel=1e-12)
+    for got, value in zip(values(), inside):
+        assert got == pytest.approx(value, rel=1e-12)
 
 
 # ----------------------------------------------------------------- boundary data
@@ -404,7 +416,7 @@ def test_boundary_reducible_structure(rng):
 
 def test_transgression_worked_profile(worked_profile):
     bd = skr.boundary_data(worked_profile)
-    c3 = skr.transgression_pullback_closed(bd, 16, QUAD).value
+    c3 = skr.transgression_pullback_closed(bd, QUAD).value
     d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
     assert abs(c3 - d3) / max(abs(c3), abs(d3)) < 1e-8
 
@@ -413,7 +425,7 @@ def test_transgression_sweep_closed_vs_direct(rng):
     for _ in range(8):
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
-        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).value
+        c3 = skr.transgression_pullback_closed(bd, QUAD).value
         d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
         assert abs(c3 - d3) / max(abs(c3), abs(d3), 1e-12) < 1e-8
 
@@ -422,7 +434,7 @@ def test_transgression_reducible_vanishes(rng):
     for _ in range(6):
         p = make_reducible(rng)
         bd = skr.boundary_data(p)
-        c3 = skr.transgression_pullback_closed(bd, 16, QUAD).value
+        c3 = skr.transgression_pullback_closed(bd, QUAD).value
         d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
         assert abs(c3) < 1e-10
         assert abs(d3) < 1e-10
@@ -453,63 +465,72 @@ def test_closed_integrand_killing_scale_limit(worked_profile):
         worst = 0.0
         for t in (0.25, 0.7, 1.0):
             scaled = replace(bd, phi0=s * bd.phi0, psi0=s * bd.psi0)
-            got = skr.closed_transgression_integrand(scaled, t, 16)
+            got = skr.closed_transgression_integrand(scaled, t)
             worst = max(worst, abs(got - reference(t)))
         errs.append(worst)
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= 1.9
 
 
-def _mp_closed_integrand(bd, t, order):
-    """The closed integrand at 40 digits, summing the series as the double
-    sum over k of phi^k (t psi)^(2m - k) by parity; the germ values and
-    coefficients are the float ones.  Returns the value and the summed
-    absolute size of its terms."""
-    with mp.workdps(40):
-        k, l, r1234, r2314 = (mp.mpf(x) for x in (bd.k, bd.l, bd.r_1234, bd.r_2314))
+def _mp_closed_integrand(bd, t):
+    """The closed integrand at 50 digits with its series summed exactly: the
+    L-function values come from Fbar(x) = x/(2 tan(x/2)), s = -Fbar'/(2 Fbar),
+    and sum_m a_m h_m, phi w sum_m a_m h_(m-1) are the half sum and half
+    difference of D+- = s[phi, +-w], w = t psi.  Returns the value and the
+    summed absolute size of its terms."""
+    with mp.workdps(50):
+
+        def fbar(x):
+            tan, sin2 = mp.tan(x / 2), mp.sin(x / 2) ** 2
+            f1 = 1 / (2 * tan) - x / (4 * sin2)
+            return x / (2 * tan), f1, (x / (4 * tan) - mp.mpf(1) / 2) / sin2
+
+        def s(x):
+            f, f1, _ = fbar(x)
+            return -f1 / (2 * f)
+
+        def divided(x, y):
+            return mp.diff(s, x) if x == y else (s(x) - s(y)) / (x - y)
+
+        k, l, r1212, r2323, r1234, r2314 = (
+            mp.mpf(x) for x in (bd.k, bd.l, bd.r0_1212, bd.r0_2323, bd.r_1234, bd.r_2314)
+        )
         t, phi = mp.mpf(t), mp.mpf(bd.phi0)
-        tpsi = t * mp.mpf(bd.psi0)
-        g_phi, f1_phi, _ = l_log_at_angle(bd.phi0)
-        g_tpsi, f1_tpsi, f2_tpsi = l_log_at_angle(float(tpsi))
-        weight = mp.exp(2 * (mp.mpf(g_phi) + g_tpsi))
+        w = t * mp.mpf(bd.psi0)
+        (f_phi, _, _), (f_w, f1_w, f2_w) = fbar(phi), fbar(w)
+        d_plus, d_minus = divided(phi, w), divided(phi, -w)
         terms = [
-            -4 * l * (t * t * k * k - bd.r0_1212) * f1_phi * f1_tpsi,
-            4 * l * t * r1234 * f1_tpsi * f1_tpsi,
-            -2 * t * l * r1234 * f2_tpsi,
+            -4 * l * (t * t * k * k - r1212) * s(phi) * s(w),
+            4 * l * t * r1234 * s(w) ** 2,
+            2 * t * l * r1234 * (f2_w * f_w - f1_w**2) / (2 * f_w**2),
+            2 * k * (r2323 - t * t * k * l) * (d_plus - d_minus),
+            -2 * k * t * r2314 * (d_plus + d_minus),
         ]
-        phi_pow = [phi**j for j in range(2 * order + 1)]
-        tpsi_pow = [tpsi**j for j in range(2 * order + 1)]
-        for m in range(order + 1):
-            a_m = 2 * k * (-1) ** m * (2 * m + 2) * mp.mpf(GERM.coeff(2 * m + 2))
-            for kk in range(2 * m + 1):
-                pair = phi_pow[kk] * tpsi_pow[2 * m - kk] + tpsi_pow[kk] * phi_pow[2 * m - kk]
-                factor = bd.r0_2323 - t * t * k * l if kk % 2 else -t * r2314
-                terms.append(a_m * factor * pair)
-        return weight * mp.fsum(terms), weight * mp.fsum(abs(x) for x in terms)
+        weight = f_phi * f_w
+        return weight * mp.fsum(terms), abs(weight) * mp.fsum(abs(x) for x in terms)
 
 
 @pytest.mark.parametrize(
     "phi_coeffs,c_bar,base_curv",
-    [([0.5, 0.25], -1.0, 2.0), ([-0.4, 0.3], 1.0, 0.0), ([1.5, 0.25], -1.0, 0.0)],
-    ids=["worked", "negative-phi", "large-angle"],
+    [
+        ([0.5, 0.25], -1.0, 2.0),
+        ([-0.4, 0.3], 1.0, 0.0),
+        ([1.5, 0.25], -1.0, 0.0),
+        ([0.5, 1.0], -1.0, 0.0),
+    ],
+    ids=["worked", "negative-phi", "large-angle", "degenerate-end"],
 )
-def test_closed_integrand_matches_double_sum(phi_coeffs, c_bar, base_curv):
-    """The O(order) recurrence sums the series of the double sum it replaced,
-    within 1e-15 of the size of the integrand's terms."""
+def test_closed_integrand_matches_exact_series(phi_coeffs, c_bar, base_curv):
+    """The closed integrand equals its untruncated series, summed exactly at
+    50 digits, within 1e-13 of the size of its terms; an order-16 truncation
+    was off by 1e-8 of that size on the large-angle profile (psi0 = 1.75)."""
     p = SKRProfile.irreducible_polynomial(phi_coeffs, c_bar, base_curv=base_curv, tau_min=-0.5)
     bd = skr.boundary_data(p)
-    for order in (4, 16):
-        for nodes in (32, 64):
-            for t in QuadratureSpec(nodes).rule()[0]:
-                want, size = _mp_closed_integrand(bd, float(t), order)
-                got = skr.closed_transgression_integrand(bd, float(t), order)
-                assert abs(got - want) <= 1e-15 * size
-
-
-def test_closed_tail_bound_small(worked_profile):
-    bd = skr.boundary_data(worked_profile)
-    assert skr.closed_transgression_tail(bd, 16) < 1e-10
-    assert skr.closed_transgression_tail(bd, 24) < 1e-14
+    for nodes in (32, 64):
+        for t in QuadratureSpec(nodes).rule()[0]:
+            want, size = _mp_closed_integrand(bd, float(t))
+            got = skr.closed_transgression_integrand(bd, float(t))
+            assert abs(got - want) <= 1e-13 * size
 
 
 def test_volume_weight(worked_profile):
