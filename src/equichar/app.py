@@ -55,7 +55,6 @@ MAX_TAU_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class Numerics:
-    series_order: int = DEFAULT_SERIES_ORDER
     quad_nodes: int = 32
     fd_step: float = 1e-4
     tau_samples: int = 101
@@ -136,16 +135,9 @@ def load_config(path) -> RunConfig:
     output_dir = out.get("dir")
     _require(output_dir is None or isinstance(output_dir, str), "output.dir must be a string")
     numerics = Numerics(
-        series_order=_number(num.get("series_order", DEFAULT_SERIES_ORDER), "series_order", int),
         quad_nodes=_number(num.get("quad_nodes", 32), "quad_nodes", int),
         fd_step=_number(num.get("fd_step", 1e-4), "fd_step"),
         tau_samples=_number(num.get("tau_samples", 101), "tau_samples", int),
-    )
-    _require(numerics.series_order >= 4, "series_order must be >= 4")
-    _require(
-        numerics.series_order <= skr.MAX_SERIES_ORDER,
-        f"series_order must be <= {skr.MAX_SERIES_ORDER}, "
-        "the highest order the precomputed germ coefficients support",
     )
     _require(
         2 <= numerics.quad_nodes <= MAX_QUAD_NODES, f"quad_nodes must lie in 2..{MAX_QUAD_NODES}"
@@ -297,8 +289,7 @@ def _bulk_integral(p: SKRProfile, cfg: RunConfig) -> dict:
 
 
 def _boundary_volume(p: SKRProfile, q0: float) -> float:
-    radial = 2.0 * abs(p.c_bar) if p.mode == "irreducible" else 1.0
-    return radial * p.base_area * p.fiber_period * math.sqrt(q0)
+    return skr.volume_weight(p, 0.0) * p.base_area * p.fiber_period * math.sqrt(q0)
 
 
 def _eta_value(cfg: RunConfig, bulk: float, boundary: float) -> float:
@@ -322,7 +313,7 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     bd = skr.boundary_data(p)
     closed = skr.transgression_pullback_closed(bd, quad)
     tl3_closed = closed.value
-    tl3_direct = skr.transgression_pullback_direct(bd, cfg.numerics.series_order, quad)
+    tl3_direct = skr.transgression_pullback_direct(bd, quad)
     discrepancy = abs(tl3_closed - tl3_direct)
 
     volume = _boundary_volume(p, bd.q0)
@@ -427,7 +418,7 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, residual <= tolerance, residual, tolerance)
 
 
-def _generic_l4(p: SKRProfile, taus, order: int) -> list:
+def _generic_l4(p: SKRProfile, taus, order: int = DEFAULT_SERIES_ORDER) -> list:
     """Degree-4 coefficients of charforms.l_form, exp(Tr f(R_X)) for the L-log
     germ f, at all ``taus`` in one pass through the batched kernels."""
     stack = np.stack([skr.equivariant_curvature_matrix(p, t).data for t in taus])
@@ -435,13 +426,14 @@ def _generic_l4(p: SKRProfile, taus, order: int) -> list:
     return forms[:, -1].tolist()
 
 
-def _truncation_tolerance(angle: float, order: int) -> float:
-    """Ten times a bound on the generic L-form's truncation at ``order``, in
-    the units of lform-closed-vs-generic, at rotation angles up to ``angle``:
+def _truncation_tolerance(angle: float) -> float:
+    """Ten times a bound on the generic L-form's truncation at the series order,
+    in the units of lform-closed-vs-generic, at rotation angles up to ``angle``:
     the e^1234 part of a dropped term f_k Tr R_X^k of the L-log germ is at
     most 2 k (k - 1) |f_k| angle^(k - 2) times the curvature products."""
     taylor = hirzebruch_l_log_germ().taylor
-    tail = sum(k * (k - 1) * abs(f) * angle ** (k - 2) for k, f in enumerate(taylor) if k > order)
+    dropped = [(k, f) for k, f in enumerate(taylor) if k > DEFAULT_SERIES_ORDER]
+    tail = sum(k * (k - 1) * abs(f) * angle ** (k - 2) for k, f in dropped)
     return max(20.0 * tail, 1e-12)  # and rounding
 
 
@@ -450,7 +442,6 @@ def run_check(cfg: RunConfig) -> list:
     profile; print one line per check."""
     p = build_profile(cfg)
     quad = cfg.quadrature()
-    order = cfg.numerics.series_order
     results = []
 
     # profile relations along tau
@@ -486,8 +477,8 @@ def run_check(cfg: RunConfig) -> list:
             products = max(products, abs(b * c) + abs(c * dd) + abs(b * dd) + c * c + 4.0 * r * r)
             angle = max(angle, abs(d.phi), abs(d.psi))
     results.append(_check("curvature-relations", res_curv, 1e-14))
-    res = max(abs(x - y) for x, y in zip(closed_l4, _generic_l4(p, picks, order))) / products
-    results.append(_check("lform-closed-vs-generic", res, _truncation_tolerance(angle, order)))
+    res = max(abs(x - y) for x, y in zip(closed_l4, _generic_l4(p, picks))) / products
+    results.append(_check("lform-closed-vs-generic", res, _truncation_tolerance(angle)))
 
     # transgression routes, as computed by the report at the configured nodes,
     # relative to the size sum_i w_i |f_i| of the closed integrand as well, which
@@ -500,9 +491,8 @@ def run_check(cfg: RunConfig) -> list:
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
 
     bd = skr.boundary_data(p)
-    alt = transgression_degree3_alt(
-        hirzebruch_l_log_germ(), skr.boundary_family(bd), quad, order
-    ).coefficient((1, 2, 3))
+    alt = transgression_degree3_alt(hirzebruch_l_log_germ(), skr.boundary_family(bd), quad)
+    alt = alt.coefficient((1, 2, 3))
     results.append(_check("transgression-alt-route", abs(direct - alt) / scale, 1e-10))
 
     if p.mode == "reducible":
@@ -605,23 +595,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="equichar",
         description="Equivariant characteristic forms and eta invariants of SKR geometries",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in (
-        ("check", False),
-        ("lform", True),
-        ("transgression", True),
-        ("eta", True),
-        ("oracle", False),
-    ):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("config", help="path to the JSON run configuration")
-        cmd.add_argument(
-            "-o",
-            "--out",
-            default=None,
-            required=False,
-            help="output directory" + ("" if needs_out else " (unused)"),
-        )
+    parser.add_argument("command", choices=("check", "lform", "transgression", "eta", "oracle"))
+    parser.add_argument("config", help="path to the JSON run configuration")
+    parser.add_argument(
+        "-o", "--out", help="output directory of lform, transgression and eta (others ignore it)"
+    )
     return parser
 
 

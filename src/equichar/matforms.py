@@ -37,6 +37,10 @@ __all__ = [
     "DEFAULT_SERIES_ORDER",
 ]
 
+# The series order of the generic routes.  The direct route reads the germ's
+# Taylor coefficients up to index order + 1, and the truncation tolerance of
+# `check` sums those past the order; at 16 that sum still holds the 13 even
+# coefficients 18..42 of the 44 precomputed ones.
 DEFAULT_SERIES_ORDER = 16
 
 # number of Taylor coefficients precomputed for the standard germs
@@ -174,12 +178,12 @@ def l_log_at_angle(x: float) -> tuple:
 
 
 # The germ factories are cached: an AnalyticGerm is frozen with a tuple of
-# coefficients, so every caller can share the one object per coefficient count.
+# coefficients, so every caller can share the one object.
 @lru_cache(maxsize=None)
-def hirzebruch_l_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
+def hirzebruch_l_inner_germ() -> AnalyticGerm:
     """Germ of (x/2)/tanh(x/2); restricted to the imaginary axis it is x/(2 tan(x/2))."""
     return AnalyticGerm(
-        taylor=tuple(_even_series(_l_inner_series(n_coeffs))[:n_coeffs].tolist()),
+        taylor=tuple(_even_series(_l_inner_series(_GERM_COEFFS))[:_GERM_COEFFS].tolist()),
         even=True,
         radius=2.0 * math.pi,
         name="l_inner",
@@ -187,11 +191,11 @@ def hirzebruch_l_inner_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
 
 
 @lru_cache(maxsize=None)
-def hirzebruch_l_log_germ(n_coeffs: int = _GERM_COEFFS) -> AnalyticGerm:
+def hirzebruch_l_log_germ() -> AnalyticGerm:
     """Germ of log((x/2)/tanh(x/2))/2; the exp-of-trace kernel of the L-form."""
-    inner = _l_inner_series(n_coeffs)
+    inner = _l_inner_series(_GERM_COEFFS)
     return AnalyticGerm(
-        taylor=tuple(_even_series(0.5 * _series_log(inner))[:n_coeffs].tolist()),
+        taylor=tuple(_even_series(0.5 * _series_log(inner))[:_GERM_COEFFS].tolist()),
         even=True,
         radius=math.pi,
         name="l_log",
@@ -333,35 +337,10 @@ def trace(a: FormMatrix) -> ExteriorForm:
 
 
 def spectral_radius_degree0(mat: np.ndarray):
-    """Spectral radius of a small numeric matrix, or of each matrix in a
-    stack (..., n, n); a float for one matrix, an array for a stack.
-
-    Antisymmetric 2x2/3x3/4x4 matrices (the rotation generators arising here)
-    are handled by closed formulas; anything else falls back to the Frobenius
-    norm, a safe upper bound.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    shape, n = mat.shape[:-2], mat.shape[-1]
-    mat = mat.reshape(-1, n, n)
-    mat_t = mat.transpose(0, 2, 1)
-    # np.allclose(M, -M^T, atol=1e-14 (1 + max |M|)) per matrix, written out
-    atol = 1e-14 * (1.0 + np.max(np.abs(mat), axis=(1, 2)))
-    anti = np.all(np.abs(mat + mat_t) <= atol[:, None, None] + 1e-5 * np.abs(mat_t), axis=(1, 2))
-    if n == 2:
-        rho = np.abs(mat[:, 0, 1])
-    elif n == 3:
-        rho = np.sqrt(mat[:, 0, 1] ** 2 + mat[:, 0, 2] ** 2 + mat[:, 1, 2] ** 2)
-    elif n == 4:
-        p = np.sum(mat * mat, axis=(1, 2)) / 2.0  # lam1^2 + lam2^2
-        pf = mat[:, 0, 1] * mat[:, 2, 3] - mat[:, 0, 2] * mat[:, 1, 3] + mat[:, 0, 3] * mat[:, 1, 2]
-        q = pf * pf  # lam1^2 * lam2^2
-        disc = np.maximum(p * p - 4.0 * q, 0.0)
-        rho = np.sqrt((p + np.sqrt(disc)) / 2.0)
-    else:
-        rho, anti = np.zeros(len(mat)), np.zeros(len(mat), dtype=bool)
-    for i in np.flatnonzero(~anti):
-        rho[i] = np.linalg.norm(mat[i], "fro")
-    return float(rho[0]) if not shape else rho.reshape(shape)
+    """Spectral norm of a small numeric matrix, or of each matrix in a stack
+    (..., n, n): the spectral radius of a normal matrix, such as the rotation
+    generators arising here, and an upper bound on it for any other."""
+    return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
 def _check_radius(germ: AnalyticGerm, m0: np.ndarray) -> None:

@@ -34,7 +34,6 @@ from .errors import EquicharError, ProfileError
 from .exterior import mask_of_indices
 from .matforms import (
     _BAR,
-    DEFAULT_SERIES_ORDER,
     FormMatrix,
     _horner,
     hirzebruch_l_log_germ,
@@ -62,7 +61,6 @@ __all__ = [
     "transgression_pullback_direct",
     "closed_transgression_integrand",
     "ClosedPullback",
-    "MAX_SERIES_ORDER",
 ]
 
 
@@ -93,7 +91,7 @@ class ProfileFunction:
     def at(self, tau: float) -> tuple:
         """(f, f', f'') at tau."""
         knots = self.knots
-        i = bisect_right(knots, tau, 1) - 1 if len(knots) > 1 else 0
+        i = bisect_right(knots, tau, 1) - 1
         x = float(tau) - knots[i]
         f, f_d, f_dd = self.tables[i]
         return _horner(f, x), _horner(f_d, x), _horner(f_dd, x)
@@ -476,13 +474,6 @@ def closed_transgression_integrand(bd: BoundaryData, t: float) -> float:
     return weight * (term1 + term2 + term3)
 
 
-# The highest series order a config may ask for.  The direct route reads the
-# germ's Taylor coefficients up to index order + 1, and the truncation
-# tolerance of `check` sums those past the order; at 16 that sum still holds
-# the 13 even coefficients 18..42 of the 44 precomputed ones.
-MAX_SERIES_ORDER = 16
-
-
 class ClosedPullback(NamedTuple):
     """The closed route's pull-back, the coefficient of e^123, together with
     the integrand values at the ascending quadrature nodes that it sums."""
@@ -505,11 +496,10 @@ def transgression_pullback_closed(
 
 
 def transgression_pullback_direct(
-    bd: BoundaryData,
-    order: int = DEFAULT_SERIES_ORDER,
-    quad: QuadratureSpec = QuadratureSpec(),
+    bd: BoundaryData, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Generic-machinery route: the e^123 coefficient of the boundary family
-    pushed through the degree-3 transgression integrand."""
-    form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad, order)
+    pushed through the degree-3 transgression integrand, whose germ series
+    stop at DEFAULT_SERIES_ORDER."""
+    form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad)
     return form.coefficient((1, 2, 3))

@@ -54,7 +54,7 @@ def test_criterion_01_reducible_vanishing():
             worst_l4 = max(worst_l4, abs(skr.l4_coefficient(p, float(tau))))
         bd = skr.boundary_data(p)
         closed = skr.transgression_pullback_closed(bd, QUAD).value
-        direct = skr.transgression_pullback_direct(bd, 16, QUAD)
+        direct = skr.transgression_pullback_direct(bd, QUAD)
         worst_tl3 = max(worst_tl3, abs(closed), abs(direct))
         sig = int(rng.integers(-3, 4))
         cfg = RunConfig(profile={}, topology=Topology(signature=sig))
@@ -80,7 +80,7 @@ def test_criterion_02_closed_vs_direct_transgression():
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
         closed = skr.transgression_pullback_closed(bd, QUAD).value
-        direct = skr.transgression_pullback_direct(bd, 16, QUAD)
+        direct = skr.transgression_pullback_direct(bd, QUAD)
         worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct)))
     elapsed = time.perf_counter() - t0
     report(2, "transgression-closed-vs-direct", worst <= 1e-8, f"rel<={worst:.2e}", elapsed, 10.0)

@@ -63,7 +63,7 @@ RED = {
 
 def test_load_config_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, IRRED))
-    assert cfg.numerics.series_order == 16
+    assert cfg.numerics.quad_nodes == 32 and cfg.numerics.fd_step == 1e-4
     assert cfg.topology.fiber_period == pytest.approx(2.0 * math.pi)
 
 
@@ -84,23 +84,21 @@ def test_config_rejects_nonpositive_q(tmp_path):
         build_profile(load_config(write_cfg(tmp_path, bad)))
 
 
-def test_config_rejects_series_order_beyond_germ_coefficients(tmp_path, capsys):
-    """series_order stops at MAX_SERIES_ORDER = 16: check bounds the generic
-    L-form's truncation by the germ's Taylor coefficients past the order, and
-    past the cap that bound has ever fewer of the precomputed ones to sum.  A
-    higher order is a config error, exit 2."""
-    payload = json.loads(json.dumps(IRRED))
-    payload["numerics"]["series_order"] = skr.MAX_SERIES_ORDER
-    cfg = load_config(write_cfg(tmp_path, payload, "max.json"))
-    assert cfg.numerics.series_order == skr.MAX_SERIES_ORDER
-    payload["numerics"]["series_order"] = skr.MAX_SERIES_ORDER + 1
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, payload, "over.json"))
-    payload["numerics"]["series_order"] = 20
-    cfg = write_cfg(tmp_path, payload, "order20.json")
-    assert main(["eta", str(cfg), "-o", str(tmp_path / "out")]) == 2
-    assert "series_order" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_config_ignores_series_order(tmp_path):
+    """The generic routes sum their germ series to one fixed order, so the
+    series_order key of older configs is ignored like any key the loader does
+    not read: eta on the worked example writes the same bytes whatever its
+    value, and without it.  The benchmark's configs still carry 16."""
+    example = json.loads((EXAMPLES / "example_irreducible.json").read_text())
+    outputs = []
+    for i, order in enumerate((4, 16, 16.9, "x", None)):
+        payload = json.loads(json.dumps(example))
+        if order is not None:
+            payload["numerics"]["series_order"] = order
+        out = tmp_path / f"out{i}"
+        assert main(["eta", str(write_cfg(tmp_path, payload, f"{i}.json")), "-o", str(out)]) == 0
+        outputs.append([(path.name, path.read_bytes()) for path in sorted(out.iterdir())])
+    assert all(files == outputs[0] for files in outputs)
 
 
 BAD_NUMBERS = [
@@ -113,7 +111,6 @@ BAD_NUMBERS = [
     ("profile", "base_curv", True),
     ("topology", "signature", 1.5),
     ("topology", "signature", True),
-    ("numerics", "series_order", 16.9),
     pytest.param("numerics", "quad_nodes", 10**400, id="numerics-quad_nodes-401-digits"),
     pytest.param("topology", "signature", -(10**400), id="topology-signature-401-digits"),
 ]
@@ -136,9 +133,9 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, command, section, key, value)
 
 def test_integral_floats_run_as_their_integers(tmp_path):
     written = []
-    for order, nodes in ((16, 8), (16.0, 8.0)):
-        numerics = dict(IRRED["numerics"], series_order=order, quad_nodes=nodes)
-        cfg, out = write_cfg(tmp_path, dict(IRRED, numerics=numerics)), tmp_path / f"out{order}"
+    for nodes in (8, 8.0):
+        numerics = dict(IRRED["numerics"], quad_nodes=nodes)
+        cfg, out = write_cfg(tmp_path, dict(IRRED, numerics=numerics)), tmp_path / f"out{nodes}"
         assert main(["eta", str(cfg), "-o", str(out)]) == 0
         written.append((out / "report.json").read_bytes())
     assert written[0] == written[1]
@@ -457,17 +454,16 @@ def test_lform_check_fails_the_sqrt_a_route(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("angle", [0.3, 0.77, 1.0, 1.2, 1.35])
-@pytest.mark.parametrize("order", [4, 8, 16])
-def test_lform_check_tolerance_bounds_the_truncation(angle, order):
+def test_lform_check_tolerance_bounds_the_truncation(angle):
     """The tolerance of lform-closed-vs-generic is at least the actual
-    truncation of the generic L-form at series order ``order``, measured
+    truncation of the generic L-form at the series order, measured
     against order 40 and in the check's units, on a profile whose largest
     rotation angle at the checked taus is ``angle``: phi = a (1 + 0.3 tau)
     and c_bar = -1 give psi = a (1.3 + 0.6 tau), largest at the last one."""
     picks = app._lform_taus(SKRProfile.irreducible_polynomial([1.0], c_bar=-1.0), 100)[::40]
     a = angle / (1.3 + 0.6 * picks[-1])
     p = SKRProfile.irreducible_polynomial([a, 0.3 * a], c_bar=-1.0, base_curv=1.0)
-    coarse, fine = app._generic_l4(p, picks, order), app._generic_l4(p, picks, 40)
+    coarse, fine = app._generic_l4(p, picks), app._generic_l4(p, picks, 40)
     derived = [skr.derived_functions(p, t) for t in picks]
     largest = max(max(abs(d.phi), abs(d.psi)) for d in derived)
     products = max(
@@ -476,7 +472,7 @@ def test_lform_check_tolerance_bounds_the_truncation(angle, order):
     )
     actual = max(abs(x - y) for x, y in zip(coarse, fine)) / products
     assert 0.99 * angle <= largest <= angle
-    assert app._truncation_tolerance(largest, order) >= actual
+    assert app._truncation_tolerance(largest) >= actual
 
 
 def _perfbench_configs():
@@ -509,6 +505,27 @@ def test_cli_rotation_angle_past_germ_radius(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, payload)
     assert main([command, str(cfg), "-o", str(tmp_path / "out")]) == 1
     assert "numerical failure: spectral radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bogus", "cfg.json"], ["eta"], []])
+def test_cli_usage_errors_exit_2(capsys, argv):
+    """An unknown command or a missing config is argparse's usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: equichar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lform", "transgression", "eta"])
+def test_cli_out_option_routes_the_files(tmp_path, monkeypatch, capsys, command):
+    """-o, before or after the config, names the directory the files go to."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, RED)
+    for i, argv in enumerate(([command, str(cfg), "-o", "a"], ["--out", "b", command, str(cfg)])):
+        assert main(argv) == 0
+        written = capsys.readouterr().out.split()
+        assert written and all(Path(path).parent.name == "ab"[i] for path in written)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "cfg.json"]
 
 
 def test_unwritable_output_path(tmp_path):
@@ -909,7 +926,6 @@ def _fuzz_case(draw):
             "interp_order": draw(_fuzz_int(1, 5)),
         }
     numerics = {
-        "series_order": draw(_fuzz_int(4, 16)),
         "quad_nodes": draw(_fuzz_int(2, 6)),
         "tau_samples": draw(_fuzz_int(2, 6)),
     }

@@ -14,7 +14,11 @@ digests did not move.  The transgression, report and check digests were
 taken again when the closed transgression summed its series exactly: the
 series_tail_bound key left report.json, and the closed integrand, TL3 and
 eta moved in their last digits.  The L-form digests, the reducible
-transgression and check digests and the oracle digests did not move.
+transgression and check digests and the oracle digests did not move.  The
+three report digests were taken again when the series order became a
+constant: the series_order key left the numerics echo of report.json, and
+the irreducible example config lost its series_order and unread a_const
+keys, which the profile echo repeats.  No other byte moved.
 """
 
 import hashlib
@@ -31,12 +35,12 @@ GOLDEN = {
     "example_irreducible.json": {
         "lform.csv": "37c59b0200f348664a261445ad9bb99b215b11bf07668fff54118f6b3a98f746",
         "transgression.csv": "68a5a758cc26482869ad2e81526e205e7be907cefa58444aba8223fde480bde0",
-        "report.json": "759b3bbc5cc8759591d4cfd044108ac1d6206de66f0112726d55633fe910e819",
+        "report.json": "cd27509cd5766560c8a00b4628df6d0a65fb580fb210758b9306b64139c798e9",
     },
     "example_reducible.json": {
         "lform.csv": "e39b3f259ce14514c55a99f1b2d048aef01d2c09362d12276be6171e093581e9",
         "transgression.csv": "96f7412ee4e20797bd29489d0a62f3046371c241993be577c1f36e6a60b1b7a1",
-        "report.json": "667c09816c72e1a8a8c3ba07b84279a8666d6bbcce288d5bf4d6f848f14dadf1",
+        "report.json": "855c1eb716665f42ca3911e5cd72ab4589954100d6a10b1e2226b88cc75d7f10",
     },
 }
 
@@ -84,7 +88,7 @@ SMALL_ANGLE = {
 SMALL_ANGLE_GOLDEN = {
     "lform.csv": "aad9556e1273b437183f75b3a1fda6b2abacdfb9d4324e05a8dae55d7f9ecefa",
     "transgression.csv": "66d64832532d134295582e90a4faded6d0389b707ac03ca4aeb7a74e4ad47073",
-    "report.json": "9015f9607484f8c03d9c1457fe5a5c927f22e8a3c6fe258128b8f618a7aa6ffe",
+    "report.json": "363219cd3bf204973d77ed3eee32a186809fb09f4f1f0f4500d6a5e53277c1d0",
     "check": "f263df7e281723ca3227a882520f624f98ecaa09085f6f0655baa464f219de0a",
 }
 

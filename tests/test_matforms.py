@@ -179,8 +179,6 @@ def test_apply_germ_degree0_matches_mat_mul_series(germ, size, dimension):
 @pytest.mark.parametrize("factory", [hirzebruch_l_inner_germ, hirzebruch_l_log_germ])
 def test_germ_factories_return_one_shared_object(factory):
     assert factory() is factory()
-    assert factory(20) is factory(20)
-    assert factory(20) is not factory()
 
 
 def test_apply_germ_radius_violation():
@@ -339,8 +337,8 @@ def test_spectral_radius_against_eigvals():
 
 def test_spectral_radius_stack_equals_per_matrix():
     """A stack gives each matrix's own result, bit for bit, on the draws of
-    the test above; a non-antisymmetric matrix in the stack takes the
-    Frobenius norm."""
+    the test above; a non-antisymmetric matrix in the stack takes its spectral
+    norm, which bounds its eigenvalues."""
     rng = np.random.default_rng(31)
     for n in (2, 3, 4):
         draws = [rng.uniform(-2, 2, (n, n)) for _ in range(20)]
@@ -351,7 +349,8 @@ def test_spectral_radius_stack_equals_per_matrix():
         assert np.array_equal(spectral_radius_degree0(stack.reshape(4, 5, n, n)), got.reshape(4, 5))
         stack[7] = draws[7]
         mixed = spectral_radius_degree0(stack)
-        assert mixed[7] == float(np.linalg.norm(draws[7], "fro"))
+        assert mixed[7] == float(np.linalg.norm(draws[7], 2))
+        assert mixed[7] >= float(np.max(np.abs(np.linalg.eigvals(draws[7])))) - 1e-12
         assert np.array_equal(np.delete(mixed, 7), np.delete(got, 7))
 
 

@@ -266,7 +266,7 @@ def test_closed_route_rejects_angles_past_germ_radius():
     with pytest.raises(ConvergenceRadiusError):
         skr.closed_transgression_integrand(bd, 0.5)
     with pytest.raises(ConvergenceRadiusError):
-        skr.transgression_pullback_direct(bd, 16, QUAD)
+        skr.transgression_pullback_direct(bd, QUAD)
 
 
 def test_l_form_double_route_small_killing(rng):
@@ -417,7 +417,7 @@ def test_boundary_reducible_structure(rng):
 def test_transgression_worked_profile(worked_profile):
     bd = skr.boundary_data(worked_profile)
     c3 = skr.transgression_pullback_closed(bd, QUAD).value
-    d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
+    d3 = skr.transgression_pullback_direct(bd, QUAD)
     assert abs(c3 - d3) / max(abs(c3), abs(d3)) < 1e-8
 
 
@@ -426,7 +426,7 @@ def test_transgression_sweep_closed_vs_direct(rng):
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
         c3 = skr.transgression_pullback_closed(bd, QUAD).value
-        d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
+        d3 = skr.transgression_pullback_direct(bd, QUAD)
         assert abs(c3 - d3) / max(abs(c3), abs(d3), 1e-12) < 1e-8
 
 
@@ -435,7 +435,7 @@ def test_transgression_reducible_vanishes(rng):
         p = make_reducible(rng)
         bd = skr.boundary_data(p)
         c3 = skr.transgression_pullback_closed(bd, QUAD).value
-        d3 = skr.transgression_pullback_direct(bd, 16, QUAD)
+        d3 = skr.transgression_pullback_direct(bd, QUAD)
         assert abs(c3) < 1e-10
         assert abs(d3) < 1e-10
 
