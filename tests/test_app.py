@@ -84,11 +84,13 @@ def test_config_rejects_nonpositive_q(tmp_path):
         build_profile(load_config(write_cfg(tmp_path, bad)))
 
 
-def test_config_ignores_series_order(tmp_path):
+@pytest.mark.parametrize("command", ["check", "oracle", "lform", "transgression", "eta"])
+def test_config_ignores_series_order(tmp_path, capsys, command):
     """The generic routes sum their germ series to one fixed order, so the
     series_order key of older configs is ignored like any key the loader does
-    not read: eta on the worked example writes the same bytes whatever its
-    value, and without it.  The benchmark's configs still carry 16."""
+    not read: every subcommand on the worked example prints and writes the
+    same bytes whatever its value, and without it.  The benchmark's configs
+    still carry 16."""
     example = json.loads((EXAMPLES / "example_irreducible.json").read_text())
     outputs = []
     for i, order in enumerate((4, 16, 16.9, "x", None)):
@@ -96,9 +98,11 @@ def test_config_ignores_series_order(tmp_path):
         if order is not None:
             payload["numerics"]["series_order"] = order
         out = tmp_path / f"out{i}"
-        assert main(["eta", str(write_cfg(tmp_path, payload, f"{i}.json")), "-o", str(out)]) == 0
-        outputs.append([(path.name, path.read_bytes()) for path in sorted(out.iterdir())])
-    assert all(files == outputs[0] for files in outputs)
+        assert main([command, str(write_cfg(tmp_path, payload, f"{i}.json")), "-o", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        files = [(path.name, path.read_bytes()) for path in sorted(out.iterdir())] if out.exists() else []
+        outputs.append((printed, files))
+    assert all(run == outputs[0] for run in outputs)
 
 
 BAD_NUMBERS = [
@@ -309,6 +313,20 @@ def test_tabulated_profile_needs_more_points_than_its_order(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------- eta
+
+@pytest.mark.parametrize("mode", ["irreducible", "reducible"])
+def test_boundary_volume_is_the_radial_weight_at_the_boundary(mode):
+    """The boundary 3-volume is 2|c_bar| (irreducible) or 1 (reducible) times
+    base_area * fiber_period * sqrt(Q0)."""
+    if mode == "irreducible":
+        p = SKRProfile.irreducible_polynomial([0.5, 0.25], -1.3, base_curv=2.0, tau_min=-0.5)
+        radial = 2.6
+    else:
+        p = SKRProfile.reducible_polynomial([1.0, 0.4, -0.3], tau_min=-0.5)
+        radial = 1.0
+    p = replace(p, base_area=1.7, fiber_period=3.0)
+    assert app._boundary_volume(p, 0.81) == pytest.approx(radial * 1.7 * 3.0 * 0.9, rel=1e-15)
+
 
 def test_eta_reducible_is_minus_signature(tmp_path):
     """Also for the flat product, Q constant, where phi = psi = 0 and A = 0."""

@@ -354,10 +354,12 @@ def test_spectral_radius_stack_equals_per_matrix():
         assert np.array_equal(np.delete(mixed, 7), np.delete(got, 7))
 
 
-def test_spectral_radius_general_is_upper_bound():
-    rng = np.random.default_rng(37)
-    m = rng.uniform(-1, 1, (4, 4))
-    assert spectral_radius_degree0(m) >= float(np.max(np.abs(np.linalg.eigvals(m)))) - 1e-12
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_spectral_radius_general_is_upper_bound(n):
+    rng = np.random.default_rng(37 + n)
+    for _ in range(20):
+        m = rng.uniform(-1, 1, (n, n))
+        assert spectral_radius_degree0(m) >= float(np.max(np.abs(np.linalg.eigvals(m)))) - 1e-12
 
 
 # ----------------------------------------------------------------- char poly

@@ -533,6 +533,16 @@ def test_closed_integrand_matches_exact_series(phi_coeffs, c_bar, base_curv):
             assert abs(got - want) <= 1e-13 * size
 
 
+@pytest.mark.parametrize("tau", [-2.0, 0.3, 1.5])
+def test_single_knot_profile_is_one_polynomial(tau):
+    """One knot is one piece over the whole line: below, at and above it."""
+    coeffs = (0.5, -0.25, 0.75, 0.125)
+    f = skr.ProfileFunction.piecewise([coeffs], knots=(0.3,))
+    poly = np.polynomial.Polynomial(coeffs)
+    want = [poly.deriv(m)(tau - 0.3) for m in (0, 1, 2)]
+    assert f.at(tau) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
 def test_volume_weight(worked_profile):
     assert skr.volume_weight(worked_profile, -0.25) == pytest.approx(1.5)
     p = SKRProfile.reducible_polynomial([1.0], tau_min=-0.4)
