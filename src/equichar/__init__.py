@@ -11,9 +11,7 @@ from .errors import (
 from .exterior import ExteriorForm, degree_component, exp_form, wedge
 from .matforms import (
     AnalyticGerm,
-    FormMatrix,
     apply_germ,
-    exp_trace_germ,
     hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
     mat_mul,

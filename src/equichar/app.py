@@ -27,10 +27,9 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import skr
-from .charforms import QuadratureSpec, gauss_legendre, transgression_degree3_alt
+from .charforms import QuadratureSpec, gauss_legendre, l_form, transgression_degree3_alt
 from .errors import ConfigError, EquicharError, ProfileError
-from .exterior import exp_coeffs
-from .matforms import DEFAULT_SERIES_ORDER, apply_germ_data, hirzebruch_l_log_germ, trace_data
+from .matforms import DEFAULT_SERIES_ORDER, hirzebruch_l_log_germ
 from .skr import SKRProfile
 
 __all__ = [
@@ -255,9 +254,19 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _profile_echo(prof: dict) -> dict:
+    """The profile keys that :func:`build_profile` reads for the mode, with
+    their values as given, so that a key it ignores leaves report.json as it is."""
+    mode = prof.get("mode")
+    what = "phi" if mode == "irreducible" else "q"
+    read = ["mode", "label", "tau_min", "base_curv"] + (["c_bar"] if mode == "irreducible" else [])
+    read.append(f"{what}_coeffs" if f"{what}_coeffs" in prof else f"{what}_samples")
+    return {key: prof[key] for key in read if key in prof}
+
+
 def _config_echo(cfg: RunConfig) -> dict:
     return {
-        "profile": cfg.profile,
+        "profile": _profile_echo(cfg.profile),
         "numerics": asdict(cfg.numerics),
         "topology": asdict(cfg.topology),
     }
@@ -418,14 +427,6 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, residual <= tolerance, residual, tolerance)
 
 
-def _generic_l4(p: SKRProfile, taus, order: int = DEFAULT_SERIES_ORDER) -> list:
-    """Degree-4 coefficients of charforms.l_form, exp(Tr f(R_X)) for the L-log
-    germ f, at all ``taus`` in one pass through the batched kernels."""
-    stack = np.stack([skr.equivariant_curvature_matrix(p, t).data for t in taus])
-    forms = exp_coeffs(trace_data(apply_germ_data(hirzebruch_l_log_germ(), stack, order)))
-    return forms[:, -1].tolist()
-
-
 def _truncation_tolerance(angle: float) -> float:
     """Ten times a bound on the generic L-form's truncation at the series order,
     in the units of lform-closed-vs-generic, at rotation angles up to ``angle``:
@@ -477,7 +478,10 @@ def run_check(cfg: RunConfig) -> list:
             products = max(products, abs(b * c) + abs(c * dd) + abs(b * dd) + c * c + 4.0 * r * r)
             angle = max(angle, abs(d.phi), abs(d.psi))
     results.append(_check("curvature-relations", res_curv, 1e-14))
-    res = max(abs(x - y) for x, y in zip(closed_l4, _generic_l4(p, picks))) / products
+    # the generic L-form's e^1234 coefficients, at all picks in one stack
+    stack = np.stack([skr.equivariant_curvature_matrix(p, t) for t in picks])
+    generic_l4 = l_form(stack)[:, -1].tolist()
+    res = max(abs(x - y) for x, y in zip(closed_l4, generic_l4)) / products
     results.append(_check("lform-closed-vs-generic", res, _truncation_tolerance(angle)))
 
     # transgression routes, as computed by the report at the configured nodes,
@@ -633,10 +637,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        # a float ** or math call, whose message names no quantity: name the function
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a float **, / or math call, whose message names no quantity: name the function
         where = traceback.extract_tb(exc.__traceback__)[-1].name
-        print(f"numerical failure: float overflow in {where}", file=sys.stderr)
+        what = "float overflow" if isinstance(exc, OverflowError) else str(exc)
+        print(f"numerical failure: {what} in {where}", file=sys.stderr)
         return 1
     except (EquicharError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

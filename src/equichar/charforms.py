@@ -1,43 +1,40 @@
 """Equivariant characteristic forms and transgressions over generic curvature data.
 
 Everything here is generic over a linear path of connections
-nabla^t = nabla^0 + t Theta, presented as matrix data: the endomorphism-valued
-difference form Theta, the coefficients of nabla^t X (linear in t) and those
-of the curvature R^t (quadratic in t).  The SKR-specific geometry in
-:mod:`equichar.skr` feeds its boundary data through these entry points, and
-the test suite exercises them on randomized families as well.
+nabla^t = nabla^0 + t Theta, presented as matrices of forms, the
+``(..., size, size, 2^n)`` arrays of :mod:`equichar.matforms`: the
+endomorphism-valued difference form Theta, the coefficients of nabla^t X
+(linear in t) and those of the curvature R^t (quadratic in t).  The
+L-form broadcasts over a stack of curvature matrices.  The SKR-specific
+geometry in :mod:`equichar.skr` feeds its boundary data through these entry
+points, and the test suite exercises them on randomized families as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .exterior import (
     ExteriorForm,
+    _degree_masks,
     _dimension_of,
     degree_component_coeffs,
     exp_coeffs,
-    exp_form,
-    wedge,
     wedge_coeffs,
 )
 from .matforms import (
     DEFAULT_SERIES_ORDER,
     AnalyticGerm,
-    FormMatrix,
+    _is_degree0,
     apply_germ,
-    apply_germ_data,
-    exp_trace_germ,
     hirzebruch_l_log_germ,
     mat_mul,
-    mat_mul_data,
-    star_second_data,
+    star_second,
     trace,
-    trace_data,
 )
 
 __all__ = [
@@ -85,16 +82,12 @@ class QuadratureSpec:
             acc = acc + term * w
         return ExteriorForm(_dimension_of(terms), acc)
 
-    def integrate_forms(self, fn: Callable[[float], ExteriorForm]) -> ExteriorForm:
-        """sum_i w_i fn(t_i), accumulated left-to-right over ascending nodes."""
-        xs, _ = self.rule()
-        return self.weighted_sum(np.stack([fn(float(x)).coeffs for x in xs]))
-
 
 @dataclass(frozen=True)
 class ConnectionFamily:
     """The linear path of connections nabla^t = nabla^0 + t Theta, t in [0, 1],
-    as the coefficients of the matrices the transgression integrand needs.
+    as the coefficients of the matrices of forms the transgression integrand
+    needs, each an array of the shape of theta.
 
     theta:     the difference of the endpoint connections (antisymmetric
                matrix of 1-forms).
@@ -107,49 +100,59 @@ class ConnectionFamily:
     the check holds exactly at every t.
     """
 
-    theta: FormMatrix
-    nabla_x: tuple[FormMatrix, FormMatrix]
-    curvature: tuple[FormMatrix, FormMatrix, FormMatrix]
+    theta: np.ndarray
+    nabla_x: tuple[np.ndarray, np.ndarray]
+    curvature: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        if not self.theta.is_antisymmetric():
+        if not _is_antisymmetric(self.theta):
             raise ValueError("theta must be antisymmetric")
         n0, n1 = self.nabla_x
         r0, r1, r2 = self.curvature
         for m in (n0, n1, r0, r1, r2):
-            if m.data.shape != self.theta.data.shape:
+            if m.shape != self.theta.shape:
                 raise ValueError("family coefficients must have the dimensions of theta")
-            if not m.is_antisymmetric():
+            if not _is_antisymmetric(m):
                 raise ValueError("family coefficients must be antisymmetric")
-        if not (n0.is_degree0() and n1.is_degree0()):
+        if not (_is_degree0(n0) and _is_degree0(n1)):
             raise ValueError("nabla_x coefficients must be degree 0")
-        if not all(m.degrees_present() <= {2} for m in (r0, r1, r2)):
+        off_degree2 = _degree_masks(_dimension_of(self.theta)) != 2
+        if any(np.any(m[..., off_degree2]) for m in (r0, r1, r2)):
             raise ValueError("curvature coefficients must be pure degree 2")
 
     def at(self, t):
-        """Data arrays of nabla^t X and R^t at t, a number or a vector of
-        nodes; a vector adds a leading node axis."""
+        """nabla^t X and R^t at t, a number or a vector of nodes; a vector
+        adds a leading node axis."""
         t = np.asarray(t, dtype=np.float64)[..., None, None, None]
-        n0, n1 = (m.data for m in self.nabla_x)
-        r0, r1, r2 = (m.data for m in self.curvature)
+        n0, n1 = self.nabla_x
+        r0, r1, r2 = self.curvature
         return n0 + n1 * t, r0 + r1 * t + r2 * (t * t)
 
 
-def equivariant_curvature(curv: FormMatrix, nabla_x: FormMatrix) -> FormMatrix:
+def _is_antisymmetric(m: np.ndarray) -> bool:
+    return not np.any(m + m.swapaxes(-3, -2))
+
+
+def equivariant_curvature(curv: np.ndarray, nabla_x: np.ndarray) -> np.ndarray:
     """Equivariant curvature matrix: curvature minus the Killing-derivative term."""
-    curv._check(nabla_x)
-    if not nabla_x.is_degree0():
+    if curv.shape[-3:] != nabla_x.shape[-3:]:
+        raise DimensionMismatchError(
+            f"matrix shapes differ: {curv.shape[-3:]} vs {nabla_x.shape[-3:]}"
+        )
+    if not _is_degree0(nabla_x):
         raise ValueError("nabla_x must be purely degree 0")
     return curv - nabla_x
 
 
-def l_form(rg: FormMatrix, order: int = DEFAULT_SERIES_ORDER) -> ExteriorForm:
-    """Hirzebruch L-form of an (equivariant) curvature matrix.
+def l_form(rg: np.ndarray, order: int = DEFAULT_SERIES_ORDER) -> np.ndarray:
+    """Hirzebruch L-form of an (equivariant) curvature matrix, or of each
+    matrix in a stack: the coefficients (..., 2^n) of one form per matrix.
 
     det^(1/2) of (x/2)/tanh(x/2) evaluated on the matrix, realized as
-    exp(Tr[f(.)]) for f the half-log germ.
+    exp(Tr[f(.)]) for f the half-log germ; the outer exponential is expanded
+    exactly up to the coframe dimension.
     """
-    return exp_trace_germ(hirzebruch_l_log_germ(), rg, order)
+    return exp_coeffs(trace(apply_germ(hirzebruch_l_log_germ(), rg, order)))
 
 
 def _even_guard(germ: AnalyticGerm) -> None:
@@ -166,19 +169,18 @@ def transgression(
     """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees.
 
     integrand(t) = exp(Tr[f(Rg_t)]) * Tr[Theta f'(Rg_t)]
-    with Rg_t the equivariant curvature of the family at t.
+    with Rg_t the equivariant curvature of the family at t, evaluated node
+    by node: the reference the batched degree-3 routes are tested against.
     """
     d_germ = germ.derivative()
-    size, dim = fam.theta.size, fam.theta.dimension
-
-    def integrand(t: float) -> ExteriorForm:
-        nx, rt = fam.at(t)
-        rg = equivariant_curvature(FormMatrix(size, dim, rt), FormMatrix(size, dim, nx))
-        weight = exp_form(trace(apply_germ(germ, rg, order)))
+    terms = []
+    for t in quad.rule()[0]:
+        nx, rt = fam.at(float(t))
+        rg = equivariant_curvature(rt, nx)
+        weight = exp_coeffs(trace(apply_germ(germ, rg, order)))
         tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg, order)))
-        return wedge(weight, tr)
-
-    return quad.integrate_forms(integrand)
+        terms.append(wedge_coeffs(weight, tr))
+    return quad.weighted_sum(np.stack(terms))
 
 
 def transgression_degree3(
@@ -197,12 +199,12 @@ def transgression_degree3(
     """
     _even_guard(germ)
     nx, rt = fam.at(quad.rule()[0])
-    theta = fam.theta.data
-    f_nx = apply_germ_data(germ.derivative(), nx, order)
-    weight = exp_coeffs(trace_data(apply_germ_data(germ, nx, order)))
-    t1 = trace_data(mat_mul_data(theta, f_nx))
-    t2 = trace_data(mat_mul_data(f_nx, rt))
-    t3 = trace_data(mat_mul_data(star_second_data(germ, nx, theta, order), rt))
+    theta = fam.theta
+    f_nx = apply_germ(germ.derivative(), nx, order)
+    weight = exp_coeffs(trace(apply_germ(germ, nx, order)))
+    t1 = trace(mat_mul(theta, f_nx))
+    t2 = trace(mat_mul(f_nx, rt))
+    t3 = trace(mat_mul(star_second(germ, nx, theta, order), rt))
     terms = wedge_coeffs(weight, wedge_coeffs(t1, t2) + t3)
     return quad.weighted_sum(degree_component_coeffs(terms, 3))
 
@@ -221,11 +223,11 @@ def transgression_degree3_alt(
     _even_guard(germ)
     d_germ = germ.derivative()
     nx, rt = fam.at(quad.rule()[0])
-    theta = fam.theta.data
-    weight = exp_coeffs(trace_data(apply_germ_data(germ, nx, order)))
-    one_plus = ExteriorForm.scalar(fam.theta.dimension, 1.0).coeffs + trace_data(
-        mat_mul_data(theta, apply_germ_data(d_germ, nx, order))
+    theta = fam.theta
+    weight = exp_coeffs(trace(apply_germ(germ, nx, order)))
+    one_plus = ExteriorForm.scalar(_dimension_of(theta), 1.0).coeffs + trace(
+        mat_mul(theta, apply_germ(d_germ, nx, order))
     )
-    shifted = trace_data(mat_mul_data(apply_germ_data(d_germ, theta + nx, order), rt))
+    shifted = trace(mat_mul(apply_germ(d_germ, theta + nx, order), rt))
     terms = wedge_coeffs(weight, wedge_coeffs(one_plus, shifted))
     return quad.weighted_sum(degree_component_coeffs(terms, 3))

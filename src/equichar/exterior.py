@@ -7,8 +7,9 @@ appears in the multi-index I.  All products are precomputed into per-dimension
 sign tables, so wedge products reduce to a handful of fused multiply-adds and
 stay bit-for-bit reproducible.
 
-The same storage backs the matrix-valued forms of :mod:`equichar.matforms`,
-where a size x size matrix of forms is a ``(size, size, 2**n)`` array.
+The same layout backs the matrices of forms of :mod:`equichar.matforms`:
+a size x size matrix of forms is a plain ``(..., size, size, 2**n)`` array,
+whose entries are coefficient vectors rather than ExteriorForm objects.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Matrix-valued exterior forms and the analytic functional calculus on them.
 
-Provides the square matrices of forms that curvature and connection data live
-in, power-series application of analytic germs to such matrices, the
-non-commutative second-derivative pairing, and exp-of-trace characteristic
-form evaluation.  A product with a degree-0 factor (a rotation generator)
-takes a fast numeric path in :func:`mat_mul`, which every series here runs
-through.  :func:`l_log_at_angle` evaluates the L-log germ on rotation angles.
+A square matrix of forms, which curvature and connection data live in, is a
+plain float array of shape ``(..., size, size, 2^n)``: entry (i, j) holds the
+2^n coefficients of one form over an n-dimensional coframe, and any leading
+axes make a stack of matrices.  Provides products, traces, power-series
+application of analytic germs to such matrices, the non-commutative
+second-derivative pairing and the characteristic polynomial.  A product with
+a degree-0 factor (a rotation generator) takes a fast numeric path in
+:func:`mat_mul`, which every germ series here runs through.
+:func:`l_log_at_angle` evaluates the L-log germ on rotation angles.
 """
 
 from __future__ import annotations
@@ -13,22 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceRadiusError, DimensionMismatchError
-from .exterior import ExteriorForm, _dimension_of, exp_form, wedge_coeffs
+from .exterior import ExteriorForm, _degree_masks, _dimension_of, wedge_coeffs
 
 __all__ = [
     "AnalyticGerm",
-    "FormMatrix",
     "mat_mul",
     "trace",
     "identity",
     "apply_germ",
     "star_second",
-    "exp_trace_germ",
     "char_poly",
     "spectral_radius_degree0",
     "hirzebruch_l_inner_germ",
@@ -204,108 +205,28 @@ def hirzebruch_l_log_germ() -> AnalyticGerm:
 
 # --------------------------------------------------------------------------- matrices of forms
 
-class FormMatrix:
-    """Square matrix of exterior forms over one common coframe dimension.
+# The functions below take matrices of forms as arrays of shape
+# (..., size, size, 2^n) and broadcast over the leading axes, so one call
+# covers a whole stack of matrices (one per quadrature node, say) and gives
+# each matrix the bits it gets alone; a stack takes a fast path only when
+# every matrix in it does.  The matrix size is independent of the coframe
+# dimension: boundary data is 4x4 over a 3-dimensional coframe.
 
-    The matrix size (rows) is independent of the coframe dimension: boundary
-    data is 4x4 over a 3-dimensional coframe.  Stored as an immutable
-    ``(size, size, 2**dim)`` array.
-    """
-
-    __slots__ = ("size", "dimension", "data")
-
-    def __init__(self, size: int, dimension: int, data: Optional[np.ndarray] = None):
-        dim_size = 1 << dimension
-        if data is None:
-            data = np.zeros((size, size, dim_size))
-        else:
-            data = np.asarray(data, dtype=np.float64)
-            if data.shape != (size, size, dim_size):
-                raise ValueError(f"expected shape {(size, size, dim_size)}, got {data.shape}")
-            data = data.copy()
-        data.setflags(write=False)
-        self.size = size
-        self.dimension = dimension
-        self.data = data
-
-    @classmethod
-    def from_scalar_matrix(cls, mat: np.ndarray, dimension: int) -> "FormMatrix":
-        mat = np.asarray(mat, dtype=np.float64)
-        size = mat.shape[0]
-        data = np.zeros((size, size, 1 << dimension))
-        data[:, :, 0] = mat
-        return cls(size, dimension, data)
-
-    def entry(self, i: int, j: int) -> ExteriorForm:
-        return ExteriorForm(self.dimension, self.data[i, j])
-
-    def degree0(self) -> np.ndarray:
-        """The degree-0 (scalar) part as a plain numeric matrix."""
-        return self.data[:, :, 0].copy()
-
-    def is_degree0(self) -> bool:
-        return _is_degree0(self.data)
-
-    def is_antisymmetric(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.data + self.data.transpose(1, 0, 2))) <= tol)
-
-    def degrees_present(self) -> set:
-        from .exterior import _degree_masks  # local import to keep the public surface tidy
-
-        deg = _degree_masks(self.dimension)
-        present = set()
-        nz = np.any(self.data != 0.0, axis=(0, 1))
-        for mask, flag in enumerate(nz):
-            if flag:
-                present.add(int(deg[mask]))
-        return present
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data)))
-
-    def __add__(self, other: "FormMatrix") -> "FormMatrix":
-        self._check(other)
-        return FormMatrix(self.size, self.dimension, self.data + other.data)
-
-    def __sub__(self, other: "FormMatrix") -> "FormMatrix":
-        self._check(other)
-        return FormMatrix(self.size, self.dimension, self.data - other.data)
-
-    def __neg__(self) -> "FormMatrix":
-        return FormMatrix(self.size, self.dimension, -self.data)
-
-    def __mul__(self, scalar: float) -> "FormMatrix":
-        return FormMatrix(self.size, self.dimension, self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "FormMatrix") -> None:
-        if self.size != other.size:
-            raise DimensionMismatchError(f"matrix sizes differ: {self.size} vs {other.size}")
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"coframe dimensions differ: {self.dimension} vs {other.dimension}"
-            )
-
-    def __repr__(self) -> str:
-        return f"FormMatrix(size={self.size}, coframe_dim={self.dimension})"
+def identity(size: int, dimension: int) -> np.ndarray:
+    """The unit matrix of forms."""
+    unit = np.zeros((size, size, 1 << dimension))
+    unit[:, :, 0] = np.eye(size)
+    return unit
 
 
-def identity(size: int, dimension: int) -> FormMatrix:
-    return FormMatrix.from_scalar_matrix(np.eye(size), dimension)
+def _is_degree0(m: np.ndarray) -> bool:
+    return not np.any(m[..., 1:])
 
 
-# The kernels below act on data arrays of shape (..., size, size, 2^n) and
-# broadcast over the leading axes, so one call covers a whole stack of
-# matrices (one per quadrature node, say).  The per-matrix functions call the
-# same kernels; a stack takes a fast path only when every matrix in it does.
-
-def _is_degree0(data: np.ndarray) -> bool:
-    return not np.any(data[..., 1:])
-
-
-def mat_mul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`mat_mul`."""
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product with entries combined by wedge: (AB)_ik = sum_j A_ij ^ B_jk."""
+    if a.shape[-3:] != b.shape[-3:]:
+        raise DimensionMismatchError(f"matrix shapes differ: {a.shape[-3:]} vs {b.shape[-3:]}")
     # fast paths when one factor is purely scalar (degree 0)
     if _is_degree0(a):
         return np.einsum("...ij,...jkc->...ikc", a[..., 0], b)
@@ -320,20 +241,9 @@ def mat_mul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_data(a: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`trace`."""
+def trace(a: np.ndarray) -> np.ndarray:
+    """Sum of diagonal entries: the coefficients (..., 2^n) of one form per matrix."""
     return np.einsum("...iic->...c", a)
-
-
-def mat_mul(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    """Matrix product with entries combined by wedge: (AB)_ik = sum_j A_ij ^ B_jk."""
-    a._check(b)
-    return FormMatrix(a.size, a.dimension, mat_mul_data(a.data, b.data))
-
-
-def trace(a: FormMatrix) -> ExteriorForm:
-    """Sum of diagonal entries."""
-    return ExteriorForm(a.dimension, trace_data(a.data))
 
 
 def spectral_radius_degree0(mat: np.ndarray):
@@ -351,23 +261,7 @@ def _check_radius(germ: AnalyticGerm, m0: np.ndarray) -> None:
         raise ConvergenceRadiusError(float(rho[bad[0]]), germ.radius, germ.name)
 
 
-def apply_germ_data(
-    germ: AnalyticGerm, m: np.ndarray, order: int = DEFAULT_SERIES_ORDER
-) -> np.ndarray:
-    """Kernel of :func:`apply_germ`."""
-    _check_radius(germ, m[..., 0])
-    unit = identity(m.shape[-2], _dimension_of(m)).data
-    acc = np.broadcast_to(unit * germ.coeff(0), m.shape)
-    power = unit
-    for k in range(1, order + 1):
-        power = mat_mul_data(power, m)
-        c = germ.coeff(k)
-        if c != 0.0:
-            acc = acc + power * c
-    return acc
-
-
-def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_ORDER) -> FormMatrix:
+def apply_germ(germ: AnalyticGerm, m: np.ndarray, order: int = DEFAULT_SERIES_ORDER) -> np.ndarray:
     """sum_{k<=order} c_k M^k with geometric degree > n discarded automatically.
 
     Raises ConvergenceRadiusError when the degree-0 part of M has spectral
@@ -376,13 +270,26 @@ def apply_germ(germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_OR
     discrepancy between the direct route and the closed one, which has no
     truncation.
     """
-    return FormMatrix(m.size, m.dimension, apply_germ_data(germ, m.data, order))
+    _check_radius(germ, m[..., 0])
+    unit = identity(m.shape[-2], _dimension_of(m))
+    acc = np.broadcast_to(unit * germ.coeff(0), m.shape)
+    power = unit
+    for k in range(1, order + 1):
+        power = mat_mul(power, m)
+        c = germ.coeff(k)
+        if c != 0.0:
+            acc = acc + power * c
+    return acc
 
 
-def star_second_data(
+def star_second(
     germ: AnalyticGerm, a: np.ndarray, b: np.ndarray, order: int = DEFAULT_SERIES_ORDER
 ) -> np.ndarray:
-    """Kernel of :func:`star_second`."""
+    """Non-commutative second derivative sum_n f^(n+1)(0)/n! * sum_q a^q b a^(n-1-q).
+
+    ``a`` must be purely degree 0; ``b`` may carry forms of any degree.  For an
+    even germ the result is insensitive to the sign of ``a``.
+    """
     if not _is_degree0(a):
         raise ValueError("star_second requires a purely degree-0 first argument")
     _check_radius(germ, a[..., 0])
@@ -403,52 +310,21 @@ def star_second_data(
     return out
 
 
-def star_second(
-    germ: AnalyticGerm,
-    a: FormMatrix,
-    b: FormMatrix,
-    order: int = DEFAULT_SERIES_ORDER,
-) -> FormMatrix:
-    """Non-commutative second derivative sum_n f^(n+1)(0)/n! * sum_q a^q b a^(n-1-q).
-
-    ``a`` must be purely degree 0; ``b`` may carry forms of any degree.  For an
-    even germ the result is insensitive to the sign of ``a``.
-    """
-    a._check(b)
-    return FormMatrix(b.size, b.dimension, star_second_data(germ, a.data, b.data, order))
-
-
-def exp_trace_germ(
-    germ: AnalyticGerm, m: FormMatrix, order: int = DEFAULT_SERIES_ORDER
-) -> ExteriorForm:
-    """exp(Tr[f(M)]): the det^(1/2)-style characteristic form built from f.
-
-    The outer exponential is expanded exactly up to the coframe dimension.
-    """
-    return exp_form(trace(apply_germ(germ, m, order)))
-
-
-def char_poly(m: FormMatrix) -> list:
-    """Characteristic polynomial coefficients [1, c_1, .., c_size] of a matrix
-    whose entries all have even exterior degree (so they commute), with
-    det(lambda I - M) = sum_k c_k lambda^(size - k).
+def char_poly(m: np.ndarray) -> list:
+    """Characteristic polynomial coefficients [1, c_1, .., c_size] of one
+    matrix whose entries all have even exterior degree (so they commute), with
+    det(lambda I - M) = sum_k c_k lambda^(size - k), as exterior forms.
 
     Faddeev-LeVerrier recursion; valid over any commutative coefficient ring.
     """
-    from .exterior import _degree_masks
-
-    deg = _degree_masks(m.dimension)
-    odd = [mask for mask in range(1 << m.dimension) if deg[mask] % 2]
-    if np.any(m.data[:, :, odd]):
+    dim, size = _dimension_of(m), m.shape[-2]
+    if np.any(m[..., _degree_masks(dim) % 2 == 1]):
         raise ValueError("char_poly needs entries of even exterior degree")
-    coeffs = [ExteriorForm.scalar(m.dimension, 1.0)]
-    aux = identity(m.size, m.dimension)
-    for k in range(1, m.size + 1):
+    coeffs = [ExteriorForm.scalar(dim, 1.0)]
+    aux, diagonal = identity(size, dim), np.arange(size)
+    for k in range(1, size + 1):
         aux = mat_mul(m, aux)
         c_k = trace(aux) * (-1.0 / k)
-        coeffs.append(c_k)
-        data = aux.data.copy()
-        for i in range(m.size):
-            data[i, i] += c_k.coeffs
-        aux = FormMatrix(m.size, m.dimension, data)
+        coeffs.append(ExteriorForm(dim, c_k))
+        aux[diagonal, diagonal] += c_k
     return coeffs

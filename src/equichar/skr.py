@@ -34,7 +34,6 @@ from .errors import EquicharError, ProfileError
 from .exterior import mask_of_indices
 from .matforms import (
     _BAR,
-    FormMatrix,
     _horner,
     hirzebruch_l_log_germ,
     l_log_at_angle,
@@ -226,8 +225,8 @@ def curvature_components(p: SKRProfile, d: DerivedFunctions) -> CurvatureCompone
     return CurvatureComponents(b, c, -d.psi_d, r)
 
 
-def curvature_matrix(cc: CurvatureComponents) -> FormMatrix:
-    """The adapted-frame curvature matrix over the 4-dimensional coframe.
+def curvature_matrix(cc: CurvatureComponents) -> np.ndarray:
+    """The adapted-frame curvature matrix of forms over the 4-dimensional coframe.
 
     Row/column pattern: the (1,2) entry is b e^12 + c e^34, the (3,4) entry
     c e^12 + d e^34, and the four mixed entries are r(e^13 + e^24) and
@@ -248,19 +247,19 @@ def curvature_matrix(cc: CurvatureComponents) -> FormMatrix:
     put(1, 4, [((1, 4), cc.r), ((2, 3), -cc.r)])
     put(2, 3, [((1, 4), -cc.r), ((2, 3), cc.r)])
     put(2, 4, [((1, 3), cc.r), ((2, 4), cc.r)])
-    return FormMatrix(4, dim, data)
+    return data
 
 
-def nabla_x_matrix(phi: float, psi: float, dimension: int = 4) -> FormMatrix:
-    """Degree-0 matrix of the Killing field's covariant derivative:
+def nabla_x_matrix(phi: float, psi: float, dimension: int = 4) -> np.ndarray:
+    """Degree-0 matrix of forms of the Killing field's covariant derivative:
     phi on the horizontal rotation block, psi on the vertical one."""
-    mat = np.zeros((4, 4))
-    mat[0, 1], mat[1, 0] = phi, -phi
-    mat[2, 3], mat[3, 2] = psi, -psi
-    return FormMatrix.from_scalar_matrix(mat, dimension)
+    data = np.zeros((4, 4, 1 << dimension))
+    data[0, 1, 0], data[1, 0, 0] = phi, -phi
+    data[2, 3, 0], data[3, 2, 0] = psi, -psi
+    return data
 
 
-def equivariant_curvature_matrix(p: SKRProfile, tau: float) -> FormMatrix:
+def equivariant_curvature_matrix(p: SKRProfile, tau: float) -> np.ndarray:
     """Equivariant curvature in the adapted frame.
 
     The circle action is generated by the Killing field u itself; with the
@@ -353,7 +352,8 @@ class BoundaryData:
     theta is the second-fundamental-form difference matrix with 1-form
     entries k e^1, k e^2, l e^3 in the last column (k = phi0/sqrt(Q0),
     l = psi0/sqrt(Q0)); a1/a2/a3 are the pieces of the pulled-back curvature
-    of the connection family, i* R^t = a1 + t a2 + t^2 a3.
+    of the connection family, i* R^t = a1 + t a2 + t^2 a3.  All four are
+    4x4 matrices of forms over the 3-dimensional boundary coframe.
     """
 
     phi0: float
@@ -365,10 +365,10 @@ class BoundaryData:
     r_2314: float
     r0_1212: float
     r0_2323: float
-    theta: FormMatrix
-    a1: FormMatrix
-    a2: FormMatrix
-    a3: FormMatrix
+    theta: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
 
 
 def boundary_data(p: SKRProfile) -> BoundaryData:
@@ -394,7 +394,6 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
     theta[1, 3, mask_of_indices((2,), dim)] = k
     theta[2, 3, mask_of_indices((3,), dim)] = l
     theta -= theta.transpose(1, 0, 2)
-    theta_m = FormMatrix(4, dim, theta)
 
     a1 = np.zeros((4, 4, 1 << dim))
     a1[0, 1, mask_of_indices((1, 2), dim)] = r0_1212
@@ -408,8 +407,8 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
     a2[2, 3, mask_of_indices((1, 2), dim)] = cc.c
     a2 -= a2.transpose(1, 0, 2)
 
-    a3_m = mat_mul(theta_m, theta_m)
-    if not (np.isfinite(a1).all() and np.isfinite(a3_m.data).all()):
+    a3 = mat_mul(theta, theta)
+    if not (np.isfinite(a1).all() and np.isfinite(a3).all()):
         raise EquicharError("non-finite boundary curvature (a float overflow)")
 
     return BoundaryData(
@@ -422,10 +421,10 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
         r_2314=-cc.r,
         r0_1212=r0_1212,
         r0_2323=r0_2323,
-        theta=theta_m,
-        a1=FormMatrix(4, dim, a1),
-        a2=FormMatrix(4, dim, a2),
-        a3=a3_m,
+        theta=theta,
+        a1=a1,
+        a2=a2,
+        a3=a3,
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from equichar.errors import ProfileError
 from equichar.exterior import ExteriorForm
-from equichar.matforms import FormMatrix
 from equichar.skr import SKRProfile
 
 
@@ -73,10 +72,16 @@ def make_reducible(rng, degree=4):
     raise RuntimeError("failed to draw a valid reducible profile")
 
 
-def family_at(fam, t):
-    """nabla^t X and R^t of a connection family at one t, as form matrices."""
-    size, dim = fam.theta.size, fam.theta.dimension
-    return tuple(FormMatrix(size, dim, data) for data in fam.at(t))
+def max_abs(a):
+    """Largest absolute coefficient of a matrix of forms or a coefficient array."""
+    return float(np.max(np.abs(a)))
+
+
+def integrate_per_node(quad, fn):
+    """sum_i w_i fn(t_i) for fn giving a form's coefficients, one call per
+    node, accumulated left-to-right over ascending nodes."""
+    xs, _ = quad.rule()
+    return quad.weighted_sum(np.stack([fn(float(x)) for x in xs]))
 
 
 @pytest.fixture

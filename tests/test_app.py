@@ -26,6 +26,7 @@ from equichar.app import (
     run_check,
     run_oracle,
 )
+from equichar.charforms import l_form
 from equichar.errors import ConfigError, ConvergenceRadiusError, ProfileError
 from equichar.matforms import hirzebruch_l_log_germ
 from equichar.skr import SKRProfile
@@ -481,7 +482,8 @@ def test_lform_check_tolerance_bounds_the_truncation(angle):
     picks = app._lform_taus(SKRProfile.irreducible_polynomial([1.0], c_bar=-1.0), 100)[::40]
     a = angle / (1.3 + 0.6 * picks[-1])
     p = SKRProfile.irreducible_polynomial([a, 0.3 * a], c_bar=-1.0, base_curv=1.0)
-    coarse, fine = app._generic_l4(p, picks), app._generic_l4(p, picks, 40)
+    stack = np.stack([skr.equivariant_curvature_matrix(p, t) for t in picks])
+    coarse, fine = l_form(stack)[:, -1], l_form(stack, 40)[:, -1]
     derived = [skr.derived_functions(p, t) for t in picks]
     largest = max(max(abs(d.phi), abs(d.psi)) for d in derived)
     products = max(
@@ -694,6 +696,27 @@ def test_report_json_structure(tmp_path):
     assert payload["eta"]["error"] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "example,unread",
+    [
+        ("example_irreducible.json", {"a_const": 1.0, "q_coeffs": [1.0]}),
+        ("example_reducible.json", {"c_bar": -1.0, "phi_coeffs": [1.0]}),
+    ],
+)
+def test_report_json_echoes_only_the_profile_keys_read(tmp_path, capsys, example, unread):
+    """Profile keys that the loader does not read for the mode leave
+    report.json byte for byte as the example writes it."""
+    payload = json.loads((EXAMPLES / example).read_text())
+    reports = []
+    for name, extra in (("as-given", {}), ("with-unread", unread)):
+        payload["profile"].update(extra)
+        cfg = write_cfg(tmp_path, payload, f"{name}.json")
+        assert main(["eta", str(cfg), "-o", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
 # ----------------------------------------------------------------- checks and CLI
 
 def test_run_check_passes(tmp_path, capsys):
@@ -855,6 +878,13 @@ def test_cli_exit_codes(tmp_path, capsys):
             1,
             "numerical failure: non-finite boundary curvature",
         ),
+        # c_bar^2 underflows to 0 in the boundary curvature: the message named no function
+        (
+            "eta",
+            {"phi_coeffs": [-0.2], "c_bar": 1e-300, "tau_min": -0.5},
+            1,
+            "numerical failure: float division by zero in boundary_data",
+        ),
         # NaN in the finite differences: RuntimeWarning lines came first on stderr
         (
             "oracle",
@@ -889,6 +919,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         "overflowing-report",
         "overflowing-lform-rows",
         "overflowing-boundary-curvature",
+        "underflowing-c-bar-squared",
         "numpy-invalid-value",
         "nan-fd-curvature",
     ],

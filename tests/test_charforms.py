@@ -5,11 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import family_at
-from equichar import skr
+from conftest import integrate_per_node, max_abs
+from equichar import app, skr
 from equichar.app import build_profile, load_config
 from equichar.errors import ConvergenceRadiusError
-from equichar.exterior import ExteriorForm, _degree_masks, degree_component, exp_form, wedge
+from equichar.exterior import (
+    ExteriorForm,
+    _degree_masks,
+    degree_component,
+    degree_component_coeffs,
+    exp_form,
+    mask_of_indices,
+    wedge,
+)
 from equichar.charforms import (
     ConnectionFamily,
     QuadratureSpec,
@@ -21,7 +29,6 @@ from equichar.charforms import (
     transgression_degree3_alt,
 )
 from equichar.matforms import (
-    FormMatrix,
     apply_germ,
     hirzebruch_l_log_germ,
     l_log_at_angle,
@@ -35,6 +42,11 @@ QUAD = QuadratureSpec(32)
 GERM = hirzebruch_l_log_germ()
 
 
+def form(coeffs):
+    """The exterior form with coefficients ``coeffs``, one of 2^n."""
+    return ExteriorForm(len(coeffs).bit_length() - 1, coeffs)
+
+
 def rand_antisym(size, dim, degree, scale, rng):
     deg = _degree_masks(dim)
     data = np.zeros((size, size, 1 << dim))
@@ -42,7 +54,7 @@ def rand_antisym(size, dim, degree, scale, rng):
         for j in range(i + 1, size):
             vec = np.where(deg == degree, rng.uniform(-scale, scale, 1 << dim), 0.0)
             data[i, j], data[j, i] = vec, -vec
-    return FormMatrix(size, dim, data)
+    return data
 
 
 def random_family(rng, dim=3):
@@ -58,7 +70,7 @@ def random_family(rng, dim=3):
 # ----------------------------------------------------------------- equivariant curvature
 
 def test_equivariant_curvature_zero():
-    assert equivariant_curvature(FormMatrix(4, 4), FormMatrix(4, 4)).max_abs() == 0.0
+    assert max_abs(equivariant_curvature(np.zeros((4, 4, 16)), np.zeros((4, 4, 16)))) == 0.0
 
 
 def test_equivariant_curvature_skr_display(worked_profile):
@@ -71,24 +83,25 @@ def test_equivariant_curvature_skr_display(worked_profile):
     rg = equivariant_curvature(
         skr.curvature_matrix(cc), skr.nabla_x_matrix(-d.phi, -d.psi)
     )
-    assert (rg - skr.equivariant_curvature_matrix(worked_profile, 0.0)).max_abs() == 0.0
-    a_entry = rg.entry(0, 1)
-    assert a_entry.coefficient(()) == d.phi
-    assert a_entry.coefficient((1, 2)) == cc.b
-    assert a_entry.coefficient((3, 4)) == cc.c
-    b_entry = rg.entry(2, 3)
-    assert b_entry.coefficient(()) == d.psi
-    assert b_entry.coefficient((1, 2)) == cc.c
-    assert b_entry.coefficient((3, 4)) == cc.d
-    assert rg.entry(0, 2).coefficient((1, 3)) == cc.r
-    assert rg.entry(0, 3).coefficient((2, 3)) == -cc.r
+    assert max_abs(rg - skr.equivariant_curvature_matrix(worked_profile, 0.0)) == 0.0
+    e12, e34 = mask_of_indices((1, 2), 4), mask_of_indices((3, 4), 4)
+    assert rg[0, 1, 0] == d.phi
+    assert rg[0, 1, e12] == cc.b
+    assert rg[0, 1, e34] == cc.c
+    assert rg[2, 3, 0] == d.psi
+    assert rg[2, 3, e12] == cc.c
+    assert rg[2, 3, e34] == cc.d
+    assert rg[0, 2, mask_of_indices((1, 3), 4)] == cc.r
+    assert rg[0, 3, mask_of_indices((2, 3), 4)] == -cc.r
 
 
 def test_equivariant_curvature_size_mismatch():
     from equichar.errors import DimensionMismatchError
 
     with pytest.raises(DimensionMismatchError):
-        equivariant_curvature(FormMatrix(4, 4), FormMatrix(3, 4))
+        equivariant_curvature(np.zeros((4, 4, 16)), np.zeros((3, 3, 16)))
+    with pytest.raises(DimensionMismatchError):
+        equivariant_curvature(np.zeros((4, 4, 16)), np.zeros((4, 4, 8)))
 
 
 def test_equivariant_curvature_reducible_blocks():
@@ -97,21 +110,21 @@ def test_equivariant_curvature_reducible_blocks():
     # off-diagonal 2x2 blocks vanish: c = r = 0 and phi = 0
     for i in (0, 1):
         for j in (2, 3):
-            assert rg.entry(i, j).max_abs() == 0.0
+            assert max_abs(rg[i, j]) == 0.0
 
 
 # ----------------------------------------------------------------- characteristic forms
 
 def test_l_form_at_zero():
-    out = l_form(FormMatrix(4, 4))
-    assert out.coefficient(()) == 1.0
-    assert (out - ExteriorForm.scalar(4, 1.0)).max_abs() == 0.0
+    out = l_form(np.zeros((4, 4, 16)))
+    assert out[0] == 1.0
+    assert max_abs(out - ExteriorForm.scalar(4, 1.0).coeffs) == 0.0
 
 
 def test_l_form_degree0_is_product_of_angles(worked_profile):
     d = skr.derived_functions(worked_profile, -0.2)
     rg = skr.equivariant_curvature_matrix(worked_profile, -0.2)
-    got = l_form(rg).coefficient(())
+    got = l_form(rg)[0]
     want = math.exp(2.0 * (l_log_at_angle(d.phi)[0] + l_log_at_angle(d.psi)[0]))
     assert abs(got - want) < 1e-12
 
@@ -120,11 +133,11 @@ def test_l_form_classical_degree4(rng):
     """X = 0: degree-4 coefficient equals the quadratic Taylor term of the
     half-log germ paired with Tr[R ^ R] (independent expansion oracle)."""
     r = rand_antisym(4, 4, 2, 0.7, rng)
-    got = l_form(r).coefficient((1, 2, 3, 4))
+    got = l_form(r)[mask_of_indices((1, 2, 3, 4), 4)]
     tr_rr = ExteriorForm.zero(4)
     for i in range(4):
         for j in range(4):
-            tr_rr = tr_rr + wedge(r.entry(i, j), r.entry(j, i))
+            tr_rr = tr_rr + wedge(form(r[i, j]), form(r[j, i]))
     want = GERM.coeff(2) * tr_rr.coefficient((1, 2, 3, 4))
     assert abs(got - want) < 1e-14
 
@@ -133,7 +146,7 @@ def test_l_form_classical_degree4(rng):
 
 def test_transgression_zero_theta(rng):
     fam = random_family(rng)
-    fam0 = replace(fam, theta=FormMatrix(4, 3))
+    fam0 = replace(fam, theta=np.zeros((4, 4, 8)))
     assert transgression(GERM, fam0, QUAD).max_abs() == 0.0
     assert transgression_degree3(GERM, fam0, QUAD).max_abs() == 0.0
 
@@ -142,12 +155,12 @@ def test_transgression_constant_family_quadrature_exactness(rng):
     theta = rand_antisym(4, 3, 1, 0.4, rng)
     nx = rand_antisym(4, 3, 0, 0.3, rng)
     rt = rand_antisym(4, 3, 2, 0.4, rng)
-    zero = FormMatrix(4, 3)
+    zero = np.zeros((4, 4, 8))
     fam = ConnectionFamily(theta=theta, nabla_x=(nx, zero), curvature=(rt, zero, zero))
     rg = equivariant_curvature(rt, nx)
     integrand = wedge(
-        exp_form(trace(apply_germ(GERM, rg))),
-        trace(mat_mul(theta, apply_germ(GERM.derivative(), rg))),
+        exp_form(form(trace(apply_germ(GERM, rg)))),
+        form(trace(mat_mul(theta, apply_germ(GERM.derivative(), rg)))),
     )
     got = transgression(GERM, fam, QUAD)
     assert (got - integrand).max_abs() < 1e-14
@@ -166,11 +179,11 @@ def test_transgression_degree3_x_zero_family(rng):
     a1 = rand_antisym(4, 3, 2, 0.4, rng)
     a2 = rand_antisym(4, 3, 2, 0.4, rng)
     curv = lambda t: a1 + a2 * t
-    zero = FormMatrix(4, 3)
+    zero = np.zeros((4, 4, 8))
     fam = ConnectionFamily(theta=theta, nabla_x=(zero, zero), curvature=(a1, a2, zero))
     got = transgression_degree3(GERM, fam, QUAD)
-    want = QUAD.integrate_forms(
-        lambda t: degree_component(trace(mat_mul(theta, curv(t))), 3)
+    want = integrate_per_node(
+        QUAD, lambda t: degree_component_coeffs(trace(mat_mul(theta, curv(t))), 3)
     ) * GERM.second_derivative_at_zero()
     assert (got - want).max_abs() < 1e-15
 
@@ -220,11 +233,11 @@ def test_factorization_identity_randomized(dim):
     for _ in range(5):
         fam = random_family(rng, dim)
         for t in (0.0, 0.37, 1.0):
-            nx, rt = family_at(fam, t)
-            lhs = exp_form(trace(apply_germ(GERM, equivariant_curvature(rt, nx))))
+            nx, rt = fam.at(t)
+            lhs = exp_form(form(trace(apply_germ(GERM, equivariant_curvature(rt, nx)))))
             rhs = wedge(
-                exp_form(trace(apply_germ(GERM, nx))),
-                ExteriorForm.scalar(dim, 1.0) - trace(mat_mul(apply_germ(d_germ, nx), rt)),
+                exp_form(form(trace(apply_germ(GERM, nx)))),
+                ExteriorForm.scalar(dim, 1.0) - form(trace(mat_mul(apply_germ(d_germ, nx), rt))),
             )
             for k in range(min(dim, 3) + 1):
                 assert (degree_component(lhs, k) - degree_component(rhs, k)).max_abs() < 1e-10
@@ -237,12 +250,12 @@ def test_expansion_identity_randomized(dim):
     d_germ = GERM.derivative()
     for _ in range(5):
         fam = random_family(rng, dim)
-        nx, rt = family_at(fam, 0.61)
+        nx, rt = fam.at(0.61)
         lhs = apply_germ(d_germ, equivariant_curvature(rt, nx))
         rhs = star_second(GERM, nx, rt) - apply_germ(d_germ, nx)
         for i in range(4):
             for j in range(4):
-                diff = lhs.entry(i, j) - rhs.entry(i, j)
+                diff = form(lhs[i, j] - rhs[i, j])
                 for k in range(min(dim, 3) + 1):
                     assert degree_component(diff, k).max_abs() < 1e-10
 
@@ -251,8 +264,8 @@ def test_x_to_zero_limit_order(rng):
     """Scaling the Killing block by s, the reduced transgression converges to
     f''(0) * int Tr[Theta R^t] dt at measured order >= 1.9."""
     fam = random_family(rng)
-    ref = QUAD.integrate_forms(
-        lambda t: degree_component(trace(mat_mul(fam.theta, family_at(fam, t)[1])), 3)
+    ref = integrate_per_node(
+        QUAD, lambda t: degree_component_coeffs(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
     ) * GERM.second_derivative_at_zero()
     scales = (1e-1, 1e-2, 1e-3)
     errs = []
@@ -270,15 +283,15 @@ def _direct_per_node(germ, fam, quad, order=16):
     d_germ = germ.derivative()
 
     def integrand(t):
-        nx, rt = family_at(fam, t)
+        nx, rt = fam.at(t)
         f_nx = apply_germ(d_germ, nx, order)
-        weight = exp_form(trace(apply_germ(germ, nx, order)))
-        t1 = trace(mat_mul(fam.theta, f_nx))
-        t2 = trace(mat_mul(f_nx, rt))
-        t3 = trace(mat_mul(star_second(germ, nx, fam.theta, order), rt))
-        return degree_component(wedge(weight, wedge(t1, t2) + t3), 3)
+        weight = exp_form(form(trace(apply_germ(germ, nx, order))))
+        t1 = form(trace(mat_mul(fam.theta, f_nx)))
+        t2 = form(trace(mat_mul(f_nx, rt)))
+        t3 = form(trace(mat_mul(star_second(germ, nx, fam.theta, order), rt)))
+        return degree_component(wedge(weight, wedge(t1, t2) + t3), 3).coeffs
 
-    return quad.integrate_forms(integrand)
+    return integrate_per_node(quad, integrand)
 
 
 def _alt_per_node(germ, fam, quad, order=16):
@@ -286,15 +299,15 @@ def _alt_per_node(germ, fam, quad, order=16):
     d_germ = germ.derivative()
 
     def integrand(t):
-        nx, rt = family_at(fam, t)
-        weight = exp_form(trace(apply_germ(germ, nx, order)))
-        one_plus = ExteriorForm.scalar(weight.dimension, 1.0) + trace(
-            mat_mul(fam.theta, apply_germ(d_germ, nx, order))
+        nx, rt = fam.at(t)
+        weight = exp_form(form(trace(apply_germ(germ, nx, order))))
+        one_plus = ExteriorForm.scalar(weight.dimension, 1.0) + form(
+            trace(mat_mul(fam.theta, apply_germ(d_germ, nx, order)))
         )
-        shifted = trace(mat_mul(apply_germ(d_germ, fam.theta + nx, order), rt))
-        return degree_component(wedge(weight, wedge(one_plus, shifted)), 3)
+        shifted = form(trace(mat_mul(apply_germ(d_germ, fam.theta + nx, order), rt)))
+        return degree_component(wedge(weight, wedge(one_plus, shifted)), 3).coeffs
 
-    return quad.integrate_forms(integrand)
+    return integrate_per_node(quad, integrand)
 
 
 ROUTES = [(transgression_degree3, _direct_per_node), (transgression_degree3_alt, _alt_per_node)]
@@ -333,6 +346,46 @@ def test_batched_routes_reject_late_nodes_past_germ_radius(route):
     assert err.value.spectral_radius == pytest.approx(4.5 * first_bad, rel=1e-14)
 
 
+def _example_curvature_stack(example):
+    """The equivariant curvature matrices at the three taus that check's
+    lform-closed-vs-generic compares, stacked."""
+    p = build_profile(load_config(EXAMPLES / example))
+    picks = app._lform_taus(p, 100)[::40]
+    return np.stack([skr.equivariant_curvature_matrix(p, t) for t in picks])
+
+
+def _random_stack(shape, seed):
+    return np.random.default_rng(seed).uniform(-0.3, 0.3, shape)
+
+
+STACKS = {
+    "irreducible-example": lambda: _example_curvature_stack("example_irreducible.json"),
+    "reducible-example": lambda: _example_curvature_stack("example_reducible.json"),
+    "random-dim4": lambda: _random_stack((5, 4, 4, 16), 503),
+    "random-dim3": lambda: _random_stack((5, 4, 4, 8), 509),
+}
+
+
+@pytest.mark.parametrize("which", list(STACKS))
+def test_stacked_functions_bit_equal_per_matrix(which):
+    """On a stack of matrices of forms every function gives each matrix the
+    bits it gets alone; star_second's first argument is the stack's degree-0
+    part, and mat_mul pairs the stack with itself reversed and with that part."""
+    stack = STACKS[which]()
+    degree0 = np.zeros_like(stack)
+    degree0[..., 0] = stack[..., 0]
+    per_matrix = lambda fn, *stacks: np.stack([fn(*ms) for ms in zip(*stacks)])
+    assert stack.shape[0] >= 3
+    assert np.array_equal(l_form(stack), per_matrix(l_form, stack))
+    apply = lambda m: apply_germ(GERM, m)
+    assert np.array_equal(apply(stack), per_matrix(apply, stack))
+    star = lambda a, b: star_second(GERM, a, b)
+    assert np.array_equal(star(degree0, stack), per_matrix(star, degree0, stack))
+    assert np.array_equal(mat_mul(stack, stack[::-1]), per_matrix(mat_mul, stack, stack[::-1]))
+    assert np.array_equal(mat_mul(degree0, stack), per_matrix(mat_mul, degree0, stack))
+    assert np.array_equal(trace(stack), per_matrix(trace, stack))
+
+
 # ----------------------------------------------------------------- family validation
 
 def test_family_at_nodes_bit_equal_per_node(rng):
@@ -353,9 +406,9 @@ def _invalid_coefficients(fam, which, rng):
         # pure degree 2 at t = 0 and t = 1 only: R^t carries t (1 - t) F between
         "curvature-forms-between-endpoints": (fam.nabla_x, (r0, f, -f)),
         "n1-with-a-one-form": ((n0, n1 + f), fam.curvature),
-        "non-antisymmetric": (fam.nabla_x, (r0, FormMatrix(4, 3, np.abs(r1.data)), r2)),
+        "non-antisymmetric": (fam.nabla_x, (r0, np.abs(r1), r2)),
         "coframe-dimension": (fam.nabla_x, (r0, r1, rand_antisym(4, 4, 2, 0.4, rng))),
-        "matrix-size": ((n0, FormMatrix(3, 3)), fam.curvature),
+        "matrix-size": ((n0, np.zeros((3, 3, 8))), fam.curvature),
     }[which]
 
 

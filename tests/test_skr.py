@@ -5,13 +5,23 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import char_poly_forms, make_irreducible, make_reducible
+from conftest import char_poly_forms, make_irreducible, make_reducible, max_abs
 from equichar import skr
 from equichar.charforms import QuadratureSpec, l_form, transgression_degree3
 from equichar.errors import ConvergenceRadiusError, ProfileError
-from equichar.exterior import ExteriorForm, degree_component, wedge
+from equichar.exterior import (
+    ExteriorForm,
+    _degree_masks,
+    degree_component_coeffs,
+    mask_of_indices,
+    wedge,
+)
 from equichar.matforms import char_poly, hirzebruch_l_log_germ, l_log_at_angle, mat_mul, trace
 from equichar.skr import SKRProfile
+
+
+def is_antisymmetric(m):
+    return not np.any(m + m.transpose(1, 0, 2))
 
 QUAD = QuadratureSpec(32)
 GERM = hirzebruch_l_log_germ()
@@ -125,15 +135,15 @@ def test_half_relation_r_equals_c_over_2(rng):
 
 
 def test_curvature_matrix_zero():
-    assert skr.curvature_matrix(skr.CurvatureComponents(0, 0, 0, 0)).max_abs() == 0.0
+    assert max_abs(skr.curvature_matrix(skr.CurvatureComponents(0, 0, 0, 0))) == 0.0
 
 
 def test_curvature_matrix_worked_entries(worked_profile):
     cc = skr.curvature_components(worked_profile, skr.derived_functions(worked_profile, 0.0))
     r = skr.curvature_matrix(cc)
-    assert r.entry(0, 1).coefficient((3, 4)) == pytest.approx(-0.25)  # R_1234 = -phi'
-    assert r.entry(1, 2).coefficient((1, 4)) == pytest.approx(0.125)  # R_2314 = phi'/2
-    assert r.is_antisymmetric()
+    assert r[0, 1, mask_of_indices((3, 4), 4)] == pytest.approx(-0.25)  # R_1234 = -phi'
+    assert r[1, 2, mask_of_indices((1, 4), 4)] == pytest.approx(0.125)  # R_2314 = phi'/2
+    assert is_antisymmetric(r)
 
 
 def test_curvature_matrix_sparsity(rng):
@@ -144,20 +154,20 @@ def test_curvature_matrix_sparsity(rng):
         r = skr.curvature_matrix(skr.curvature_components(p, d))
         for i in range(4):
             for j in range(4):
-                entry = r.entry(i, j)
+                entry = lambda idx: r[i, j, mask_of_indices(idx, 4)]
                 for idx in ((), (1,), (2,), (3,), (4,), (1, 2, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-                    assert entry.coefficient(idx) == 0.0
-                assert entry.coefficient((1, 3)) == entry.coefficient((2, 4))
-                assert entry.coefficient((1, 4)) == -entry.coefficient((2, 3))
+                    assert entry(idx) == 0.0
+                assert entry((1, 3)) == entry((2, 4))
+                assert entry((1, 4)) == -entry((2, 3))
 
 
 def test_nabla_x_matrix_layout():
-    assert skr.nabla_x_matrix(0.0, 0.0).max_abs() == 0.0
+    assert max_abs(skr.nabla_x_matrix(0.0, 0.0)) == 0.0
     n = skr.nabla_x_matrix(0.5, 0.75)
-    block = n.degree0()
+    block = n[:, :, 0]
     assert block[0, 1] == 0.5 and block[1, 0] == -0.5
     assert block[2, 3] == 0.75 and block[3, 2] == -0.75
-    sq = mat_mul(n, n).degree0()
+    sq = mat_mul(n, n)[:, :, 0]
     assert np.allclose(sq, -np.diag([0.25, 0.25, 0.5625, 0.5625]))
 
 
@@ -168,10 +178,11 @@ def _form(a0, a12, a34, a1234):
 
 
 def _pfaffian(m):
+    entry = lambda i, j: ExteriorForm(4, m[i, j])
     return (
-        wedge(m.entry(0, 1), m.entry(2, 3))
-        - wedge(m.entry(0, 2), m.entry(1, 3))
-        + wedge(m.entry(0, 3), m.entry(1, 2))
+        wedge(entry(0, 1), entry(2, 3))
+        - wedge(entry(0, 2), entry(1, 3))
+        + wedge(entry(0, 3), entry(1, 2))
     )
 
 
@@ -224,8 +235,11 @@ def test_angle_forms_solve_the_char_poly(rng):
 
 # ----------------------------------------------------------------- closed L-form
 
+E1234 = mask_of_indices((1, 2, 3, 4), 4)
+
+
 def _generic_l4(p, tau, order=40):
-    return l_form(skr.equivariant_curvature_matrix(p, tau), order).coefficient((1, 2, 3, 4))
+    return l_form(skr.equivariant_curvature_matrix(p, tau), order)[E1234]
 
 
 def test_l4_worked_value(worked_profile):
@@ -277,9 +291,7 @@ def test_l_form_double_route_small_killing(rng):
         p = make_irreducible(rng, scale=2e-7)
         for t in np.linspace(p.tau_min * 0.85, -1e-3, 5):
             closed = skr.l4_coefficient(p, float(t))
-            generic = l_form(skr.equivariant_curvature_matrix(p, float(t))).coefficient(
-                (1, 2, 3, 4)
-            )
+            generic = l_form(skr.equivariant_curvature_matrix(p, float(t)))[E1234]
             rel = abs(closed - generic) / max(abs(closed), abs(generic))
             assert rel < 1e-10
             count += 1
@@ -366,13 +378,13 @@ def test_boundary_data_worked(worked_profile):
 def test_boundary_theta_sparsity(worked_profile):
     bd = skr.boundary_data(worked_profile)
     th = bd.theta
-    assert th.is_antisymmetric()
-    assert th.entry(0, 3).coefficient((1,)) == bd.k
-    assert th.entry(1, 3).coefficient((2,)) == bd.k
-    assert th.entry(2, 3).coefficient((3,)) == bd.l
+    assert is_antisymmetric(th)
+    assert th[0, 3, mask_of_indices((1,), 3)] == bd.k
+    assert th[1, 3, mask_of_indices((2,), 3)] == bd.k
+    assert th[2, 3, mask_of_indices((3,), 3)] == bd.l
     for i in range(3):
         for j in range(3):
-            assert th.entry(i, j).max_abs() == 0.0
+            assert max_abs(th[i, j]) == 0.0
 
 
 def test_boundary_nabla_tx(worked_profile):
@@ -387,29 +399,30 @@ def test_boundary_nabla_tx(worked_profile):
 
 def test_boundary_curvature_pieces(worked_profile):
     bd = skr.boundary_data(worked_profile)
-    assert bd.a1.entry(0, 1).coefficient((1, 2)) == bd.r0_1212
-    assert bd.a1.entry(0, 2).coefficient((1, 3)) == bd.r0_2323
-    assert bd.a1.entry(1, 2).coefficient((2, 3)) == bd.r0_2323
+    e12, e13, e23 = (mask_of_indices(idx, 3) for idx in ((1, 2), (1, 3), (2, 3)))
+    assert bd.a1[0, 1, e12] == bd.r0_1212
+    assert bd.a1[0, 2, e13] == bd.r0_2323
+    assert bd.a1[1, 2, e23] == bd.r0_2323
     for i in range(4):
-        assert bd.a1.entry(i, 3).max_abs() == 0.0
-    assert bd.a2.entry(0, 3).coefficient((2, 3)) == pytest.approx(0.125)  # -r
-    assert bd.a2.entry(1, 3).coefficient((1, 3)) == pytest.approx(-0.125)  # r
-    assert bd.a2.entry(2, 3).coefficient((1, 2)) == pytest.approx(-0.25)  # c
+        assert max_abs(bd.a1[i, 3]) == 0.0
+    assert bd.a2[0, 3, e23] == pytest.approx(0.125)  # -r
+    assert bd.a2[1, 3, e13] == pytest.approx(-0.125)  # r
+    assert bd.a2[2, 3, e12] == pytest.approx(-0.25)  # c
     a3 = bd.a3
-    assert (a3 - mat_mul(bd.theta, bd.theta)).max_abs() == 0.0
-    assert bd.a3.degrees_present() <= {2}
+    assert max_abs(a3 - mat_mul(bd.theta, bd.theta)) == 0.0
+    assert not np.any(bd.a3[..., _degree_masks(3) != 2])
 
 
 def test_boundary_reducible_structure(rng):
     p = make_reducible(rng)
     bd = skr.boundary_data(p)
     assert bd.k == 0.0
-    assert bd.a2.max_abs() == 0.0
-    assert bd.a3.max_abs() == 0.0
+    assert max_abs(bd.a2) == 0.0
+    assert max_abs(bd.a3) == 0.0
     # theta reduces to the single vertical slot l e3
-    assert bd.theta.entry(2, 3).coefficient((3,)) == bd.l
-    assert bd.theta.entry(0, 3).max_abs() == 0.0
-    assert bd.theta.entry(1, 3).max_abs() == 0.0
+    assert bd.theta[2, 3, mask_of_indices((3,), 3)] == bd.l
+    assert max_abs(bd.theta[0, 3]) == 0.0
+    assert max_abs(bd.theta[1, 3]) == 0.0
 
 
 # ----------------------------------------------------------------- transgression routes
@@ -442,9 +455,7 @@ def test_transgression_reducible_vanishes(rng):
 
 def test_transgression_zero_theta_forced(worked_profile):
     """Forcing k = l = 0 kills the transgression entirely."""
-    from equichar.matforms import FormMatrix
-
-    fam = replace(skr.boundary_family(skr.boundary_data(worked_profile)), theta=FormMatrix(4, 3))
+    fam = replace(skr.boundary_family(skr.boundary_data(worked_profile)), theta=np.zeros((4, 4, 8)))
     assert transgression_degree3(GERM, fam, QUAD).max_abs() == 0.0
 
 
@@ -456,8 +467,8 @@ def test_closed_integrand_killing_scale_limit(worked_profile):
     curv = lambda t: bd.a1 + bd.a2 * t + bd.a3 * (t * t)
 
     def reference(t):
-        tr = degree_component(trace(mat_mul(bd.theta, curv(t))), 3)
-        return GERM.second_derivative_at_zero() * tr.coefficient((1, 2, 3))
+        tr = degree_component_coeffs(trace(mat_mul(bd.theta, curv(t))), 3)
+        return GERM.second_derivative_at_zero() * tr[mask_of_indices((1, 2, 3), 3)]
 
     errs = []
     scales = (1e-1, 1e-2, 1e-3)
