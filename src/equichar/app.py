@@ -29,7 +29,7 @@ from . import oracle as oracle_mod
 from . import skr
 from .charforms import QuadratureSpec, gauss_legendre, l_form, transgression_degree3_alt
 from .errors import ConfigError, EquicharError, ProfileError
-from .matforms import DEFAULT_SERIES_ORDER, hirzebruch_l_log_germ
+from .matforms import hirzebruch_l_log_germ
 from .skr import SKRProfile
 
 __all__ = [
@@ -427,17 +427,6 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, residual <= tolerance, residual, tolerance)
 
 
-def _truncation_tolerance(angle: float) -> float:
-    """Ten times a bound on the generic L-form's truncation at the series order,
-    in the units of lform-closed-vs-generic, at rotation angles up to ``angle``:
-    the e^1234 part of a dropped term f_k Tr R_X^k of the L-log germ is at
-    most 2 k (k - 1) |f_k| angle^(k - 2) times the curvature products."""
-    taylor = hirzebruch_l_log_germ().taylor
-    dropped = [(k, f) for k, f in enumerate(taylor) if k > DEFAULT_SERIES_ORDER]
-    tail = sum(k * (k - 1) * abs(f) * angle ** (k - 2) for k, f in dropped)
-    return max(20.0 * tail, 1e-12)  # and rounding
-
-
 def run_check(cfg: RunConfig) -> list:
     """Run the invariant suite, then the oracle suite, on the configured
     profile; print one line per check."""
@@ -465,7 +454,7 @@ def run_check(cfg: RunConfig) -> list:
     # generic L-form, relative to the largest |bc| + |cd| + |bd| + c^2 + 4r^2 there,
     # the curvature products that the L4 of both routes are built of
     picks = taus[::40]
-    res_curv, closed_l4, products, angle = 0.0, [], 1e-12, 0.0
+    res_curv, closed_l4, products = 0.0, [], 1e-12
     for t in taus[::10]:
         d = skr.derived_functions(p, t)
         b, c, dd, r = cc = skr.curvature_components(p, d)
@@ -476,13 +465,12 @@ def run_check(cfg: RunConfig) -> list:
         if t in picks:
             closed_l4.append(skr.l4_closed(d.phi, d.psi, cc))
             products = max(products, abs(b * c) + abs(c * dd) + abs(b * dd) + c * c + 4.0 * r * r)
-            angle = max(angle, abs(d.phi), abs(d.psi))
     results.append(_check("curvature-relations", res_curv, 1e-14))
     # the generic L-form's e^1234 coefficients, at all picks in one stack
     stack = np.stack([skr.equivariant_curvature_matrix(p, t) for t in picks])
     generic_l4 = l_form(stack)[:, -1].tolist()
     res = max(abs(x - y) for x, y in zip(closed_l4, generic_l4)) / products
-    results.append(_check("lform-closed-vs-generic", res, _truncation_tolerance(angle)))
+    results.append(_check("lform-closed-vs-generic", res, 1e-12))
 
     # transgression routes, as computed by the report at the configured nodes,
     # relative to the size sum_i w_i |f_i| of the closed integrand as well, which

@@ -5,9 +5,12 @@ nabla^t = nabla^0 + t Theta, presented as matrices of forms, the
 ``(..., size, size, 2^n)`` arrays of :mod:`equichar.matforms`: the
 endomorphism-valued difference form Theta, the coefficients of nabla^t X
 (linear in t) and those of the curvature R^t (quadratic in t).  The
-L-form broadcasts over a stack of curvature matrices.  The SKR-specific
-geometry in :mod:`equichar.skr` feeds its boundary data through these entry
-points, and the test suite exercises them on randomized families as well.
+L-form broadcasts over a stack of curvature matrices.  Germs act on the
+spectrum (:mod:`equichar.matforms`), so the L-form and both degree-3 routes
+are exact up to rounding; the direct route takes its second-order term from
+``star_second``, the alternate one from the path sum of f'(Theta + NX).
+The SKR geometry of :mod:`equichar.skr` feeds its boundary data through
+these entry points; the tests also run them on randomized families.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .exterior import (
     wedge_coeffs,
 )
 from .matforms import (
-    DEFAULT_SERIES_ORDER,
     AnalyticGerm,
     _is_degree0,
     apply_germ,
@@ -43,7 +45,6 @@ __all__ = [
     "ConnectionFamily",
     "equivariant_curvature",
     "l_form",
-    "transgression",
     "transgression_degree3",
     "transgression_degree3_alt",
 ]
@@ -144,15 +145,15 @@ def equivariant_curvature(curv: np.ndarray, nabla_x: np.ndarray) -> np.ndarray:
     return curv - nabla_x
 
 
-def l_form(rg: np.ndarray, order: int = DEFAULT_SERIES_ORDER) -> np.ndarray:
+def l_form(rg: np.ndarray) -> np.ndarray:
     """Hirzebruch L-form of an (equivariant) curvature matrix, or of each
     matrix in a stack: the coefficients (..., 2^n) of one form per matrix.
 
     det^(1/2) of (x/2)/tanh(x/2) evaluated on the matrix, realized as
-    exp(Tr[f(.)]) for f the half-log germ; the outer exponential is expanded
-    exactly up to the coframe dimension.
+    exp(Tr[f(.)]) for f the half-log germ, which acts on the spectrum; the
+    outer exponential is expanded exactly up to the coframe dimension.
     """
-    return exp_coeffs(trace(apply_germ(hirzebruch_l_log_germ(), rg, order)))
+    return exp_coeffs(trace(apply_germ(hirzebruch_l_log_germ(), rg)))
 
 
 def _even_guard(germ: AnalyticGerm) -> None:
@@ -160,34 +161,10 @@ def _even_guard(germ: AnalyticGerm) -> None:
         raise ValueError("this transgression formula requires an even germ")
 
 
-def transgression(
-    germ: AnalyticGerm,
-    fam: ConnectionFamily,
-    quad: QuadratureSpec = QuadratureSpec(),
-    order: int = DEFAULT_SERIES_ORDER,
-) -> ExteriorForm:
-    """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees.
-
-    integrand(t) = exp(Tr[f(Rg_t)]) * Tr[Theta f'(Rg_t)]
-    with Rg_t the equivariant curvature of the family at t, evaluated node
-    by node: the reference the batched degree-3 routes are tested against.
-    """
-    d_germ = germ.derivative()
-    terms = []
-    for t in quad.rule()[0]:
-        nx, rt = fam.at(float(t))
-        rg = equivariant_curvature(rt, nx)
-        weight = exp_coeffs(trace(apply_germ(germ, rg, order)))
-        tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg, order)))
-        terms.append(wedge_coeffs(weight, tr))
-    return quad.weighted_sum(np.stack(terms))
-
-
 def transgression_degree3(
     germ: AnalyticGerm,
     fam: ConnectionFamily,
     quad: QuadratureSpec = QuadratureSpec(),
-    order: int = DEFAULT_SERIES_ORDER,
 ) -> ExteriorForm:
     """Degree-3 component of the transgression, as the reduced integrand
 
@@ -200,11 +177,11 @@ def transgression_degree3(
     _even_guard(germ)
     nx, rt = fam.at(quad.rule()[0])
     theta = fam.theta
-    f_nx = apply_germ(germ.derivative(), nx, order)
-    weight = exp_coeffs(trace(apply_germ(germ, nx, order)))
+    f_nx = apply_germ(germ.derivative(), nx)
+    weight = exp_coeffs(trace(apply_germ(germ, nx)))
     t1 = trace(mat_mul(theta, f_nx))
     t2 = trace(mat_mul(f_nx, rt))
-    t3 = trace(mat_mul(star_second(germ, nx, theta, order), rt))
+    t3 = trace(mat_mul(star_second(germ, nx, theta), rt))
     terms = wedge_coeffs(weight, wedge_coeffs(t1, t2) + t3)
     return quad.weighted_sum(degree_component_coeffs(terms, 3))
 
@@ -213,7 +190,6 @@ def transgression_degree3_alt(
     germ: AnalyticGerm,
     fam: ConnectionFamily,
     quad: QuadratureSpec = QuadratureSpec(),
-    order: int = DEFAULT_SERIES_ORDER,
 ) -> ExteriorForm:
     """Equivalent form of :func:`transgression_degree3`:
 
@@ -224,10 +200,10 @@ def transgression_degree3_alt(
     d_germ = germ.derivative()
     nx, rt = fam.at(quad.rule()[0])
     theta = fam.theta
-    weight = exp_coeffs(trace(apply_germ(germ, nx, order)))
+    weight = exp_coeffs(trace(apply_germ(germ, nx)))
     one_plus = ExteriorForm.scalar(_dimension_of(theta), 1.0).coeffs + trace(
-        mat_mul(theta, apply_germ(d_germ, nx, order))
+        mat_mul(theta, apply_germ(d_germ, nx))
     )
-    shifted = trace(mat_mul(apply_germ(d_germ, theta + nx, order), rt))
+    shifted = trace(mat_mul(apply_germ(d_germ, theta + nx), rt))
     terms = wedge_coeffs(weight, wedge_coeffs(one_plus, shifted))
     return quad.weighted_sum(degree_component_coeffs(terms, 3))

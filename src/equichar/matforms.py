@@ -3,25 +3,28 @@
 A square matrix of forms, which curvature and connection data live in, is a
 plain float array of shape ``(..., size, size, 2^n)``: entry (i, j) holds the
 2^n coefficients of one form over an n-dimensional coframe, and any leading
-axes make a stack of matrices.  Provides products, traces, power-series
-application of analytic germs to such matrices, the non-commutative
-second-derivative pairing and the characteristic polynomial.  A product with
-a degree-0 factor (a rotation generator) takes a fast numeric path in
-:func:`mat_mul`, which every germ series here runs through.
-:func:`l_log_at_angle` evaluates the L-log germ on rotation angles.
+axes make a stack of matrices.  Provides products, traces, the characteristic
+polynomial, and germs applied on the spectrum: for M = M0 + N, i M0 = U
+diag(w) U^H with M0 real antisymmetric of degree 0, and Nt = U^H N U, f(M) is
+U [sum over index walks i0 -> .. -> ik of f[lambda_i0, .., lambda_ik] Nt_(i0 i1)
+^ .. ^ Nt_(ik-1 ik)] U^H at lambda = -i w, a finite sum of divided
+differences.  :func:`l_log_at_angle` evaluates the L-log germ on rotation
+angles for the closed formulas of :mod:`equichar.skr`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceRadiusError, DimensionMismatchError
-from .exterior import ExteriorForm, _degree_masks, _dimension_of, wedge_coeffs
+from .exterior import ExteriorForm, _degree_masks, _dimension_of, _wedge_sign, wedge_coeffs
 
 __all__ = [
     "AnalyticGerm",
@@ -31,18 +34,9 @@ __all__ = [
     "apply_germ",
     "star_second",
     "char_poly",
-    "spectral_radius_degree0",
-    "hirzebruch_l_inner_germ",
     "hirzebruch_l_log_germ",
     "l_log_at_angle",
-    "DEFAULT_SERIES_ORDER",
 ]
-
-# The series order of the generic routes.  The direct route reads the germ's
-# Taylor coefficients up to index order + 1, and the truncation tolerance of
-# `check` sums those past the order; at 16 that sum still holds the 13 even
-# coefficients 18..42 of the 44 precomputed ones.
-DEFAULT_SERIES_ORDER = 16
 
 # number of Taylor coefficients precomputed for the standard germs
 _GERM_COEFFS = 44
@@ -76,7 +70,7 @@ def _series_log(series: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(coeffs: Sequence[float], x: float) -> float:
+def _horner(coeffs: Sequence[float], x):
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -87,17 +81,18 @@ def _horner(coeffs: Sequence[float], x: float) -> float:
 
 @dataclass(frozen=True)
 class AnalyticGerm:
-    """Even or general analytic germ at 0, given by its Taylor coefficients.
+    """Even or general analytic germ at 0: Taylor coefficients and closed forms.
 
     taylor[k] holds f^(k)(0)/k! as a Python float; ``radius`` is the radius of
-    convergence that :func:`apply_germ` checks.  The L-log germ's values on
-    rotation angles come from :func:`l_log_at_angle`.
+    convergence, which :func:`apply_germ` checks against the spectrum;
+    ``closed`` holds complex functions for f, f', .. as far as they are known.
     """
 
     taylor: tuple
     even: bool
     radius: float
     name: str = ""
+    closed: tuple = ()
 
     def __post_init__(self):
         if self.even and any(c != 0.0 for c in self.taylor[1::2]):
@@ -107,17 +102,34 @@ class AnalyticGerm:
         return self.taylor[k] if k < len(self.taylor) else 0.0
 
     def derivative(self) -> "AnalyticGerm":
-        """Germ of f', by coefficient shift."""
+        """Germ of f', by coefficient shift and the next closed form."""
         shifted = tuple((k + 1) * c for k, c in enumerate(self.taylor[1:]))
         return AnalyticGerm(
             taylor=shifted,
             even=False,
             radius=self.radius,
             name=self.name + "'",
+            closed=self.closed[1:],
         )
 
     def second_derivative_at_zero(self) -> float:
         return 2.0 * self.coeff(2)
+
+
+def _germ_values(germ: AnalyticGerm, z: np.ndarray) -> np.ndarray:
+    """f at complex points inside the germ's disk: its Taylor series below
+    |z| = 1, where the closed forms cancel, and its closed form above."""
+    out, near = np.empty_like(z), np.abs(z) < 1.0
+    zn, even, odd = z[near], germ.taylor[::2], germ.taylor[1::2]
+    zz = zn * zn
+    out[near] = (_horner(even, zz) if any(even) else 0.0) + (
+        zn * _horner(odd, zz) if any(odd) else 0.0
+    )
+    if not near.all():
+        if not germ.closed:
+            raise ValueError(f"germ '{germ.name}' has no closed form for |z| >= 1")
+        out[~near] = germ.closed[0](z[~near])
+    return out
 
 
 def _even_series(half_coeffs: np.ndarray) -> np.ndarray:
@@ -178,19 +190,8 @@ def l_log_at_angle(x: float) -> tuple:
     return 0.5 * math.log(f), -0.5 * f1 / f, -0.5 * (f2 * f - f1 * f1) / (f * f)
 
 
-# The germ factories are cached: an AnalyticGerm is frozen with a tuple of
+# The germ factory is cached: an AnalyticGerm is frozen with a tuple of
 # coefficients, so every caller can share the one object.
-@lru_cache(maxsize=None)
-def hirzebruch_l_inner_germ() -> AnalyticGerm:
-    """Germ of (x/2)/tanh(x/2); restricted to the imaginary axis it is x/(2 tan(x/2))."""
-    return AnalyticGerm(
-        taylor=tuple(_even_series(_l_inner_series(_GERM_COEFFS))[:_GERM_COEFFS].tolist()),
-        even=True,
-        radius=2.0 * math.pi,
-        name="l_inner",
-    )
-
-
 @lru_cache(maxsize=None)
 def hirzebruch_l_log_germ() -> AnalyticGerm:
     """Germ of log((x/2)/tanh(x/2))/2; the exp-of-trace kernel of the L-form."""
@@ -200,7 +201,83 @@ def hirzebruch_l_log_germ() -> AnalyticGerm:
         even=True,
         radius=math.pi,
         name="l_log",
+        # closed forms of g, g' = (1/z - 1/sinh z)/2 and g'', which cancel near 0
+        closed=(
+            lambda z: 0.5 * np.log(0.5 * z / np.tanh(0.5 * z)),
+            lambda z: 0.5 * (1.0 / z - 1.0 / np.sinh(z)),
+            lambda z: 0.5 * (np.cosh(z) / np.sinh(z) ** 2 - 1.0 / (z * z)),
+            lambda z: 0.5 * (2.0 / z**3 - (np.cosh(z) ** 2 + 1.0) / np.sinh(z) ** 3),
+            lambda z: 0.5 * (np.cosh(z) * (np.cosh(z) ** 2 + 5.0) / np.sinh(z) ** 4 - 6.0 / z**4),
+        ),
     )
+
+
+# --------------------------------------------------------------------------- divided differences
+
+# Ends of a tuple closer than _CLUSTER times their distance r to the germ's
+# singularities make a cluster, whose divided difference is (1/2 pi i) \oint
+# f(z) / prod_j (z - lambda_j) dz on the circle of radius 0.3 r about their
+# midpoint: the trapezoidal rule on 32 points errs by about 0.3^32 < 2e-17.
+# Apart, the quotient of the ends loses at most 1 / _CLUSTER to cancellation.
+_CLUSTER = 0.1
+_CONTOUR = np.array([0.3 * cmath.exp(2j * math.pi * p / 32) for p in range(32)])
+
+
+@lru_cache(maxsize=None)
+def _sorted_tuples(n: int, length: int) -> tuple:
+    """The sorted index tuples of ``length`` entries below n as rows, the rows of their tails
+    and heads one entry shorter, and the row of each index tuple sorted, in C order."""
+    rows = list(combinations_with_replacement(range(n), length))
+    shorter = {t: i for i, t in enumerate(combinations_with_replacement(range(n), length - 1))}
+    where = {t: i for i, t in enumerate(rows)}
+    position = [where[tuple(sorted(t))] for t in product(range(n), repeat=length)]
+    tails, heads = [shorter[t[1:]] for t in rows], [shorter[t[:-1]] for t in rows]
+    return np.array(rows), np.array(tails), np.array(heads), np.array(position)
+
+
+def _divided_differences(germ: AnalyticGerm, w: np.ndarray, top: int) -> list:
+    """[D_0, .., D_top], D_k[..., i0, .., ik] = f[lambda_i0, .., lambda_ik] for
+    lambda = -i w and w ascending along its last axis, as eigh returns it: a
+    tuple sorted by index is then sorted by value and its ends span it, so
+    only sorted tuples are computed."""
+    lam = -1j * w
+    if not top:
+        return [_germ_values(germ, lam)]
+    # where f', .., f^(top) have closed forms, (i, .., i) takes f^(k)(lambda_i)/k!;
+    # one circle serves each other pair of ends i <= j that lie close together
+    diagonal, derivative = len(germ.closed) > top, germ
+    n, lo, hi = w.shape[-1], w[..., :, None], w[..., None, :]
+    close = hi - lo < _CLUSTER * (germ.radius - np.maximum(np.abs(lo), np.abs(hi)))
+    close &= np.arange(n)[:, None] < np.arange(n) + (not diagonal)
+    mid = 0.5 * (lo + hi)[close]
+    ring = (germ.radius - np.abs(mid))[:, None] * _CONTOUR
+    z = ring - 1j * mid[:, None]
+    # f on each circle less its mean, f at the centre, which no quotient sees
+    samples = _germ_values(germ, z)
+    samples -= samples.mean(axis=-1, keepdims=True)
+    samples *= ring
+    ends = np.cumsum(close).reshape(close.shape) - 1  # the circle of each close pair
+    level = _germ_values(germ, lam)
+    dds = [level]
+    for k in range(1, top + 1):
+        rows, tails, heads, position = _sorted_tuples(n, k + 1)
+        derivative = derivative.derivative()
+        first, last = rows[:, 0], rows[:, -1]
+        same, near = first == last, close[..., first, last]
+        step = np.where(near | same, 1.0, lam[..., last] - lam[..., first])
+        level = np.where(near | same, 0.0, (level[..., tails] - level[..., heads]) / step)
+        if diagonal:
+            level[..., same] = _germ_values(derivative, lam) / math.factorial(k)
+        cluster = np.nonzero(near)
+        for s in range(0, cluster[0].size, 128):  # in slices, to bound the (rows, 32) arrays
+            *at, t = i = tuple(a[s : s + 128] for a in cluster)
+            c = ends[tuple(at) + (first[t], last[t])]
+            zc, quotient = z[c], samples[c]
+            for j in range(k + 1):
+                quotient /= zc - lam[tuple(at) + (rows[t, j],)][:, None]
+            level[i] = quotient.mean(axis=-1)
+        dds.append(level[..., position].reshape(w.shape + (n,) * k))
+    return dds
 
 
 # --------------------------------------------------------------------------- matrices of forms
@@ -246,68 +323,98 @@ def trace(a: np.ndarray) -> np.ndarray:
     return np.einsum("...iic->...c", a)
 
 
-def spectral_radius_degree0(mat: np.ndarray):
-    """Spectral norm of a small numeric matrix, or of each matrix in a stack
-    (..., n, n): the spectral radius of a normal matrix, such as the rotation
-    generators arising here, and an upper bound on it for any other."""
-    return np.linalg.norm(mat, 2, axis=(-2, -1))
-
-
-def _check_radius(germ: AnalyticGerm, m0: np.ndarray) -> None:
-    """Raise for the first matrix of the stack m0 outside the germ's disk."""
-    rho = np.ravel(spectral_radius_degree0(m0))
+def _spectrum(germ: AnalyticGerm, m0: np.ndarray) -> tuple:
+    """(w, U, U^H) with i m0 = U diag(w) U^H, w ascending, for a real antisymmetric
+    m0 or a stack of them; raises for the first matrix whose spectral radius
+    max |w| reaches the germ's radius of convergence."""
+    if np.any(m0 + m0.swapaxes(-2, -1)):
+        raise ValueError("germs act on matrices with an antisymmetric degree-0 part")
+    w, u = np.linalg.eigh(1j * m0)
+    rho = np.ravel(np.max(np.abs(w), axis=-1))
     bad = np.flatnonzero(rho >= germ.radius)
     if bad.size:
         raise ConvergenceRadiusError(float(rho[bad[0]]), germ.radius, germ.name)
+    return w, u, u.conj().swapaxes(-1, -2)
 
 
-def apply_germ(germ: AnalyticGerm, m: np.ndarray, order: int = DEFAULT_SERIES_ORDER) -> np.ndarray:
-    """sum_{k<=order} c_k M^k with geometric degree > n discarded automatically.
+def _product(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a m b for numeric matrices a, b and a matrix of forms m."""
+    return np.einsum("...kl,...ikc->...ilc", b, np.einsum("...ij,...jkc->...ikc", a, m))
 
-    Raises ConvergenceRadiusError when the degree-0 part of M has spectral
-    radius outside the germ's disk of convergence.  Terms past ``order`` are
-    dropped without an estimate; on the boundary term they show as the
-    discrepancy between the direct route and the closed one, which has no
-    truncation.
+
+@lru_cache(maxsize=None)
+def _walks(dimension: int, masks: tuple) -> tuple:
+    """(keep, walks): per length k = 1, 2, .. the ordered k-tuples of disjoint
+    masks drawn from ``masks``, as rows of positions in it, and a sign table
+    with s in the column of e^m1 ^ .. ^ e^mk = s e^(m1 | .. | mk), the columns
+    being ``keep``: 0 and every such union."""
+    levels, level = [], [((), 0, 1.0)]
+    while level:
+        level = [
+            (seq + (p,), union | m, sign * _wedge_sign(union, m))
+            for seq, union, sign in level
+            for p, m in enumerate(masks)
+            if not union & m
+        ]
+        levels += [level] if level else []
+    keep = sorted({0}.union(*({union for _, union, _ in lv} for lv in levels)))
+    walks = []
+    for lv in levels:
+        signs = np.zeros((len(lv), len(keep)), dtype=complex)
+        for row, (_, union, sign) in enumerate(lv):
+            signs[row, keep.index(union)] = sign
+        walks.append((np.array([seq for seq, _, _ in lv]), signs))
+    return np.array(keep), tuple(walks)
+
+
+def _walk_sum(dd: np.ndarray, nt: np.ndarray, seqs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The sum over walks i0 -> .. -> ik of dd[i0, .., ik] Nt_(i0 i1) ^ .. ^
+    Nt_(ik-1 ik), the entries' coefficients taken along the rows of ``seqs``."""
+    k = seqs.shape[1]
+    idx = "abcdefgh"[: k + 1]
+    terms = ",".join(f"...{idx[j]}{idx[j + 1]}t" for j in range(k))
+    factors = [nt[..., seqs[:, j]] for j in range(k)]
+    paths = np.einsum(f"...{idx},{terms}->...{idx[0]}{idx[k]}t", dd, *factors)
+    return np.einsum("...ijt,tc->...ijc", paths, signs)
+
+
+def apply_germ(germ: AnalyticGerm, m: np.ndarray) -> np.ndarray:
+    """f(M) by the spectral path sum of the module docstring, exact up to
+    rounding.  The degree-0 part of M must be antisymmetric; raises
+    ConvergenceRadiusError where its spectral radius reaches the germ's radius.
     """
-    _check_radius(germ, m[..., 0])
-    unit = identity(m.shape[-2], _dimension_of(m))
-    acc = np.broadcast_to(unit * germ.coeff(0), m.shape)
-    power = unit
-    for k in range(1, order + 1):
-        power = mat_mul(power, m)
-        c = germ.coeff(k)
-        if c != 0.0:
-            acc = acc + power * c
-    return acc
+    w, u, uh = _spectrum(germ, m[..., 0])
+    present = (np.flatnonzero(np.any(m[..., 1:], axis=tuple(range(m.ndim - 1)))) + 1).tolist()
+    keep, walks = _walks(_dimension_of(m), tuple(present))
+    dds, size = _divided_differences(germ, w, len(walks)), m.shape[-2]
+    out = np.zeros(w.shape[:-1] + (size, size, len(keep)), dtype=complex)
+    out[..., range(size), range(size), 0] = dds[0]
+    nt = _product(uh, m[..., present], u)
+    for dd, (seqs, signs) in zip(dds[1:], walks):
+        out += _walk_sum(dd, nt, seqs, signs)
+    result = np.zeros(w.shape[:-1] + m.shape[-3:])
+    result[..., keep] = _product(u, out, uh).real
+    return result
 
 
-def star_second(
-    germ: AnalyticGerm, a: np.ndarray, b: np.ndarray, order: int = DEFAULT_SERIES_ORDER
-) -> np.ndarray:
-    """Non-commutative second derivative sum_n f^(n+1)(0)/n! * sum_q a^q b a^(n-1-q).
+def star_second(germ: AnalyticGerm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Non-commutative second derivative sum_n f^(n+1)(0)/n! * sum_q a^q b a^(n-1-q),
+    the derivative of f' at a along b: U (f'[lambda_i, lambda_j] Bt_ij) U^H.
 
-    ``a`` must be purely degree 0; ``b`` may carry forms of any degree.  For an
-    even germ the result is insensitive to the sign of ``a``.
+    ``a`` must be purely degree 0 and antisymmetric; ``b`` may carry forms of
+    any degree.  For an even germ the result does not depend on the sign of
+    ``a``; its first nonzero entry fixes the sign, so both give the same bits.
     """
     if not _is_degree0(a):
         raise ValueError("star_second requires a purely degree-0 first argument")
-    _check_radius(germ, a[..., 0])
     a0 = a[..., 0]
-    # h_n = sum_q a^q b a^(n-1-q) by the recurrence h_n = a h_(n-1) + b a^(n-1)
-    h_n = b
-    a_pow = np.eye(a.shape[-2])  # a^(n-1)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    for n in range(1, order + 1):
-        if n > 1:
-            a_pow = a_pow @ a0
-            h_n = np.einsum("...ij,...jkc->...ikc", a0, h_n) + np.einsum(
-                "...ijc,...jk->...ikc", b, a_pow
-            )
-        c = germ.coeff(n + 1) * (n + 1)  # f^(n+1)(0)/n!
-        if c != 0.0:
-            out += c * h_n
-    return out
+    if germ.even:
+        flat = a0.reshape(a0.shape[:-2] + (-1,))
+        first = np.take_along_axis(flat, np.argmax(flat != 0.0, axis=-1)[..., None], -1)
+        a0 = np.where(first[..., None] < 0.0, -a0, a0)
+    w, u, uh = _spectrum(germ, a0)
+    d1 = _divided_differences(germ.derivative(), w, 1)[1]
+    return _product(u, d1[..., None] * _product(uh, b, u), uh).real
 
 
 def char_poly(m: np.ndarray) -> list:

@@ -498,7 +498,6 @@ def transgression_pullback_direct(
     bd: BoundaryData, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Generic-machinery route: the e^123 coefficient of the boundary family
-    pushed through the degree-3 transgression integrand, whose germ series
-    stop at DEFAULT_SERIES_ORDER."""
+    pushed through the degree-3 transgression integrand, germs on the spectrum."""
     form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad)
     return form.coefficient((1, 2, 3))

@@ -8,7 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import char_poly_forms, integrate_per_node, make_irreducible, make_reducible
+from conftest import (
+    char_poly_forms,
+    hirzebruch_l_inner_germ,
+    integrate_per_node,
+    make_irreducible,
+    make_reducible,
+    transgression,
+    volume_integral_chart,
+)
 from equichar import oracle, skr
 from equichar.app import RunConfig, Topology, eta_invariant
 from equichar.charforms import (
@@ -16,7 +24,6 @@ from equichar.charforms import (
     QuadratureSpec,
     equivariant_curvature,
     l_form,
-    transgression,
     transgression_degree3,
     transgression_degree3_alt,
 )
@@ -94,9 +101,9 @@ def test_criterion_02_closed_vs_direct_transgression():
 
 
 def _generic_l4(p, tau):
-    """The degree-4 coefficient of the generic L-form at series order 40,
-    where the truncation is far below rounding for angles up to 1.35."""
-    return l_form(skr.equivariant_curvature_matrix(p, tau), 40)[mask_of_indices((1, 2, 3, 4), 4)]
+    """The degree-4 coefficient of the generic L-form, whose germ is evaluated
+    on the spectrum of the curvature matrix, exactly up to rounding."""
+    return l_form(skr.equivariant_curvature_matrix(p, tau))[mask_of_indices((1, 2, 3, 4), 4)]
 
 
 def test_criterion_03_l_form_double_route():
@@ -104,8 +111,8 @@ def test_criterion_03_l_form_double_route():
     rng = np.random.default_rng(303)
     worst, samples = 0.0, 0
     while samples < 100:
-        # full scale: the closed L4 is exact, so it must match the generic
-        # determinant route wherever that route's truncation is negligible
+        # full scale: the closed L4 and the generic determinant route are
+        # both exact, so they must match to rounding
         p = make_irreducible(rng)
         tau = float(p.tau_min * rng.uniform(0.02, 0.98))
         closed, generic = skr.l4_coefficient(p, tau), _generic_l4(p, tau)
@@ -276,8 +283,6 @@ def test_criterion_08_x_to_zero_limit():
 
 def test_criterion_09_germ_coefficients():
     t0 = time.perf_counter()
-    from equichar.matforms import hirzebruch_l_inner_germ
-
     inner = hirzebruch_l_inner_germ()
     log_half = GERM
     devs = [
@@ -305,7 +310,7 @@ def test_criterion_10_volume_reduction():
         [0.5, 0.25], c_bar=-1.0, base_curv=2.0, tau_min=-0.5
     )
     fn = lambda tau: math.cos(2.0 * tau) + tau * tau + 1.5
-    direct = oracle.volume_integral_chart(p, fn)
+    direct = volume_integral_chart(p, fn)
     xs, ws = np.polynomial.legendre.leggauss(48)
     xs = 0.5 * (xs + 1.0) * (-p.tau_min) + p.tau_min
     ws = 0.5 * ws * (-p.tau_min)

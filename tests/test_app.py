@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from equichar import app, skr
+from equichar import app, matforms, skr
 from equichar.app import (
     build_profile,
     emit_tables,
@@ -26,7 +26,6 @@ from equichar.app import (
     run_check,
     run_oracle,
 )
-from equichar.charforms import l_form
 from equichar.errors import ConfigError, ConvergenceRadiusError, ProfileError
 from equichar.matforms import hirzebruch_l_log_germ
 from equichar.skr import SKRProfile
@@ -472,27 +471,57 @@ def test_lform_check_fails_the_sqrt_a_route(monkeypatch, capsys):
     assert "FAIL  lform-closed-vs-generic" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("angle", [0.3, 0.77, 1.0, 1.2, 1.35])
-def test_lform_check_tolerance_bounds_the_truncation(angle):
-    """The tolerance of lform-closed-vs-generic is at least the actual
-    truncation of the generic L-form at the series order, measured
-    against order 40 and in the check's units, on a profile whose largest
-    rotation angle at the checked taus is ``angle``: phi = a (1 + 0.3 tau)
-    and c_bar = -1 give psi = a (1.3 + 0.6 tau), largest at the last one."""
-    picks = app._lform_taus(SKRProfile.irreducible_polynomial([1.0], c_bar=-1.0), 100)[::40]
-    a = angle / (1.3 + 0.6 * picks[-1])
-    p = SKRProfile.irreducible_polynomial([a, 0.3 * a], c_bar=-1.0, base_curv=1.0)
-    stack = np.stack([skr.equivariant_curvature_matrix(p, t) for t in picks])
-    coarse, fine = l_form(stack)[:, -1], l_form(stack, 40)[:, -1]
-    derived = [skr.derived_functions(p, t) for t in picks]
-    largest = max(max(abs(d.phi), abs(d.psi)) for d in derived)
-    products = max(
-        abs(b * c) + abs(c * d) + abs(b * d) + c * c + 4.0 * r * r
-        for b, c, d, r in (skr.curvature_components(p, d) for d in derived)
-    )
-    actual = max(abs(x - y) for x, y in zip(coarse, fine)) / products
-    assert 0.99 * angle <= largest <= angle
-    assert app._truncation_tolerance(largest) >= actual
+LARGE_ANGLE = {"mode": "irreducible", "c_bar": -1.0, "tau_min": -0.3, "base_curv": 0.5}
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {**LARGE_ANGLE, "phi_coeffs": [1.5, 0.25]},
+        {**LARGE_ANGLE, "phi_coeffs": [2.5, 0.1]},
+        {**LARGE_ANGLE, "phi_coeffs": [2.9, 0.0]},
+        {**IRRED["profile"], "phi_coeffs": [0.5, 0.5]},
+    ],
+    ids=["phi-1.5", "phi-2.5", "phi-2.9", "worked-psi-1"],
+)
+def test_check_invariant_suite_passes_at_large_angles(tmp_path, capsys, profile):
+    """The generic route evaluates its germs on the spectrum, exactly, so the
+    closed and generic routes agree to rounding up to rotation angles near pi
+    (psi(0) = 1.75, 2.6, 2.9 and 1.0 here); an order-16 series route failed
+    transgression-closed-vs-direct on all four.  On phi [2.9, 0] the oracle's
+    finite-difference curvature misses its 1e-5 at every chart step, so only
+    there check exits 1, on oracle-curvature-match alone."""
+    code = main(["check", str(write_cfg(tmp_path, {**IRRED, "profile": profile}))])
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL")]
+    assert len(lines) >= 11 and "PASS  transgression-closed-vs-direct" in "\n".join(lines)
+    if profile["phi_coeffs"] == [2.9, 0.0]:
+        assert (code, failed) == (1, ["oracle-curvature-match"])
+    else:
+        assert (code, failed) == (0, [])
+
+
+@pytest.mark.parametrize("order,fails", [(1, True), (3, False)])
+def test_alt_route_check_fails_on_a_faulty_path_term(monkeypatch, capsys, order, fails):
+    """transgression-alt-route takes f'(Theta + NX) from the spectral path sum,
+    which the direct route does not run, so a fault of 1e-6 in the first-order
+    path term fails the line.  Terms of order k >= 2 have degree >= 2 and
+    vanish against the 2-form R in the degree-3 integrand: the same fault in
+    the third-order term leaves the line's residual at 0."""
+    original = matforms._walk_sum
+
+    def faulty(dd, nt, seqs, signs):
+        out = original(dd, nt, seqs, signs)
+        return out * (1.0 + 1e-6) if seqs.shape[1] == order else out
+
+    cfg = load_config(EXAMPLES / "example_irreducible.json")
+    monkeypatch.setattr(matforms, "_walk_sum", faulty)
+    results = {r.name: r for r in run_check(cfg)}
+    out = capsys.readouterr().out
+    assert results["transgression-closed-vs-direct"].passed
+    assert ("FAIL  transgression-alt-route" in out) == fails
+    # the example's two routes agree to the bit unless the fault shows
+    assert (results["transgression-alt-route"].residual > 0.0) == fails
 
 
 def _perfbench_configs():

@@ -1,15 +1,19 @@
-"""Taylor coefficients of the standard germs and the L-log germ's values on
-rotation angles, validated against an independent high-precision oracle
-(mpmath)."""
+"""Taylor coefficients of the standard germs, their complex values, their
+divided differences on a spectrum, and the L-log germ's values on rotation
+angles, validated against an independent high-precision oracle (mpmath)."""
 
+import itertools
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from conftest import hirzebruch_l_inner_germ
 from equichar.errors import ConvergenceRadiusError
 from equichar.matforms import (
-    hirzebruch_l_inner_germ,
+    _divided_differences,
+    _germ_values,
     hirzebruch_l_log_germ,
     l_log_at_angle,
 )
@@ -92,15 +96,82 @@ def test_derivative_shift():
     assert not dg.even
 
 
-def test_tail_estimate_small():
-    # rho = 0.7 caps the Killing data used in the sweeps
-    g = hirzebruch_l_log_germ()
-    # |c_17| rho^17 + |c_18| rho^18: the first two coefficients past order 16
-    def tail(rho):
-        return sum(abs(g.coeff(k)) * rho**k for k in (17, 18))
+def mp_l_log(z):
+    return mp.log(mp_l_inner(z)) / 2
 
-    assert tail(0.7) < 1e-12
-    assert tail(0.3) < 1e-17
+
+def _derived(germ, order):
+    for _ in range(order):
+        germ = germ.derivative()
+    return germ
+
+
+# the L-log germ and its derivatives up to the fourth, all with closed forms
+GERMS = {
+    **{"l_log" + "'" * k: (hirzebruch_l_log_germ(), mp_l_log, k) for k in range(5)},
+    **{"l_inner" + "'" * k: (hirzebruch_l_inner_germ(), mp_l_inner, k) for k in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", list(GERMS))
+def test_germ_values_against_mpmath(name):
+    """Both branches of the complex evaluator, the series below |z| = 1 and
+    the closed form above, on and off the imaginary axis, up to 0.04 from
+    the L-log germ's branch points at +-i pi."""
+    germ, oracle, order = GERMS[name]
+    germ = _derived(germ, order)
+    points = [0.0, 1e-9j, 0.3j, 0.99j, 1.01j, -2.5j, 3.1j, 0.5 + 0.5j, 1.5 - 0.2j, -0.4 - 2.2j]
+    got = _germ_values(germ, np.array(points))
+    for z, value in zip(points, got):
+        want = complex(mp.diff(oracle, mp.mpc(z), order))
+        assert abs(value - want) <= 1e-15 * max(1.0, abs(want)), z
+
+
+def test_germ_without_closed_form_stays_near_zero():
+    germ = hirzebruch_l_inner_germ().derivative().derivative()
+    assert _germ_values(germ, np.array([0.5j])).shape == (1,)
+    with pytest.raises(ValueError):
+        _germ_values(germ, np.array([1.5j]))
+
+
+def _mp_divided_difference(fn, points):
+    """fn[points] by the difference table at 250 digits, each point moved by
+    a distinct 1e-40 so that repeated points stay apart."""
+    with mp.workdps(250):
+        xs = [mp.mpc(x) + mp.mpc(0, (j + 1) * mp.mpf(10) ** -40) for j, x in enumerate(points)]
+        table = [fn(x) for x in xs]
+        for step in range(1, len(xs)):
+            pairs = enumerate(zip(table, table[1:]))
+            table = [(b - a) / (xs[i + step] - xs[i]) for i, (a, b) in pairs]
+        return complex(table[0])
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [-0.75, -0.5, 0.5, 0.75],
+        [-0.5, -0.5 + 1e-9, 0.5 - 1e-9, 0.5],
+        [-0.5, 0.0, 0.0, 0.5],
+        [-0.002, -0.001, 0.001, 0.002],
+        [-1.0, -0.75, 0.75, 1.0],
+        [-3.1, -2.6, 2.6, 3.1],
+    ],
+    ids=["apart", "crossing", "double-zero", "near-zero", "cluster-threshold", "near-radius"],
+)
+def test_divided_differences_against_mpmath(w):
+    """Every divided difference up to order 3 on a spectrum -i w, with points
+    apart, crossing, repeated, all near 0, about the cluster threshold and
+    0.04 from the branch points, to 1e-13 of max(1, |value|)."""
+    lam = -1j * np.array(w)
+    germ = hirzebruch_l_log_germ()
+    for g, fn in ((germ, mp_l_log), (germ.derivative(), lambda z: mp.diff(mp_l_log, z))):
+        dds = _divided_differences(g, np.array(w), 3)
+        for k in range(4):
+            for t in itertools.combinations_with_replacement(range(4), k + 1):
+                want = _mp_divided_difference(fn, [lam[i] for i in t])
+                assert abs(dds[k][t] - want) <= 1e-13 * max(1.0, abs(want)), (g.name, t)
+                for perm in set(itertools.permutations(t)):
+                    assert dds[k][perm] == dds[k][t]
 
 
 def test_radius_values():

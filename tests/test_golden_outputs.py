@@ -18,7 +18,13 @@ transgression and check digests and the oracle digests did not move.  The
 three report digests were taken again when the series order became a
 constant: the series_order key left the numerics echo of report.json, and
 the irreducible example config lost its series_order and unread a_const
-keys, which the profile echo repeats.  No other byte moved.
+keys, which the profile echo repeats.  No other byte moved.  The
+irreducible and small-angle report and check digests were taken again when
+the generic route came to evaluate its germs on the spectrum instead of by
+order-16 series: tl3_direct, the discrepancy errors, eta's error and the
+check residuals and tolerance of lform-closed-vs-generic and the residual of
+transgression-closed-vs-direct moved.  The L-form, transgression and oracle
+digests and every reducible digest did not move.
 """
 
 import hashlib
@@ -35,7 +41,7 @@ GOLDEN = {
     "example_irreducible.json": {
         "lform.csv": "37c59b0200f348664a261445ad9bb99b215b11bf07668fff54118f6b3a98f746",
         "transgression.csv": "68a5a758cc26482869ad2e81526e205e7be907cefa58444aba8223fde480bde0",
-        "report.json": "cd27509cd5766560c8a00b4628df6d0a65fb580fb210758b9306b64139c798e9",
+        "report.json": "681fb037b75a869095474f4b660c7235de4874073e15f5954b105a44b04aca1a",
     },
     "example_reducible.json": {
         "lform.csv": "e39b3f259ce14514c55a99f1b2d048aef01d2c09362d12276be6171e093581e9",
@@ -59,7 +65,7 @@ def test_eta_outputs_match_golden_digests(tmp_path, capsys, example):
 # L-forms, both batched transgression routes, the refined eta and the oracle
 # suite, residuals included
 CHECK_STDOUT = {
-    "example_irreducible.json": "f92120000026e30350bfa1978502b55aaa66d0913ec6c7994e43081faead04d6",
+    "example_irreducible.json": "dae2d2efc2d0c207f41ba86050d37fd4a9b2fcc65af87971dbe61b30ce181750",
     "example_reducible.json": "af1c06f2b62b920e6c82e30426f9b5ac46f54490d82446bb810ad75dcbb7bbcf",
 }
 
@@ -88,8 +94,8 @@ SMALL_ANGLE = {
 SMALL_ANGLE_GOLDEN = {
     "lform.csv": "aad9556e1273b437183f75b3a1fda6b2abacdfb9d4324e05a8dae55d7f9ecefa",
     "transgression.csv": "66d64832532d134295582e90a4faded6d0389b707ac03ca4aeb7a74e4ad47073",
-    "report.json": "363219cd3bf204973d77ed3eee32a186809fb09f4f1f0f4500d6a5e53277c1d0",
-    "check": "f263df7e281723ca3227a882520f624f98ecaa09085f6f0655baa464f219de0a",
+    "report.json": "3512c58b53f80340be3458321db882cbe4e1226c5bb071bb4f9e4a2d0b87607f",
+    "check": "e27d2836ca9a10cd7fa6f75d92f19261ed545d295c98462a9af47c4abc952304",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_abs
+from conftest import hirzebruch_l_inner_germ, max_abs
 from equichar import skr
 from equichar.charforms import l_form
 from equichar.errors import ConvergenceRadiusError
@@ -13,12 +13,10 @@ from equichar.exterior import ExteriorForm, _degree_masks, degree_component, wed
 from equichar.matforms import (
     apply_germ,
     char_poly,
-    hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
     identity,
     l_log_at_angle,
     mat_mul,
-    spectral_radius_degree0,
     star_second,
     trace,
 )
@@ -151,7 +149,7 @@ def test_apply_germ_trace_degree0():
 
 
 def mat_mul_series(germ, m, size, dimension, order):
-    """sum_k c_k M^k with the powers built by mat_mul: the generic route."""
+    """sum_k c_k M^k with the powers built by mat_mul: the power series."""
     acc = identity(size, dimension) * germ.coeff(0)
     power = identity(size, dimension)
     for k in range(1, order + 1):
@@ -160,22 +158,43 @@ def mat_mul_series(germ, m, size, dimension, order):
     return acc
 
 
+def rand_antisym_forms(rng, size, dimension, scale):
+    """An antisymmetric matrix of forms with every coefficient drawn."""
+    m = rng.uniform(-scale, scale, (size, size, 1 << dimension))
+    return m - m.swapaxes(0, 1)
+
+
 @pytest.mark.parametrize("germ", [hirzebruch_l_log_germ(), hirzebruch_l_inner_germ().derivative()])
 @pytest.mark.parametrize("size,dimension", [(4, 4), (4, 3), (3, 2)])
-def test_apply_germ_degree0_matches_mat_mul_series(germ, size, dimension):
+def test_apply_germ_degree0_matches_power_series(germ, size, dimension):
+    """On a numeric antisymmetric matrix, the spectral value is the germ's
+    power series, summed to order 40 where its tail lies below rounding, to
+    1e-15 of the unit; a degree-0 part that is not antisymmetric is rejected."""
     rng = np.random.default_rng(29 + size + dimension)
     for antisymmetric in (True, False):
         mat = rng.uniform(-0.3, 0.3, (size, size))
-        if antisymmetric:
-            mat = mat - mat.T
-        m = scalar_matrix(mat, dimension)
-        for order in (1, 2, 7, 16, 30):
-            got = apply_germ(germ, m, order)
-            want = mat_mul_series(germ, m, size, dimension, order)
-            assert got.shape == (size, size, 1 << dimension)
-            assert not np.any(got[..., 1:])
-            # same products summed in the same order: equal to the last bit
-            assert np.array_equal(got, want)
+        if not antisymmetric:
+            with pytest.raises(ValueError):
+                apply_germ(germ, scalar_matrix(mat, dimension))
+            continue
+        m = scalar_matrix(mat - mat.T, dimension)
+        got = apply_germ(germ, m)
+        want = mat_mul_series(germ, m, size, dimension, 40)
+        assert got.shape == (size, size, 1 << dimension)
+        assert not np.any(got[..., 1:])
+        assert max_abs(got - want) <= 1e-15 * max(1.0, max_abs(want))
+
+
+@pytest.mark.parametrize("germ", [hirzebruch_l_log_germ(), hirzebruch_l_log_germ().derivative()])
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_apply_germ_with_forms_matches_power_series(germ, dimension):
+    """Forms of every degree, so paths of every length up to the coframe
+    dimension enter the spectral sum, with the wedge signs of their entries."""
+    rng = np.random.default_rng(53 + dimension)
+    for _ in range(3):
+        m = rand_antisym_forms(rng, 4, dimension, 0.25)
+        want = mat_mul_series(germ, m, 4, dimension, 40)
+        assert max_abs(apply_germ(germ, m) - want) <= 1e-14 * max_abs(want)
 
 
 @pytest.mark.parametrize("factory", [hirzebruch_l_inner_germ, hirzebruch_l_log_germ])
@@ -190,12 +209,15 @@ def test_apply_germ_radius_violation():
     assert err.value.spectral_radius == pytest.approx(3.5)
 
 
-def test_tail_estimate_reported_threshold():
+def test_apply_germ_radius_names_the_first_matrix_past_it():
+    """The radius check reads the spectrum of each matrix of a stack: the
+    largest |eigenvalue| of the first one at or past pi is reported."""
     g = hirzebruch_l_log_germ()
-    rho = spectral_radius_degree0(rotation_block(0.6, 0.5)[:, :, 0])
-    assert rho == pytest.approx(0.6)
-    # the two coefficients past order 16; even germs skip every other one
-    assert sum(abs(g.coeff(k)) * rho**k for k in (17, 18)) < 1e-12
+    stack = np.stack([rotation_block(x, 0.5) for x in (1.0, 3.2, 0.4, 3.6)])
+    with pytest.raises(ConvergenceRadiusError) as err:
+        apply_germ(g, stack)
+    assert err.value.spectral_radius == pytest.approx(3.2, rel=1e-15)
+    assert err.value.radius == math.pi
 
 
 # ----------------------------------------------------------------- star_second
@@ -210,19 +232,17 @@ def test_star_second_at_zero():
     assert max_abs(out - want) < 1e-16
 
 
-def test_star_second_commuting_scalars():
-    """For commuting scalar arguments the pairing is the ordinary second
-    derivative: star(f, a, b) = f''(a) b, checked against a series oracle."""
+def test_star_second_commuting_arguments():
+    """For commuting arguments the pairing is the ordinary second derivative:
+    star(f, a, b) = f''(a) b.  On the rotation generator a = x J and b = y J,
+    f''(a) is g''(ix) on the rotated plane, as the closed evaluator gives it."""
     g = hirzebruch_l_log_germ()
-    a_val, b_val = 0.4, 0.7
-    a = scalar_matrix(a_val * np.eye(4), 4)
-    b = scalar_matrix(b_val * np.eye(4), 4)
-    out = star_second(g, a, b, order=30)
-    # independent oracle: truncated series for f'' at a_val
-    f_dd = sum(
-        k * (k - 1) * g.coeff(k) * a_val ** (k - 2) for k in range(2, 32)
-    )
-    assert abs(out[0, 0, 0] - f_dd * b_val) < 1e-13
+    x, y = 0.4, 0.7
+    out = star_second(g, rotation_block(x), rotation_block(y))
+    f_dd = l_log_at_angle(x)[2]
+    assert abs(out[0, 1, 0] - f_dd * y) < 1e-15
+    assert abs(out[1, 0, 0] + f_dd * y) < 1e-15
+    assert max_abs(out[2:, 2:]) == 0.0
 
 
 def test_star_second_even_sign_flip_bit_for_bit(worked_profile):
@@ -262,7 +282,8 @@ def star_second_double_sum(germ, a0, b_data, order):
 @pytest.mark.parametrize("germ", [hirzebruch_l_log_germ(), hirzebruch_l_log_germ().derivative()])
 def test_star_second_matches_double_sum(germ):
     """Odd and even germs, so words of every length n enter; b carries
-    degree-1 and degree-2 entries over a 4-dimensional coframe."""
+    degree-1 and degree-2 entries over a 4-dimensional coframe.  The double
+    sum stops at order 42, where its tail lies below rounding."""
     rng = np.random.default_rng(41)
     a0 = rng.uniform(-0.5, 0.5, (4, 4))
     a0 = a0 - a0.T
@@ -270,10 +291,9 @@ def test_star_second_matches_double_sum(germ):
     b_data = np.zeros((4, 4, 16))
     for mask in (1, 2, 4, 8, 3, 5, 6, 9, 10, 12):  # degree 1, then degree 2
         b_data[:, :, mask] = rng.uniform(-1, 1, (4, 4))
-    for order in range(1, 31):
-        got = star_second(germ, a, b_data, order)
-        want = star_second_double_sum(germ, a0, b_data, order)
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), order
+    got = star_second(germ, a, b_data)
+    want = star_second_double_sum(germ, a0, b_data, 42)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_star_second_requires_degree0():
@@ -322,43 +342,33 @@ def test_l_form_exp_trace_pure_degree2_parity():
     assert out.coefficient(()) == 1.0
 
 
-# ----------------------------------------------------------------- spectral radius
-
-def test_spectral_radius_against_eigvals():
-    rng = np.random.default_rng(31)
-    for n in (2, 3, 4):
-        for _ in range(20):
-            raw = rng.uniform(-2, 2, (n, n))
-            anti = raw - raw.T
-            want = float(np.max(np.abs(np.linalg.eigvals(anti))))
-            assert spectral_radius_degree0(anti) == pytest.approx(want, abs=1e-10)
-
-
-def test_spectral_radius_stack_equals_per_matrix():
-    """A stack gives each matrix's own result, bit for bit, on the draws of
-    the test above; a non-antisymmetric matrix in the stack takes its spectral
-    norm, which bounds its eigenvalues."""
-    rng = np.random.default_rng(31)
-    for n in (2, 3, 4):
-        draws = [rng.uniform(-2, 2, (n, n)) for _ in range(20)]
-        stack = np.stack([raw - raw.T for raw in draws])
-        got = spectral_radius_degree0(stack)
-        assert got.shape == (20,)
-        assert all(rho == spectral_radius_degree0(mat) for mat, rho in zip(stack, got))
-        assert np.array_equal(spectral_radius_degree0(stack.reshape(4, 5, n, n)), got.reshape(4, 5))
-        stack[7] = draws[7]
-        mixed = spectral_radius_degree0(stack)
-        assert mixed[7] == float(np.linalg.norm(draws[7], 2))
-        assert mixed[7] >= float(np.max(np.abs(np.linalg.eigvals(draws[7])))) - 1e-12
-        assert np.array_equal(np.delete(mixed, 7), np.delete(got, 7))
-
+# ----------------------------------------------------------------- spectrum
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_spectral_radius_general_is_upper_bound(n):
-    rng = np.random.default_rng(37 + n)
-    for _ in range(20):
-        m = rng.uniform(-1, 1, (n, n))
-        assert spectral_radius_degree0(m) >= float(np.max(np.abs(np.linalg.eigvals(m)))) - 1e-12
+def test_radius_check_reads_the_largest_eigenvalue(n):
+    """Past the radius, the error carries max |eigenvalue| of the antisymmetric
+    degree-0 part, to rounding, for apply_germ and star_second alike."""
+    rng = np.random.default_rng(31 + n)
+    g = hirzebruch_l_log_germ()
+    for _ in range(10):
+        raw = rng.uniform(-2, 2, (n, n))
+        anti = raw - raw.T
+        want = float(np.max(np.abs(np.linalg.eigvals(anti))))
+        anti *= 3.5 / want
+        for call in (lambda m: apply_germ(g, m), lambda m: star_second(g, m, m)):
+            with pytest.raises(ConvergenceRadiusError) as err:
+                call(scalar_matrix(anti, 2))
+            assert err.value.spectral_radius == pytest.approx(3.5, rel=1e-14)
+
+
+def test_germs_reject_a_degree0_part_that_is_not_antisymmetric():
+    g = hirzebruch_l_log_germ()
+    m = rotation_block(0.3, 0.2)
+    m[0, 0, 0] = 1e-12
+    with pytest.raises(ValueError):
+        apply_germ(g, m)
+    with pytest.raises(ValueError):
+        star_second(g, m, rotation_block(0.1))
 
 
 # ----------------------------------------------------------------- char poly

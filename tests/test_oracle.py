@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_irreducible, make_reducible
+from conftest import make_irreducible, make_reducible, volume_integral_chart
 from equichar import app, oracle, skr
 from equichar.errors import ProfileError
 from equichar.skr import SKRProfile
@@ -230,7 +230,10 @@ def _ref_riemann_frame(p, pt, h):
     r_up = d_term - d_term.transpose(0, 1, 3, 2) + g_term - g_term.transpose(0, 1, 3, 2)
     r_cov = np.einsum("srmn,st->mnrt", r_up, _ref_metric(p, pt))
     e = _ref_frame(p, pt)
-    return -np.einsum("im,jn,kr,lt,mnrt->ijkl", e, e, e, e, r_cov)
+    r = np.einsum("lt,mnrt->mnrl", e, r_cov)
+    r = np.einsum("kr,mnrl->mnkl", e, r)
+    r = np.einsum("jn,mnkl->mjkl", e, r)
+    return -np.einsum("im,mjkl->ijkl", e, r)
 
 
 def _ref_connection_oneform(p, pt, h):
@@ -307,6 +310,20 @@ def test_array_path_matches_point_path_bit_for_bit(index):
             assert np.array_equal(stacked[k], ref), got.__name__
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_frame_rotation_chain_matches_one_contraction(index):
+    """riemann_frame_fd turns the coordinate curvature into the frame one index
+    at a time; the single five-operand contraction gives the same entries to
+    1e-15 of the largest, at the oracle points of each pinned profile."""
+    p, h = _pinned_profiles()[index]
+    pts = app._oracle_points(p, 10)
+    e = oracle.frame_at(p, pts)
+    r_cov = oracle.riemann_coord_fd(p, pts, h)
+    want = -np.einsum("...im,...jn,...kr,...lt,...mnrt->...ijkl", e, e, e, e, r_cov)
+    got = oracle.riemann_frame_fd(p, pts, h)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_christoffel_on_point_array_stacks_point_results(worked_profile):
     pts = [(-0.4, 0.1, 0.2, -0.3), (-0.25, 0.7, -0.1, 0.05), (-0.1, 0.3, 0.35, 0.2)]
     stacked = oracle.christoffel_fd(worked_profile, np.array(pts))
@@ -340,7 +357,7 @@ def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
         oracle.riemann_frame_fd(p, pt)
         assert counts["_metric_matrix"] <= 5 and counts["derived_functions"] <= 14
     counts.update(_metric_matrix=0, derived_functions=0)
-    oracle.volume_integral_chart(p, lambda tau: 1.0)
+    volume_integral_chart(p, lambda tau: 1.0)
     assert counts == {"_metric_matrix": 1, "derived_functions": 24}
     counts.update(_metric_matrix=0, derived_functions=0)
     app._oracle_checks(p, oracle.DEFAULT_FD_STEP)
@@ -435,7 +452,7 @@ def test_base_curvature_enters_linearly(rng):
 
 def test_volume_reduction_against_chart(worked_profile):
     fn = lambda tau: math.sin(3.0 * tau) + 2.0
-    direct = oracle.volume_integral_chart(worked_profile, fn)
+    direct = volume_integral_chart(worked_profile, fn)
     xs, ws = np.polynomial.legendre.leggauss(48)
     xs = 0.5 * (xs + 1.0) * (-worked_profile.tau_min) + worked_profile.tau_min
     ws = 0.5 * ws * (-worked_profile.tau_min)

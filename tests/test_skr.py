@@ -238,13 +238,12 @@ def test_angle_forms_solve_the_char_poly(rng):
 E1234 = mask_of_indices((1, 2, 3, 4), 4)
 
 
-def _generic_l4(p, tau, order=40):
-    return l_form(skr.equivariant_curvature_matrix(p, tau), order)[E1234]
+def _generic_l4(p, tau):
+    return l_form(skr.equivariant_curvature_matrix(p, tau))[E1234]
 
 
 def test_l4_worked_value(worked_profile):
-    """The exact closed L4 of the worked profile, which the order-16 generic
-    route also gives to 7e-14."""
+    """The exact closed L4 of the worked profile."""
     assert skr.l4_coefficient(worked_profile, -0.495) == pytest.approx(
         -0.14432311293079, abs=1e-13
     )
@@ -299,7 +298,7 @@ def test_l_form_double_route_small_killing(rng):
 
 def test_l_form_closed_matches_generic_up_to_wide_angles(rng):
     """At full scale, with rotation angles up to 1.35, the closed L4 equals the
-    order-40 generic L-form to 1e-10 relative.  The sqrt(A) route this
+    generic L-form to 1e-10 relative.  The sqrt(A) route this
     replaced was off by 0.13 relative on the worked profile."""
     draws = 0
     while draws < 12:
