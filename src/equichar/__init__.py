@@ -12,6 +12,7 @@ from .exterior import ExteriorForm, degree_component, exp_form, wedge
 from .matforms import (
     AnalyticGerm,
     apply_germ,
+    hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
     mat_mul,
     star_second,
@@ -22,6 +23,7 @@ from .charforms import (
     QuadratureSpec,
     equivariant_curvature,
     l_form,
+    transgression,
     transgression_degree3,
     transgression_degree3_alt,
 )

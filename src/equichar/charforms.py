@@ -45,6 +45,7 @@ __all__ = [
     "ConnectionFamily",
     "equivariant_curvature",
     "l_form",
+    "transgression",
     "transgression_degree3",
     "transgression_degree3_alt",
 ]
@@ -159,6 +160,26 @@ def l_form(rg: np.ndarray) -> np.ndarray:
 def _even_guard(germ: AnalyticGerm) -> None:
     if not germ.even:
         raise ValueError("this transgression formula requires an even germ")
+
+
+def transgression(
+    germ: AnalyticGerm, fam: ConnectionFamily, quad: QuadratureSpec = QuadratureSpec()
+) -> ExteriorForm:
+    """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees.
+
+    integrand(t) = exp(Tr[f(Rg_t)]) * Tr[Theta f'(Rg_t)]
+    with Rg_t the equivariant curvature of the family at t, evaluated node
+    by node: the reference the batched degree-3 routes are tested against.
+    """
+    d_germ = germ.derivative()
+    terms = []
+    for t in quad.rule()[0]:
+        nx, rt = fam.at(float(t))
+        rg = equivariant_curvature(rt, nx)
+        weight = exp_coeffs(trace(apply_germ(germ, rg)))
+        tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg)))
+        terms.append(wedge_coeffs(weight, tr))
+    return quad.weighted_sum(np.stack(terms))
 
 
 def transgression_degree3(

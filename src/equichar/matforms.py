@@ -34,6 +34,7 @@ __all__ = [
     "apply_germ",
     "star_second",
     "char_poly",
+    "hirzebruch_l_inner_germ",
     "hirzebruch_l_log_germ",
     "l_log_at_angle",
 ]
@@ -190,8 +191,23 @@ def l_log_at_angle(x: float) -> tuple:
     return 0.5 * math.log(f), -0.5 * f1 / f, -0.5 * (f2 * f - f1 * f1) / (f * f)
 
 
-# The germ factory is cached: an AnalyticGerm is frozen with a tuple of
+# The germ factories are cached: an AnalyticGerm is frozen with a tuple of
 # coefficients, so every caller can share the one object.
+@lru_cache(maxsize=None)
+def hirzebruch_l_inner_germ() -> AnalyticGerm:
+    """Germ of (x/2)/tanh(x/2); restricted to the imaginary axis it is x/(2 tan(x/2))."""
+    return AnalyticGerm(
+        taylor=tuple(_even_series(_l_inner_series(_GERM_COEFFS))[:_GERM_COEFFS].tolist()),
+        even=True,
+        radius=2.0 * math.pi,
+        name="l_inner",
+        closed=(
+            lambda z: 0.5 * z / np.tanh(0.5 * z),
+            lambda z: 0.5 / np.tanh(0.5 * z) - 0.25 * z / np.sinh(0.5 * z) ** 2,
+        ),
+    )
+
+
 @lru_cache(maxsize=None)
 def hirzebruch_l_log_germ() -> AnalyticGerm:
     """Germ of log((x/2)/tanh(x/2))/2; the exp-of-trace kernel of the L-form."""
@@ -201,7 +217,8 @@ def hirzebruch_l_log_germ() -> AnalyticGerm:
         even=True,
         radius=math.pi,
         name="l_log",
-        # closed forms of g, g' = (1/z - 1/sinh z)/2 and g'', which cancel near 0
+        # closed forms of g, g' = (1/z - 1/sinh z)/2 and g'' .. g'''', which
+        # cancel near 0; the derivatives serve divided differences at a repeated index
         closed=(
             lambda z: 0.5 * np.log(0.5 * z / np.tanh(0.5 * z)),
             lambda z: 0.5 * (1.0 / z - 1.0 / np.sinh(z)),
@@ -243,8 +260,9 @@ def _divided_differences(germ: AnalyticGerm, w: np.ndarray, top: int) -> list:
     lam = -1j * w
     if not top:
         return [_germ_values(germ, lam)]
-    # where f', .., f^(top) have closed forms, (i, .., i) takes f^(k)(lambda_i)/k!;
-    # one circle serves each other pair of ends i <= j that lie close together
+    # where f', .., f^(top) have closed forms, (i, .., i) takes f^(k)(lambda_i)/k!,
+    # at half the cost of a circle about each index; one circle serves each
+    # other pair of ends i <= j that lie close together
     diagonal, derivative = len(germ.closed) > top, germ
     n, lo, hi = w.shape[-1], w[..., :, None], w[..., None, :]
     close = hi - lo < _CLUSTER * (germ.radius - np.maximum(np.abs(lo), np.abs(hi)))

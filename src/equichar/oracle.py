@@ -31,8 +31,11 @@ component R_3434 equals -psi').
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .charforms import gauss_legendre
 from .skr import SKRProfile, derived_functions
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "connection_oneform_fd",
     "kahler_defect_fd",
     "pregeodesic_defect_fd",
+    "volume_integral_chart",
     "DEFAULT_FD_STEP",
 ]
 
@@ -201,3 +205,21 @@ def pregeodesic_defect_fd(p: SKRProfile, pt, h_step: float = DEFAULT_FD_STEP) ->
     ortho[..., 0] = 0.0
     g = _metric_matrix(p, pt)
     return np.sqrt((ortho[..., None, :] @ g @ ortho[..., :, None])[..., 0, 0]) / q
+
+
+def volume_integral_chart(p: SKRProfile, integrand) -> float:
+    """Direct 4-dimensional Gauss-Legendre quadrature of integrand(tau) over the
+    chart, with the volume density taken from the determinant of the chart
+    metric numerically.
+
+    The chart covers the full fiber circle and a base rectangle of the
+    profile's base_area; used to pin the reduced 1-dimensional convention.
+    """
+    side = math.sqrt(p.base_area)
+    spans = ((24, p.tau_min, 0.0), (6, 0.0, p.fiber_period), (6, 0.0, side), (6, 0.0, side))
+    rules = [gauss_legendre(*span) for span in spans]
+    grid = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
+    weight = np.einsum("i,j,k,l->ijkl", *(w for _, w in rules))
+    f_val = np.array([integrand(float(tau)) for tau in rules[0][0]])
+    dens = np.sqrt(np.linalg.det(_metric_matrix(p, grid)))
+    return float(np.sum(weight * f_val[:, None, None, None] * dens))

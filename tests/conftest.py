@@ -1,88 +1,9 @@
-import math
-from functools import lru_cache
-
 import numpy as np
 import pytest
 
-from equichar import oracle
-from equichar.charforms import (
-    ConnectionFamily,
-    QuadratureSpec,
-    equivariant_curvature,
-    gauss_legendre,
-)
 from equichar.errors import ProfileError
-from equichar.exterior import ExteriorForm, exp_coeffs, wedge_coeffs
-from equichar.matforms import (
-    AnalyticGerm,
-    _even_series,
-    _l_inner_series,
-    apply_germ,
-    mat_mul,
-    trace,
-)
+from equichar.exterior import ExteriorForm
 from equichar.skr import SKRProfile
-
-
-def _l_inner(z):
-    return 0.5 * z / np.tanh(0.5 * z)
-
-
-def _l_inner_d1(z):
-    s = np.sinh(0.5 * z)
-    return 0.5 / np.tanh(0.5 * z) - 0.25 * z / (s * s)
-
-
-@lru_cache(maxsize=None)
-def hirzebruch_l_inner_germ() -> AnalyticGerm:
-    """Germ of (x/2)/tanh(x/2), whose half log is the L-log germ; restricted
-    to the imaginary axis it is x/(2 tan(x/2)).  Its closed forms cover it
-    and its first derivative."""
-    return AnalyticGerm(
-        taylor=tuple(_even_series(_l_inner_series(44))[:44].tolist()),
-        even=True,
-        radius=2.0 * math.pi,
-        name="l_inner",
-        closed=(_l_inner, _l_inner_d1),
-    )
-
-
-def transgression(
-    germ: AnalyticGerm, fam: ConnectionFamily, quad: QuadratureSpec = QuadratureSpec()
-) -> ExteriorForm:
-    """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees.
-
-    integrand(t) = exp(Tr[f(Rg_t)]) * Tr[Theta f'(Rg_t)]
-    with Rg_t the equivariant curvature of the family at t, evaluated node
-    by node: the reference the batched degree-3 routes are tested against.
-    """
-    d_germ = germ.derivative()
-    terms = []
-    for t in quad.rule()[0]:
-        nx, rt = fam.at(float(t))
-        rg = equivariant_curvature(rt, nx)
-        weight = exp_coeffs(trace(apply_germ(germ, rg)))
-        tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg)))
-        terms.append(wedge_coeffs(weight, tr))
-    return quad.weighted_sum(np.stack(terms))
-
-
-def volume_integral_chart(p: SKRProfile, integrand) -> float:
-    """Direct 4-dimensional Gauss-Legendre quadrature of integrand(tau) over the
-    oracle's chart, with the volume density taken from the determinant of the
-    chart metric numerically.
-
-    The chart covers the full fiber circle and a base rectangle of the
-    profile's base_area; used to pin the reduced 1-dimensional convention.
-    """
-    side = math.sqrt(p.base_area)
-    spans = ((24, p.tau_min, 0.0), (6, 0.0, p.fiber_period), (6, 0.0, side), (6, 0.0, side))
-    rules = [gauss_legendre(*span) for span in spans]
-    grid = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
-    weight = np.einsum("i,j,k,l->ijkl", *(w for _, w in rules))
-    f_val = np.array([integrand(float(tau)) for tau in rules[0][0]])
-    dens = np.sqrt(np.linalg.det(oracle._metric_matrix(p, grid)))
-    return float(np.sum(weight * f_val[:, None, None, None] * dens))
 
 
 def make_irreducible(rng, scale=1.0, base_curv=None):

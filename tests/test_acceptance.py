@@ -8,15 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (
-    char_poly_forms,
-    hirzebruch_l_inner_germ,
-    integrate_per_node,
-    make_irreducible,
-    make_reducible,
-    transgression,
-    volume_integral_chart,
-)
+from conftest import char_poly_forms, integrate_per_node, make_irreducible, make_reducible
 from equichar import oracle, skr
 from equichar.app import RunConfig, Topology, eta_invariant
 from equichar.charforms import (
@@ -24,6 +16,7 @@ from equichar.charforms import (
     QuadratureSpec,
     equivariant_curvature,
     l_form,
+    transgression,
     transgression_degree3,
     transgression_degree3_alt,
 )
@@ -283,6 +276,8 @@ def test_criterion_08_x_to_zero_limit():
 
 def test_criterion_09_germ_coefficients():
     t0 = time.perf_counter()
+    from equichar.matforms import hirzebruch_l_inner_germ
+
     inner = hirzebruch_l_inner_germ()
     log_half = GERM
     devs = [
@@ -310,7 +305,7 @@ def test_criterion_10_volume_reduction():
         [0.5, 0.25], c_bar=-1.0, base_curv=2.0, tau_min=-0.5
     )
     fn = lambda tau: math.cos(2.0 * tau) + tau * tau + 1.5
-    direct = volume_integral_chart(p, fn)
+    direct = oracle.volume_integral_chart(p, fn)
     xs, ws = np.polynomial.legendre.leggauss(48)
     xs = 0.5 * (xs + 1.0) * (-p.tau_min) + p.tau_min
     ws = 0.5 * ws * (-p.tau_min)

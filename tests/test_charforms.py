@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import integrate_per_node, max_abs, transgression
+from conftest import integrate_per_node, max_abs
 from equichar import app, skr
 from equichar.app import build_profile, load_config
 from equichar.errors import ConvergenceRadiusError
@@ -24,6 +24,7 @@ from equichar.charforms import (
     equivariant_curvature,
     gauss_legendre,
     l_form,
+    transgression,
     transgression_degree3,
     transgression_degree3_alt,
 )
@@ -354,9 +355,7 @@ def _example_curvature_stack(example):
 
 
 def _random_stack(shape, seed):
-    """Antisymmetric matrices of forms of every degree, the germs' domain."""
-    m = np.random.default_rng(seed).uniform(-0.3, 0.3, shape)
-    return m - m.swapaxes(-3, -2)
+    return np.random.default_rng(seed).uniform(-0.3, 0.3, shape)
 
 
 STACKS = {
@@ -371,20 +370,30 @@ STACKS = {
 def test_stacked_functions_bit_equal_per_matrix(which):
     """On a stack of matrices of forms every function gives each matrix the
     bits it gets alone; star_second's first argument is the stack's degree-0
-    part, and mat_mul pairs the stack with itself reversed and with that part."""
+    part, and mat_mul pairs the stack with itself reversed and with that part.
+    The germs take the stack with its degree-0 part made antisymmetric, their
+    domain (the curvature stacks already are); the products and the trace
+    take the stack as drawn."""
     stack = STACKS[which]()
     degree0 = np.zeros_like(stack)
     degree0[..., 0] = stack[..., 0]
+    germ_stack = stack.copy()
+    germ_stack[..., 0] = 0.5 * (stack[..., 0] - stack[..., 0].swapaxes(-2, -1))
+    germ_degree0 = np.zeros_like(stack)
+    germ_degree0[..., 0] = germ_stack[..., 0]
     per_matrix = lambda fn, *stacks: np.stack([fn(*ms) for ms in zip(*stacks)])
     assert stack.shape[0] >= 3
-    assert np.array_equal(l_form(stack), per_matrix(l_form, stack))
+    assert np.array_equal(l_form(germ_stack), per_matrix(l_form, germ_stack))
     apply = lambda m: apply_germ(GERM, m)
-    assert np.array_equal(apply(stack), per_matrix(apply, stack))
+    assert np.array_equal(apply(germ_stack), per_matrix(apply, germ_stack))
     star = lambda a, b: star_second(GERM, a, b)
-    assert np.array_equal(star(degree0, stack), per_matrix(star, degree0, stack))
+    assert np.array_equal(star(germ_degree0, stack), per_matrix(star, germ_degree0, stack))
     assert np.array_equal(mat_mul(stack, stack[::-1]), per_matrix(mat_mul, stack, stack[::-1]))
     assert np.array_equal(mat_mul(degree0, stack), per_matrix(mat_mul, degree0, stack))
-    assert np.array_equal(trace(stack), per_matrix(trace, stack))
+    traced = trace(stack)
+    assert np.array_equal(traced, per_matrix(trace, stack))
+    # the curvature stacks are antisymmetric and trace to zero; the random ones do not
+    assert np.any(traced != 0.0) == which.startswith("random")
 
 
 # ----------------------------------------------------------------- family validation

@@ -9,11 +9,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import hirzebruch_l_inner_germ
 from equichar.errors import ConvergenceRadiusError
 from equichar.matforms import (
     _divided_differences,
     _germ_values,
+    hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
     l_log_at_angle,
 )
@@ -106,7 +106,7 @@ def _derived(germ, order):
     return germ
 
 
-# the L-log germ and its derivatives up to the fourth, all with closed forms
+# the germs and the derivatives that carry closed forms
 GERMS = {
     **{"l_log" + "'" * k: (hirzebruch_l_log_germ(), mp_l_log, k) for k in range(5)},
     **{"l_inner" + "'" * k: (hirzebruch_l_inner_germ(), mp_l_inner, k) for k in (0, 1)},

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hirzebruch_l_inner_germ, max_abs
+from conftest import max_abs
 from equichar import skr
 from equichar.charforms import l_form
 from equichar.errors import ConvergenceRadiusError
@@ -13,6 +13,7 @@ from equichar.exterior import ExteriorForm, _degree_masks, degree_component, wed
 from equichar.matforms import (
     apply_germ,
     char_poly,
+    hirzebruch_l_inner_germ,
     hirzebruch_l_log_germ,
     identity,
     l_log_at_angle,

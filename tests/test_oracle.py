@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_irreducible, make_reducible, volume_integral_chart
+from conftest import make_irreducible, make_reducible
 from equichar import app, oracle, skr
 from equichar.errors import ProfileError
 from equichar.skr import SKRProfile
@@ -357,7 +357,7 @@ def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
         oracle.riemann_frame_fd(p, pt)
         assert counts["_metric_matrix"] <= 5 and counts["derived_functions"] <= 14
     counts.update(_metric_matrix=0, derived_functions=0)
-    volume_integral_chart(p, lambda tau: 1.0)
+    oracle.volume_integral_chart(p, lambda tau: 1.0)
     assert counts == {"_metric_matrix": 1, "derived_functions": 24}
     counts.update(_metric_matrix=0, derived_functions=0)
     app._oracle_checks(p, oracle.DEFAULT_FD_STEP)
@@ -452,7 +452,7 @@ def test_base_curvature_enters_linearly(rng):
 
 def test_volume_reduction_against_chart(worked_profile):
     fn = lambda tau: math.sin(3.0 * tau) + 2.0
-    direct = volume_integral_chart(worked_profile, fn)
+    direct = oracle.volume_integral_chart(worked_profile, fn)
     xs, ws = np.polynomial.legendre.leggauss(48)
     xs = 0.5 * (xs + 1.0) * (-worked_profile.tau_min) + worked_profile.tau_min
     ws = 0.5 * ws * (-worked_profile.tau_min)
