@@ -8,7 +8,7 @@ from .errors import (
     EquicharError,
     ProfileError,
 )
-from .exterior import ExteriorForm, degree_component, exp_form, wedge
+from .exterior import degree_component, exp_form, wedge
 from .matforms import (
     AnalyticGerm,
     apply_germ,

@@ -9,8 +9,10 @@ L-form broadcasts over a stack of curvature matrices.  Germs act on the
 spectrum (:mod:`equichar.matforms`), so the L-form and both degree-3 routes
 are exact up to rounding; the direct route takes its second-order term from
 ``star_second``, the alternate one from the path sum of f'(Theta + NX).
-The SKR geometry of :mod:`equichar.skr` feeds its boundary data through
-these entry points; the tests also run them on randomized families.
+Each returns one form, the (2^n,) coefficient array of
+:mod:`equichar.exterior`.  The SKR geometry of :mod:`equichar.skr` feeds
+its boundary data through these entry points; the tests also run them on
+randomized families.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .exterior import (
-    ExteriorForm,
-    _degree_masks,
-    _dimension_of,
-    degree_component_coeffs,
-    exp_coeffs,
-    wedge_coeffs,
-)
+from .exterior import _degree_masks, _dimension_of, degree_component, exp_form, wedge
 from .matforms import (
     AnalyticGerm,
     _is_degree0,
@@ -75,14 +70,14 @@ class QuadratureSpec:
     def rule(self):
         return gauss_legendre(self.nodes, 0.0, 1.0)
 
-    def weighted_sum(self, terms: np.ndarray) -> ExteriorForm:
-        """sum_i w_i terms[i] for a stack of form coefficients, one row per node,
+    def weighted_sum(self, terms: np.ndarray) -> np.ndarray:
+        """sum_i w_i terms[i] for a stack of forms, one row per node,
         accumulated left-to-right over ascending nodes."""
         _, ws = self.rule()
         acc = terms[0] * ws[0]
         for term, w in zip(terms[1:], ws[1:]):
             acc = acc + term * w
-        return ExteriorForm(_dimension_of(terms), acc)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ def l_form(rg: np.ndarray) -> np.ndarray:
     exp(Tr[f(.)]) for f the half-log germ, which acts on the spectrum; the
     outer exponential is expanded exactly up to the coframe dimension.
     """
-    return exp_coeffs(trace(apply_germ(hirzebruch_l_log_germ(), rg)))
+    return exp_form(trace(apply_germ(hirzebruch_l_log_germ(), rg)))
 
 
 def _even_guard(germ: AnalyticGerm) -> None:
@@ -164,8 +159,9 @@ def _even_guard(germ: AnalyticGerm) -> None:
 
 def transgression(
     germ: AnalyticGerm, fam: ConnectionFamily, quad: QuadratureSpec = QuadratureSpec()
-) -> ExteriorForm:
-    """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees.
+) -> np.ndarray:
+    """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees,
+    as the (2^n,) coefficients of one form.
 
     integrand(t) = exp(Tr[f(Rg_t)]) * Tr[Theta f'(Rg_t)]
     with Rg_t the equivariant curvature of the family at t, evaluated node
@@ -176,9 +172,9 @@ def transgression(
     for t in quad.rule()[0]:
         nx, rt = fam.at(float(t))
         rg = equivariant_curvature(rt, nx)
-        weight = exp_coeffs(trace(apply_germ(germ, rg)))
+        weight = exp_form(trace(apply_germ(germ, rg)))
         tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg)))
-        terms.append(wedge_coeffs(weight, tr))
+        terms.append(wedge(weight, tr))
     return quad.weighted_sum(np.stack(terms))
 
 
@@ -186,8 +182,9 @@ def transgression_degree3(
     germ: AnalyticGerm,
     fam: ConnectionFamily,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> ExteriorForm:
-    """Degree-3 component of the transgression, as the reduced integrand
+) -> np.ndarray:
+    """Degree-3 component of the transgression, the (2^n,) coefficients of
+    one form, as the reduced integrand
 
     exp(Tr[f(NX)]) * ( Tr[Theta f'(NX)] * Tr[f'(NX) R] + Tr[(f2(NX)*Theta) R] )
 
@@ -199,19 +196,19 @@ def transgression_degree3(
     nx, rt = fam.at(quad.rule()[0])
     theta = fam.theta
     f_nx = apply_germ(germ.derivative(), nx)
-    weight = exp_coeffs(trace(apply_germ(germ, nx)))
+    weight = exp_form(trace(apply_germ(germ, nx)))
     t1 = trace(mat_mul(theta, f_nx))
     t2 = trace(mat_mul(f_nx, rt))
     t3 = trace(mat_mul(star_second(germ, nx, theta), rt))
-    terms = wedge_coeffs(weight, wedge_coeffs(t1, t2) + t3)
-    return quad.weighted_sum(degree_component_coeffs(terms, 3))
+    terms = wedge(weight, wedge(t1, t2) + t3)
+    return quad.weighted_sum(degree_component(terms, 3))
 
 
 def transgression_degree3_alt(
     germ: AnalyticGerm,
     fam: ConnectionFamily,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> ExteriorForm:
+) -> np.ndarray:
     """Equivalent form of :func:`transgression_degree3`:
 
     degree-3 part of
@@ -221,10 +218,9 @@ def transgression_degree3_alt(
     d_germ = germ.derivative()
     nx, rt = fam.at(quad.rule()[0])
     theta = fam.theta
-    weight = exp_coeffs(trace(apply_germ(germ, nx)))
-    one_plus = ExteriorForm.scalar(_dimension_of(theta), 1.0).coeffs + trace(
-        mat_mul(theta, apply_germ(d_germ, nx))
-    )
+    weight = exp_form(trace(apply_germ(germ, nx)))
+    one_plus = trace(mat_mul(theta, apply_germ(d_germ, nx)))
+    one_plus[..., 0] += 1.0
     shifted = trace(mat_mul(apply_germ(d_germ, theta + nx), rt))
-    terms = wedge_coeffs(weight, wedge_coeffs(one_plus, shifted))
-    return quad.weighted_sum(degree_component_coeffs(terms, 3))
+    terms = wedge(weight, wedge(one_plus, shifted))
+    return quad.weighted_sum(degree_component(terms, 3))

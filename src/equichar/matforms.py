@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceRadiusError, DimensionMismatchError
-from .exterior import ExteriorForm, _degree_masks, _dimension_of, _wedge_sign, wedge_coeffs
+from .exterior import _degree_masks, _dimension_of, _wedge_sign, wedge
 
 __all__ = [
     "AnalyticGerm",
@@ -332,7 +332,7 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size = a.shape[-2]
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
     for j in range(size):
-        wedge_coeffs(a[..., :, j, None, :], b[..., None, j, :, :], out)
+        wedge(a[..., :, j, None, :], b[..., None, j, :, :], out)
     return out
 
 
@@ -435,21 +435,22 @@ def star_second(germ: AnalyticGerm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _product(u, d1[..., None] * _product(uh, b, u), uh).real
 
 
-def char_poly(m: np.ndarray) -> list:
+def char_poly(m: np.ndarray) -> np.ndarray:
     """Characteristic polynomial coefficients [1, c_1, .., c_size] of one
     matrix whose entries all have even exterior degree (so they commute), with
-    det(lambda I - M) = sum_k c_k lambda^(size - k), as exterior forms.
+    det(lambda I - M) = sum_k c_k lambda^(size - k): row k of the returned
+    (size + 1, 2^n) array holds the form c_k.
 
     Faddeev-LeVerrier recursion; valid over any commutative coefficient ring.
     """
     dim, size = _dimension_of(m), m.shape[-2]
     if np.any(m[..., _degree_masks(dim) % 2 == 1]):
         raise ValueError("char_poly needs entries of even exterior degree")
-    coeffs = [ExteriorForm.scalar(dim, 1.0)]
+    coeffs = np.zeros((size + 1, 1 << dim))
+    coeffs[0, 0] = 1.0
     aux, diagonal = identity(size, dim), np.arange(size)
     for k in range(1, size + 1):
         aux = mat_mul(m, aux)
-        c_k = trace(aux) * (-1.0 / k)
-        coeffs.append(ExteriorForm(dim, c_k))
-        aux[diagonal, diagonal] += c_k
+        coeffs[k] = trace(aux) * (-1.0 / k)
+        aux[diagonal, diagonal] += coeffs[k]
     return coeffs

@@ -500,4 +500,4 @@ def transgression_pullback_direct(
     """Generic-machinery route: the e^123 coefficient of the boundary family
     pushed through the degree-3 transgression integrand, germs on the spectrum."""
     form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad)
-    return form.coefficient((1, 2, 3))
+    return float(form[mask_of_indices((1, 2, 3), 3)])

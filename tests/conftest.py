@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equichar.errors import ProfileError
-from equichar.exterior import ExteriorForm
+from equichar.exterior import mask_of_indices
 from equichar.skr import SKRProfile
 
 
@@ -42,17 +42,32 @@ def make_irreducible(rng, scale=1.0, base_curv=None):
     raise RuntimeError("failed to draw a valid irreducible profile")
 
 
+def basis(dim, *indices):
+    """The basis monomial e^I as the coefficient array of a form."""
+    out = np.zeros(1 << dim)
+    out[mask_of_indices(indices, dim)] = 1.0
+    return out
+
+
+def even_form(a0, a12, a34, a1234):
+    """a0 + a12 e^12 + a34 e^34 + a1234 e^1234 as the coefficient array of a form."""
+    out = np.zeros(16)
+    masks = [mask_of_indices(i, 4) for i in ((), (1, 2), (3, 4), (1, 2, 3, 4))]
+    out[masks] = a0, a12, a34, a1234
+    return out
+
+
 def char_poly_forms(phi, psi, cc):
     """A and Pf of det(lam - R_X) = lam^4 + A lam^2 + Pf^2, as
-    skr.l4_closed states them, as exterior forms."""
+    skr.l4_closed states them, as coefficient arrays."""
     b, c, d, r = cc
-
-    def form(a0, a12, a34, a1234):
-        return ExteriorForm(4, {(): a0, (1, 2): a12, (3, 4): a34, (1, 2, 3, 4): a1234})
-
-    a = form(phi**2 + psi**2, 2 * (phi * b + psi * c), 2 * (phi * c + psi * d),
-             2 * (b * c + c * d - 4 * r * r))
-    pf = form(phi * psi, phi * c + psi * b, phi * d + psi * c, b * d + c * c + 4 * r * r)
+    a = even_form(
+        phi**2 + psi**2,
+        2 * (phi * b + psi * c),
+        2 * (phi * c + psi * d),
+        2 * (b * c + c * d - 4 * r * r),
+    )
+    pf = even_form(phi * psi, phi * c + psi * b, phi * d + psi * c, b * d + c * c + 4 * r * r)
     return a, pf
 
 

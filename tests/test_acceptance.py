@@ -8,7 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import char_poly_forms, integrate_per_node, make_irreducible, make_reducible
+from conftest import (
+    basis,
+    char_poly_forms,
+    integrate_per_node,
+    make_irreducible,
+    make_reducible,
+    max_abs,
+)
 from equichar import oracle, skr
 from equichar.app import RunConfig, Topology, eta_invariant
 from equichar.charforms import (
@@ -20,15 +27,7 @@ from equichar.charforms import (
     transgression_degree3,
     transgression_degree3_alt,
 )
-from equichar.exterior import (
-    ExteriorForm,
-    _degree_masks,
-    degree_component,
-    degree_component_coeffs,
-    exp_form,
-    mask_of_indices,
-    wedge,
-)
+from equichar.exterior import _degree_masks, degree_component, exp_form, mask_of_indices, wedge
 from equichar.matforms import (
     apply_germ,
     char_poly,
@@ -134,10 +133,10 @@ def test_criterion_04_eigenvalue_structure():
         coeffs = char_poly(skr.equivariant_curvature_matrix(p, tau))
         worst = max(
             worst,
-            coeffs[1].max_abs(),
-            (coeffs[2] - a_form).max_abs(),
-            coeffs[3].max_abs(),
-            (coeffs[4] - wedge(pf_form, pf_form)).max_abs(),
+            max_abs(coeffs[1]),
+            max_abs(coeffs[2] - a_form),
+            max_abs(coeffs[3]),
+            max_abs(coeffs[4] - wedge(pf_form, pf_form)),
         )
     elapsed = time.perf_counter() - t0
     report(
@@ -234,25 +233,24 @@ def test_criterion_07_transgression_equivalences():
             t3 = transgression_degree3(GERM, fam, QUAD)
             alt = transgression_degree3_alt(GERM, fam, QUAD)
             full = degree_component(transgression(GERM, fam, QUAD), 3)
-            scale = max(t3.max_abs(), 1e-6)
-            worst = max(worst, (t3 - alt).max_abs() / scale, (t3 - full).max_abs() / scale)
+            scale = max(max_abs(t3), 1e-6)
+            worst = max(worst, max_abs(t3 - alt) / scale, max_abs(t3 - full) / scale)
             # factorization and expansion identities at one interior time
             nx, rt = fam.at(0.43)
-            form = lambda coeffs: ExteriorForm(dim, coeffs)
-            lhs = exp_form(form(trace(apply_germ(GERM, equivariant_curvature(rt, nx)))))
+            lhs = exp_form(trace(apply_germ(GERM, equivariant_curvature(rt, nx))))
             rhs = wedge(
-                exp_form(form(trace(apply_germ(GERM, nx)))),
-                ExteriorForm.scalar(dim, 1.0) - form(trace(mat_mul(apply_germ(d_germ, nx), rt))),
+                exp_form(trace(apply_germ(GERM, nx))),
+                basis(dim) - trace(mat_mul(apply_germ(d_germ, nx), rt)),
             )
             for k in range(min(dim, 3) + 1):
-                worst = max(worst, (degree_component(lhs - rhs, k)).max_abs())
+                worst = max(worst, max_abs(degree_component(lhs - rhs, k)))
             lhs_m = apply_germ(d_germ, equivariant_curvature(rt, nx))
             rhs_m = star_second(GERM, nx, rt) - apply_germ(d_germ, nx)
             for i in range(4):
                 for j in range(4):
-                    diff = form(lhs_m[i, j] - rhs_m[i, j])
+                    diff = lhs_m[i, j] - rhs_m[i, j]
                     for k in range(min(dim, 3) + 1):
-                        worst = max(worst, degree_component(diff, k).max_abs())
+                        worst = max(worst, max_abs(degree_component(diff, k)))
     elapsed = time.perf_counter() - t0
     report(7, "transgression-equivalences", worst <= 1e-10, f"max dev {worst:.2e}", elapsed, 10.0)
 
@@ -262,13 +260,13 @@ def test_criterion_08_x_to_zero_limit():
     rng = np.random.default_rng(808)
     fam = _random_family(rng, 3)
     ref = integrate_per_node(
-        QUAD, lambda t: degree_component_coeffs(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
+        QUAD, lambda t: degree_component(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
     ) * GERM.second_derivative_at_zero()
     scales = (1e-1, 1e-2, 1e-3)
     errs = []
     for s in scales:
         fam_s = replace(fam, nabla_x=tuple(m * s for m in fam.nabla_x))
-        errs.append((transgression_degree3(GERM, fam_s, QUAD) - ref).max_abs())
+        errs.append(max_abs(transgression_degree3(GERM, fam_s, QUAD) - ref))
     slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
     report(8, "x-to-zero-limit", slope >= 1.9, f"measured order {slope:.3f}", elapsed, 5.0)

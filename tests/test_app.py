@@ -65,6 +65,10 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, IRRED))
     assert cfg.numerics.quad_nodes == 32 and cfg.numerics.fd_step == 1e-4
     assert cfg.topology.fiber_period == pytest.approx(2.0 * math.pi)
+    bare = load_config(write_cfg(tmp_path, {"profile": IRRED["profile"]}))
+    assert bare.numerics == app.Numerics() and bare.topology == app.Topology()
+    assert app.Numerics().fd_step == app.oracle_mod.DEFAULT_FD_STEP
+    assert type(bare.numerics.quad_nodes) is int and type(bare.topology.signature) is int
 
 
 def test_config_missing_file():
@@ -1040,6 +1044,25 @@ def test_eta_on_polynomial_profile_imports_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_check_imports_no_numpy_random():
+    """The oracle's chart points are a fixed table, so a fresh check process
+    never loads numpy.random (nor the hashlib and secrets it pulls in)."""
+    example = str(EXAMPLES / "example_irreducible.json")
+    code = (
+        "import sys; from equichar.app import main; "
+        f"assert main(['check', {example!r}]) == 0; "
+        "print('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(app.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_abs
+from conftest import basis, max_abs
 from equichar import skr
 from equichar.charforms import l_form
 from equichar.errors import ConvergenceRadiusError
-from equichar.exterior import ExteriorForm, _degree_masks, degree_component, wedge
+from equichar.exterior import _degree_masks, degree_component, wedge
 from equichar.matforms import (
     apply_germ,
     char_poly,
@@ -51,12 +51,12 @@ def test_theta_square_pattern(worked_profile):
     1-forms in the upper-left 3x3 block, empty last row and column."""
     bd = skr.boundary_data(worked_profile)
     sq = mat_mul(bd.theta, bd.theta)
-    p = ExteriorForm.basis(3, (1,)) * bd.k
-    q = ExteriorForm.basis(3, (2,)) * bd.k
-    r = ExteriorForm.basis(3, (3,)) * bd.l
-    assert max_abs(sq[0, 1] + wedge(p, q).coeffs) < 1e-15
-    assert max_abs(sq[0, 2] + wedge(p, r).coeffs) < 1e-15
-    assert max_abs(sq[1, 2] + wedge(q, r).coeffs) < 1e-15
+    p = basis(3, 1) * bd.k
+    q = basis(3, 2) * bd.k
+    r = basis(3, 3) * bd.l
+    assert max_abs(sq[0, 1] + wedge(p, q)) < 1e-15
+    assert max_abs(sq[0, 2] + wedge(p, r)) < 1e-15
+    assert max_abs(sq[1, 2] + wedge(q, r)) < 1e-15
     for i in range(4):
         assert max_abs(sq[i, 3]) == 0.0
         assert max_abs(sq[3, i]) == 0.0
@@ -112,11 +112,11 @@ def test_trace_product_explicit_sum(worked_profile):
     bd = skr.boundary_data(worked_profile)
     r1 = bd.a1 + bd.a2 + bd.a3
     got = trace(mat_mul(bd.theta, r1))
-    acc = ExteriorForm.zero(3)
+    acc = np.zeros(8)
     for i in range(4):
         for j in range(4):
-            acc = acc + wedge(ExteriorForm(3, bd.theta[i, j]), ExteriorForm(3, r1[j, i]))
-    assert max_abs(got - acc.coeffs) < 1e-15
+            acc = acc + wedge(bd.theta[i, j], r1[j, i])
+    assert max_abs(got - acc) < 1e-15
 
 
 # ----------------------------------------------------------------- apply_germ
@@ -337,10 +337,10 @@ def test_l_form_exp_trace_pure_degree2_parity():
         for j in range(i + 1, 4):
             vec = np.where(deg == 2, rng.uniform(-0.5, 0.5, 16), 0.0)
             data[i, j], data[j, i] = vec, -vec
-    out = ExteriorForm(4, l_form(data))
-    assert degree_component(out, 1).is_zero()
-    assert degree_component(out, 3).is_zero()
-    assert out.coefficient(()) == 1.0
+    out = l_form(data)
+    assert not np.any(degree_component(out, 1))
+    assert not np.any(degree_component(out, 3))
+    assert out[0] == 1.0
 
 
 # ----------------------------------------------------------------- spectrum
@@ -378,11 +378,13 @@ def test_char_poly_scalar_matrix():
     mat = np.array([[0.0, 2.0], [-2.0, 0.0]])
     m = scalar_matrix(np.kron(np.eye(2), mat), 4)
     coeffs = char_poly(m)
-    # (lambda^2 + 4)^2 = lambda^4 + 8 lambda^2 + 16
-    assert coeffs[1].max_abs() < 1e-13
-    assert abs(coeffs[2].coefficient(()) - 8.0) < 1e-12
-    assert coeffs[3].max_abs() < 1e-13
-    assert abs(coeffs[4].coefficient(()) - 16.0) < 1e-12
+    # (lambda^2 + 4)^2 = lambda^4 + 8 lambda^2 + 16, one form per row
+    assert coeffs.shape == (5, 16)
+    assert np.array_equal(coeffs[0], basis(4))
+    assert max_abs(coeffs[1]) < 1e-13
+    assert abs(coeffs[2][0] - 8.0) < 1e-12
+    assert max_abs(coeffs[3]) < 1e-13
+    assert abs(coeffs[4][0] - 16.0) < 1e-12
 
 
 def test_char_poly_rejects_odd_entries(worked_profile):

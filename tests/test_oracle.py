@@ -299,7 +299,7 @@ def test_array_path_matches_point_path_bit_for_bit(index):
         (oracle.kahler_defect_fd, _ref_kahler_defect),
         (oracle.pregeodesic_defect_fd, _ref_pregeodesic_defect),
     )
-    pts = app._oracle_points(p, 10)
+    pts = app._oracle_points(p)
     assert pts.shape == (10, 4)
     for got, want in pairs:
         stacked = got(p, pts, h)
@@ -310,13 +310,25 @@ def test_array_path_matches_point_path_bit_for_bit(index):
             assert np.array_equal(stacked[k], ref), got.__name__
 
 
+def test_oracle_points_are_the_seeded_draws(worked_profile):
+    """The fixed table holds exactly the draws of the seeded generator it
+    replaced, and only the tau column is scaled into the profile's range."""
+    rng = np.random.default_rng(20240817)
+    want = rng.uniform((0.25, 0.0, -0.4, -0.4), (0.95, 1.0, 0.4, 0.4), size=(10, 4))
+    assert np.array_equal(np.array(app._ORACLE_POINTS), want)
+    p = worked_profile
+    pts = app._oracle_points(p)
+    assert np.array_equal(pts[:, 1:], want[:, 1:])
+    assert np.array_equal(pts[:, 0], p.tau_min + -p.tau_min * want[:, 0])
+
+
 @pytest.mark.parametrize("index", range(3))
 def test_frame_rotation_chain_matches_one_contraction(index):
     """riemann_frame_fd turns the coordinate curvature into the frame one index
     at a time; the single five-operand contraction gives the same entries to
     1e-15 of the largest, at the oracle points of each pinned profile."""
     p, h = _pinned_profiles()[index]
-    pts = app._oracle_points(p, 10)
+    pts = app._oracle_points(p)
     e = oracle.frame_at(p, pts)
     r_cov = oracle.riemann_coord_fd(p, pts, h)
     want = -np.einsum("...im,...jn,...kr,...lt,...mnrt->...ijkl", e, e, e, e, r_cov)
@@ -352,7 +364,7 @@ def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
     at most 10 calls."""
     p = worked_profile
     counts = _count_calls(monkeypatch)
-    for pt in app._oracle_points(p, 10):
+    for pt in app._oracle_points(p):
         counts.update(_metric_matrix=0, derived_functions=0)
         oracle.riemann_frame_fd(p, pt)
         assert counts["_metric_matrix"] <= 5 and counts["derived_functions"] <= 14

@@ -5,17 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import char_poly_forms, make_irreducible, make_reducible, max_abs
+from conftest import char_poly_forms, even_form, make_irreducible, make_reducible, max_abs
 from equichar import skr
 from equichar.charforms import QuadratureSpec, l_form, transgression_degree3
 from equichar.errors import ConvergenceRadiusError, ProfileError
-from equichar.exterior import (
-    ExteriorForm,
-    _degree_masks,
-    degree_component_coeffs,
-    mask_of_indices,
-    wedge,
-)
+from equichar.exterior import _degree_masks, degree_component, mask_of_indices, wedge
 from equichar.matforms import char_poly, hirzebruch_l_log_germ, l_log_at_angle, mat_mul, trace
 from equichar.skr import SKRProfile
 
@@ -173,17 +167,8 @@ def test_nabla_x_matrix_layout():
 
 # ----------------------------------------------------------------- characteristic polynomial
 
-def _form(a0, a12, a34, a1234):
-    return ExteriorForm(4, {(): a0, (1, 2): a12, (3, 4): a34, (1, 2, 3, 4): a1234})
-
-
 def _pfaffian(m):
-    entry = lambda i, j: ExteriorForm(4, m[i, j])
-    return (
-        wedge(entry(0, 1), entry(2, 3))
-        - wedge(entry(0, 2), entry(1, 3))
-        + wedge(entry(0, 3), entry(1, 2))
-    )
+    return wedge(m[0, 1], m[2, 3]) - wedge(m[0, 2], m[1, 3]) + wedge(m[0, 3], m[1, 2])
 
 
 def test_char_poly_exact_identity_full_scale(rng):
@@ -197,11 +182,11 @@ def test_char_poly_exact_identity_full_scale(rng):
         rg = skr.equivariant_curvature_matrix(p, t)
         coeffs = char_poly(rg)
         pf = _pfaffian(rg)
-        assert coeffs[1].max_abs() < 1e-13
-        assert (coeffs[2] - a_form).max_abs() < 1e-12
-        assert coeffs[3].max_abs() < 1e-13
-        assert (pf - pf_form).max_abs() < 1e-13
-        assert (coeffs[4] - wedge(pf, pf)).max_abs() < 1e-13
+        assert max_abs(coeffs[1]) < 1e-13
+        assert max_abs(coeffs[2] - a_form) < 1e-12
+        assert max_abs(coeffs[3]) < 1e-13
+        assert max_abs(pf - pf_form) < 1e-13
+        assert max_abs(coeffs[4] - wedge(pf, pf)) < 1e-13
 
 
 def test_char_poly_reducible_has_no_pfaffian_square(rng):
@@ -212,8 +197,8 @@ def test_char_poly_reducible_has_no_pfaffian_square(rng):
         d = skr.derived_functions(p, t)
         coeffs = char_poly(skr.equivariant_curvature_matrix(p, t))
         a_form, _ = char_poly_forms(d.phi, d.psi, skr.curvature_components(p, d))
-        assert (coeffs[2] - a_form).max_abs() < 1e-13
-        assert coeffs[4].max_abs() == 0.0
+        assert max_abs(coeffs[2] - a_form) < 1e-13
+        assert max_abs(coeffs[4]) == 0.0
 
 
 def test_angle_forms_solve_the_char_poly(rng):
@@ -227,10 +212,10 @@ def test_angle_forms_solve_the_char_poly(rng):
             if d.phi == d.psi:
                 continue
             n3 = 4.0 * r * r / (d.phi - d.psi)
-            x1, x2 = _form(d.phi, b, c, -n3), _form(d.psi, c, dd, n3)
+            x1, x2 = even_form(d.phi, b, c, -n3), even_form(d.psi, c, dd, n3)
             a_form, pf_form = char_poly_forms(d.phi, d.psi, cc)
-            assert (wedge(x1, x1) + wedge(x2, x2) - a_form).max_abs() < 1e-13
-            assert (wedge(x1, x2) - pf_form).max_abs() < 1e-13
+            assert max_abs(wedge(x1, x1) + wedge(x2, x2) - a_form) < 1e-13
+            assert max_abs(wedge(x1, x2) - pf_form) < 1e-13
 
 
 # ----------------------------------------------------------------- closed L-form
@@ -455,7 +440,7 @@ def test_transgression_reducible_vanishes(rng):
 def test_transgression_zero_theta_forced(worked_profile):
     """Forcing k = l = 0 kills the transgression entirely."""
     fam = replace(skr.boundary_family(skr.boundary_data(worked_profile)), theta=np.zeros((4, 4, 8)))
-    assert transgression_degree3(GERM, fam, QUAD).max_abs() == 0.0
+    assert max_abs(transgression_degree3(GERM, fam, QUAD)) == 0.0
 
 
 def test_closed_integrand_killing_scale_limit(worked_profile):
@@ -466,7 +451,7 @@ def test_closed_integrand_killing_scale_limit(worked_profile):
     curv = lambda t: bd.a1 + bd.a2 * t + bd.a3 * (t * t)
 
     def reference(t):
-        tr = degree_component_coeffs(trace(mat_mul(bd.theta, curv(t))), 3)
+        tr = degree_component(trace(mat_mul(bd.theta, curv(t))), 3)
         return GERM.second_derivative_at_zero() * tr[mask_of_indices((1, 2, 3), 3)]
 
     errs = []
