@@ -20,7 +20,6 @@ from .matforms import (
 )
 from .charforms import (
     ConnectionFamily,
-    QuadratureSpec,
     equivariant_curvature,
     l_form,
     transgression,

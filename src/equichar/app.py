@@ -27,7 +27,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import skr
-from .charforms import QuadratureSpec, gauss_legendre, l_form, transgression_degree3_alt
+from .charforms import gauss_legendre, l_form, transgression_degree3_alt, weighted_sum
 from .errors import ConfigError, EquicharError, ProfileError
 from .exterior import mask_of_indices
 from .matforms import hirzebruch_l_log_germ
@@ -73,9 +73,6 @@ class RunConfig:
     numerics: Numerics = Numerics()
     topology: Topology = Topology()
     output_dir: Optional[str] = None
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(self.numerics.quad_nodes)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -210,7 +207,6 @@ def build_profile(cfg: RunConfig) -> SKRProfile:
             tau_min=tau_min,
             base_area=cfg.topology.base_area,
             fiber_period=cfg.topology.fiber_period,
-            label=str(prof.get("label", "")),
         )
     except ProfileError as exc:
         raise ConfigError(f"invalid profile: {exc}") from exc
@@ -279,16 +275,22 @@ def _config_echo(cfg: RunConfig) -> dict:
 # --------------------------------------------------------------------------- eta assembly
 
 def _bulk_quadrature(p: SKRProfile, n_nodes: int) -> float:
-    xs, ws = gauss_legendre(n_nodes, p.tau_min, 0.0)
+    """The n-node Gauss-Legendre rule on each piece of the profile between its
+    knots inside (tau_min, 0), where the integrand is analytic."""
+    ends = [p.tau_min] + [k for k in p.fn.knots if p.tau_min < k < 0.0] + [0.0]
     acc = 0.0
-    for t, w in zip(xs, ws):
-        acc += float(w) * skr.l4_coefficient(p, float(t)) * skr.volume_weight(p, float(t))
+    for a, b in zip(ends, ends[1:]):
+        xs, ws = gauss_legendre(n_nodes, a, b)
+        # not weighted_sum: report.json's bits were taken as (w L4) vol
+        for t, w in zip(xs, ws):
+            acc += float(w) * skr.l4_coefficient(p, float(t)) * skr.volume_weight(p, float(t))
     return acc
 
 
 def _bulk_integral(p: SKRProfile, cfg: RunConfig) -> dict:
     """Reduced radial integral of the L-form degree-4 density on [tau_min, 0],
-    by Gauss-Legendre at 2n nodes, with the change from n nodes as its error.
+    by Gauss-Legendre at 2n nodes per piece of the profile, with the change
+    from n nodes as its error.
 
     A degenerate Q(tau_min) = 0 needs no special path: for an irreducible
     profile it forces phi(tau_min) = 0, where L4 times the volume density
@@ -319,14 +321,14 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     boundary 3-volume.
     """
     p = profile if profile is not None else build_profile(cfg)
-    quad = cfg.quadrature()
+    n = cfg.numerics.quad_nodes
 
     bulk = _bulk_integral(p, cfg)
 
     bd = skr.boundary_data(p)
-    closed = skr.transgression_pullback_closed(bd, quad)
+    closed = skr.transgression_pullback_closed(bd, n)
     tl3_closed = closed.value
-    tl3_direct = skr.transgression_pullback_direct(bd, quad)
+    tl3_direct = skr.transgression_pullback_direct(bd, n)
     discrepancy = abs(tl3_closed - tl3_direct)
 
     volume = _boundary_volume(p, bd.q0)
@@ -348,7 +350,7 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
 def _refined_eta(p: SKRProfile, cfg: RunConfig, bd: skr.BoundaryData) -> float:
     """The eta of :func:`eta_invariant` at 2n nodes: 4n-node bulk, 2n-node closed route."""
     n = cfg.numerics.quad_nodes
-    tl3 = skr.transgression_pullback_closed(bd, QuadratureSpec(2 * n))
+    tl3 = skr.transgression_pullback_closed(bd, 2 * n)
     boundary = _finite(tl3.value * _boundary_volume(p, bd.q0))
     return _eta_value(cfg, _finite(_bulk_quadrature(p, 4 * n)), boundary)
 
@@ -392,12 +394,12 @@ def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "repor
         written.append(path)
 
     if "transgression" in which:
+        n = cfg.numerics.quad_nodes
         if report is not None:
             values = report.closed_integrand
         else:
-            bd = skr.boundary_data(p)
-            values = skr.transgression_pullback_closed(bd, cfg.quadrature()).integrand
-        xs, _ = cfg.quadrature().rule()
+            values = skr.transgression_pullback_closed(skr.boundary_data(p), n).integrand
+        xs, _ = gauss_legendre(n, 0.0, 1.0)
         lines = ["t,integrand_e123"] + [f"{_fmt(float(t))},{_fmt(v)}" for t, v in zip(xs, values)]
         path = out / "transgression.csv"
         path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -435,7 +437,7 @@ def run_check(cfg: RunConfig) -> list:
     """Run the invariant suite, then the oracle suite, on the configured
     profile; print one line per check."""
     p = build_profile(cfg)
-    quad = cfg.quadrature()
+    n = cfg.numerics.quad_nodes
     results = []
 
     # profile relations along tau
@@ -482,12 +484,12 @@ def run_check(cfg: RunConfig) -> list:
     report = eta_invariant(cfg, profile=p)
     closed = report.tl3_closed["value"]
     direct = report.tl3_direct["value"]
-    size = sum(float(w) * abs(f) for w, f in zip(quad.rule()[1], report.closed_integrand))
+    size = weighted_sum(gauss_legendre(n, 0.0, 1.0)[1], map(abs, report.closed_integrand))
     scale = max(abs(closed), abs(direct), size, 1e-12)
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
 
     bd = skr.boundary_data(p)
-    alt = transgression_degree3_alt(hirzebruch_l_log_germ(), skr.boundary_family(bd), quad)
+    alt = transgression_degree3_alt(hirzebruch_l_log_germ(), skr.boundary_family(bd), n)
     alt = float(alt[mask_of_indices((1, 2, 3), 3)])
     results.append(_check("transgression-alt-route", abs(direct - alt) / scale, 1e-10))
 

@@ -10,9 +10,11 @@ spectrum (:mod:`equichar.matforms`), so the L-form and both degree-3 routes
 are exact up to rounding; the direct route takes its second-order term from
 ``star_second``, the alternate one from the path sum of f'(Theta + NX).
 Each returns one form, the (2^n,) coefficient array of
-:mod:`equichar.exterior`.  The SKR geometry of :mod:`equichar.skr` feeds
-its boundary data through these entry points; the tests also run them on
-randomized families.
+:mod:`equichar.exterior`.  The transgressions integrate over t in [0, 1]
+with the ``nodes``-point Gauss-Legendre rule of :func:`gauss_legendre` (32
+by default) and sum with :func:`weighted_sum`.  The SKR geometry of
+:mod:`equichar.skr` feeds its boundary data through these entry points; the
+tests also run them on randomized families.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .matforms import (
 
 __all__ = [
     "gauss_legendre",
-    "QuadratureSpec",
+    "weighted_sum",
     "ConnectionFamily",
     "equivariant_curvature",
     "l_form",
@@ -49,35 +51,25 @@ __all__ = [
 @lru_cache(maxsize=128)
 def gauss_legendre(n: int, a: float, b: float):
     """n-point Gauss-Legendre nodes (ascending) and weights on [a, b]; every
-    caller shares the cached arrays, so they are read-only."""
+    caller shares the cached arrays, so they are read-only.  The integrands
+    in t on [0, 1] are analytic, so the rule converges spectrally and the
+    default of 32 nodes is far more than enough."""
+    if n < 2:
+        raise ValueError("quadrature needs at least 2 nodes")
     nodes, weights = np.polynomial.legendre.leggauss(n)
     xs, ws = 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre rule on [0, 1]; integrands in t are analytic, so the
-    rule converges spectrally and 32 nodes are far more than enough."""
-
-    nodes: int = 32
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("quadrature needs at least 2 nodes")
-
-    def rule(self):
-        return gauss_legendre(self.nodes, 0.0, 1.0)
-
-    def weighted_sum(self, terms: np.ndarray) -> np.ndarray:
-        """sum_i w_i terms[i] for a stack of forms, one row per node,
-        accumulated left-to-right over ascending nodes."""
-        _, ws = self.rule()
-        acc = terms[0] * ws[0]
-        for term, w in zip(terms[1:], ws[1:]):
-            acc = acc + term * w
-        return acc
+def weighted_sum(ws, values):
+    """sum_i ws[i] values[i], accumulated left-to-right from 0.0 over
+    ascending nodes: the one sum of every t-rule, for floats and for a stack
+    of forms (one row per node) alike."""
+    acc = 0.0
+    for w, value in zip(ws, values):
+        acc = acc + float(w) * value
+    return acc
 
 
 @dataclass(frozen=True)
@@ -157,9 +149,7 @@ def _even_guard(germ: AnalyticGerm) -> None:
         raise ValueError("this transgression formula requires an even germ")
 
 
-def transgression(
-    germ: AnalyticGerm, fam: ConnectionFamily, quad: QuadratureSpec = QuadratureSpec()
-) -> np.ndarray:
+def transgression(germ: AnalyticGerm, fam: ConnectionFamily, nodes: int = 32) -> np.ndarray:
     """Transgression of exp(Tr[f(.)]) along the family, all geometric degrees,
     as the (2^n,) coefficients of one form.
 
@@ -168,21 +158,18 @@ def transgression(
     by node: the reference the batched degree-3 routes are tested against.
     """
     d_germ = germ.derivative()
+    xs, ws = gauss_legendre(nodes, 0.0, 1.0)
     terms = []
-    for t in quad.rule()[0]:
+    for t in xs:
         nx, rt = fam.at(float(t))
         rg = equivariant_curvature(rt, nx)
         weight = exp_form(trace(apply_germ(germ, rg)))
         tr = trace(mat_mul(fam.theta, apply_germ(d_germ, rg)))
         terms.append(wedge(weight, tr))
-    return quad.weighted_sum(np.stack(terms))
+    return weighted_sum(ws, terms)
 
 
-def transgression_degree3(
-    germ: AnalyticGerm,
-    fam: ConnectionFamily,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
+def transgression_degree3(germ: AnalyticGerm, fam: ConnectionFamily, nodes: int = 32) -> np.ndarray:
     """Degree-3 component of the transgression, the (2^n,) coefficients of
     one form, as the reduced integrand
 
@@ -193,7 +180,8 @@ def transgression_degree3(
     in one batch.
     """
     _even_guard(germ)
-    nx, rt = fam.at(quad.rule()[0])
+    xs, ws = gauss_legendre(nodes, 0.0, 1.0)
+    nx, rt = fam.at(xs)
     theta = fam.theta
     f_nx = apply_germ(germ.derivative(), nx)
     weight = exp_form(trace(apply_germ(germ, nx)))
@@ -201,13 +189,11 @@ def transgression_degree3(
     t2 = trace(mat_mul(f_nx, rt))
     t3 = trace(mat_mul(star_second(germ, nx, theta), rt))
     terms = wedge(weight, wedge(t1, t2) + t3)
-    return quad.weighted_sum(degree_component(terms, 3))
+    return weighted_sum(ws, degree_component(terms, 3))
 
 
 def transgression_degree3_alt(
-    germ: AnalyticGerm,
-    fam: ConnectionFamily,
-    quad: QuadratureSpec = QuadratureSpec(),
+    germ: AnalyticGerm, fam: ConnectionFamily, nodes: int = 32
 ) -> np.ndarray:
     """Equivalent form of :func:`transgression_degree3`:
 
@@ -216,11 +202,12 @@ def transgression_degree3_alt(
     """
     _even_guard(germ)
     d_germ = germ.derivative()
-    nx, rt = fam.at(quad.rule()[0])
+    xs, ws = gauss_legendre(nodes, 0.0, 1.0)
+    nx, rt = fam.at(xs)
     theta = fam.theta
     weight = exp_form(trace(apply_germ(germ, nx)))
     one_plus = trace(mat_mul(theta, apply_germ(d_germ, nx)))
     one_plus[..., 0] += 1.0
     shifted = trace(mat_mul(apply_germ(d_germ, theta + nx), rt))
     terms = wedge(weight, wedge(one_plus, shifted))
-    return quad.weighted_sum(degree_component(terms, 3))
+    return weighted_sum(ws, degree_component(terms, 3))

@@ -11,9 +11,10 @@ of the equivariant Hirzebruch L-form in closed form, the boundary data at
 {tau = 0}, and the e^123 coefficient of the boundary pull-back of the
 degree-3 transgression of the L-form, by the closed series formula, summed
 exactly through the divided difference of the bulk, and by the
-generic-machinery route through :mod:`equichar.charforms`.  Both the
-bulk and the boundary quantities are returned as floats, and no exterior
-form is built for the bulk.
+generic-machinery route through :mod:`equichar.charforms`, both over
+t in [0, 1] by the ``nodes``-point Gauss-Legendre rule (32 by default).
+Both the bulk and the boundary quantities are returned as floats, and no
+exterior form is built for the bulk.
 
 Frame conventions: e_1 is a normalized horizontal lift, e_2 = J e_1,
 e_3 = u/sqrt(Q) for the Killing field u, and e_4 = -v/sqrt(Q) for the
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charforms import ConnectionFamily, QuadratureSpec, transgression_degree3
+from .charforms import ConnectionFamily, gauss_legendre, transgression_degree3, weighted_sum
 from .errors import EquicharError, ProfileError
 from .exterior import mask_of_indices
 from .matforms import (
@@ -142,7 +143,6 @@ class SKRProfile:
     tau_min: float = -0.5
     base_area: float = 1.0
     fiber_period: float = 2.0 * math.pi
-    label: str = ""
 
     def __post_init__(self):
         if self.mode not in ("irreducible", "reducible"):
@@ -232,31 +232,31 @@ def curvature_matrix(cc: CurvatureComponents) -> np.ndarray:
     c e^12 + d e^34, and the four mixed entries are r(e^13 + e^24) and
     +-r(e^14 - e^23); antisymmetric completion.
     """
-    dim = 4
-    data = np.zeros((4, 4, 1 << dim))
-
-    def put(i, j, pairs):
-        for indices, value in pairs:
-            mask = mask_of_indices(indices, dim)
-            data[i - 1, j - 1, mask] += value
-            data[j - 1, i - 1, mask] -= value
-
-    put(1, 2, [((1, 2), cc.b), ((3, 4), cc.c)])
-    put(3, 4, [((1, 2), cc.c), ((3, 4), cc.d)])
-    put(1, 3, [((1, 3), cc.r), ((2, 4), cc.r)])
-    put(1, 4, [((1, 4), cc.r), ((2, 3), -cc.r)])
-    put(2, 3, [((1, 4), -cc.r), ((2, 3), cc.r)])
-    put(2, 4, [((1, 3), cc.r), ((2, 4), cc.r)])
-    return data
+    b, c, d, r = cc
+    return _antisymmetric(4, [
+        (1, 2, (1, 2), b), (1, 2, (3, 4), c),
+        (3, 4, (1, 2), c), (3, 4, (3, 4), d),
+        (1, 3, (1, 3), r), (1, 3, (2, 4), r),
+        (1, 4, (1, 4), r), (1, 4, (2, 3), -r),
+        (2, 3, (1, 4), -r), (2, 3, (2, 3), r),
+        (2, 4, (1, 3), r), (2, 4, (2, 4), r),
+    ])
 
 
 def nabla_x_matrix(phi: float, psi: float, dimension: int = 4) -> np.ndarray:
     """Degree-0 matrix of forms of the Killing field's covariant derivative:
     phi on the horizontal rotation block, psi on the vertical one."""
+    return _antisymmetric(dimension, [(1, 2, (), phi), (3, 4, (), psi)])
+
+
+def _antisymmetric(dimension: int, entries) -> np.ndarray:
+    """The 4x4 matrix of forms over a coframe of ``dimension`` vectors with
+    value e^I at (i, j), 1-based, for each (i, j, I, value) of ``entries``,
+    minus its transpose."""
     data = np.zeros((4, 4, 1 << dimension))
-    data[0, 1, 0], data[1, 0, 0] = phi, -phi
-    data[2, 3, 0], data[3, 2, 0] = psi, -psi
-    return data
+    for i, j, indices, value in entries:
+        data[i - 1, j - 1, mask_of_indices(indices, dimension)] = value
+    return data - data.transpose(1, 0, 2)
 
 
 def equivariant_curvature_matrix(p: SKRProfile, tau: float) -> np.ndarray:
@@ -388,24 +388,12 @@ def boundary_data(p: SKRProfile) -> BoundaryData:
         r0_1212 = -p.base_curv
         r0_2323 = 0.0
 
-    dim = 3
-    theta = np.zeros((4, 4, 1 << dim))
-    theta[0, 3, mask_of_indices((1,), dim)] = k
-    theta[1, 3, mask_of_indices((2,), dim)] = k
-    theta[2, 3, mask_of_indices((3,), dim)] = l
-    theta -= theta.transpose(1, 0, 2)
-
-    a1 = np.zeros((4, 4, 1 << dim))
-    a1[0, 1, mask_of_indices((1, 2), dim)] = r0_1212
-    a1[0, 2, mask_of_indices((1, 3), dim)] = r0_2323  # equal 13/23 sectional blocks
-    a1[1, 2, mask_of_indices((2, 3), dim)] = r0_2323
-    a1 -= a1.transpose(1, 0, 2)
-
-    a2 = np.zeros((4, 4, 1 << dim))
-    a2[0, 3, mask_of_indices((2, 3), dim)] = -cc.r
-    a2[1, 3, mask_of_indices((1, 3), dim)] = cc.r
-    a2[2, 3, mask_of_indices((1, 2), dim)] = cc.c
-    a2 -= a2.transpose(1, 0, 2)
+    theta = _antisymmetric(3, [(1, 4, (1,), k), (2, 4, (2,), k), (3, 4, (3,), l)])
+    # equal 13/23 sectional blocks
+    a1 = _antisymmetric(
+        3, [(1, 2, (1, 2), r0_1212), (1, 3, (1, 3), r0_2323), (2, 3, (2, 3), r0_2323)]
+    )
+    a2 = _antisymmetric(3, [(1, 4, (2, 3), -cc.r), (2, 4, (1, 3), cc.r), (3, 4, (1, 2), cc.c)])
 
     a3 = mat_mul(theta, theta)
     if not (np.isfinite(a1).all() and np.isfinite(a3).all()):
@@ -481,23 +469,18 @@ class ClosedPullback(NamedTuple):
     integrand: list
 
 
-def transgression_pullback_closed(
-    bd: BoundaryData, quad: QuadratureSpec = QuadratureSpec()
-) -> ClosedPullback:
+def transgression_pullback_closed(bd: BoundaryData, nodes: int = 32) -> ClosedPullback:
     """Closed-series route to the e^123 coefficient of the boundary pull-back
-    of the degree-3 transgression of the equivariant L-form."""
-    xs, ws = quad.rule()
+    of the degree-3 transgression of the equivariant L-form, by the
+    ``nodes``-point Gauss-Legendre rule on [0, 1]."""
+    xs, ws = gauss_legendre(nodes, 0.0, 1.0)
     integrand = [closed_transgression_integrand(bd, float(x)) for x in xs]
-    acc = 0.0
-    for w, val in zip(ws, integrand):
-        acc += float(w) * val
-    return ClosedPullback(acc, integrand)
+    return ClosedPullback(weighted_sum(ws, integrand), integrand)
 
 
-def transgression_pullback_direct(
-    bd: BoundaryData, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
+def transgression_pullback_direct(bd: BoundaryData, nodes: int = 32) -> float:
     """Generic-machinery route: the e^123 coefficient of the boundary family
-    pushed through the degree-3 transgression integrand, germs on the spectrum."""
-    form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), quad)
+    pushed through the degree-3 transgression integrand, germs on the
+    spectrum, by the same ``nodes``-point rule as the closed route."""
+    form = transgression_degree3(hirzebruch_l_log_germ(), boundary_family(bd), nodes)
     return float(form[mask_of_indices((1, 2, 3), 3)])

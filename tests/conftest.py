@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equichar.charforms import gauss_legendre, weighted_sum
 from equichar.errors import ProfileError
 from equichar.exterior import mask_of_indices
 from equichar.skr import SKRProfile
@@ -90,11 +91,11 @@ def max_abs(a):
     return float(np.max(np.abs(a)))
 
 
-def integrate_per_node(quad, fn):
-    """sum_i w_i fn(t_i) for fn giving a form's coefficients, one call per
-    node, accumulated left-to-right over ascending nodes."""
-    xs, _ = quad.rule()
-    return quad.weighted_sum(np.stack([fn(float(x)) for x in xs]))
+def integrate_per_node(nodes, fn):
+    """sum_i w_i fn(t_i) on [0, 1] for fn giving a form's coefficients, one
+    call per node, accumulated left-to-right over ascending nodes."""
+    xs, ws = gauss_legendre(nodes, 0.0, 1.0)
+    return weighted_sum(ws, [fn(float(x)) for x in xs])
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from equichar import oracle, skr
 from equichar.app import RunConfig, Topology, eta_invariant
 from equichar.charforms import (
     ConnectionFamily,
-    QuadratureSpec,
     equivariant_curvature,
     l_form,
     transgression,
@@ -38,7 +37,7 @@ from equichar.matforms import (
 )
 from equichar.skr import SKRProfile
 
-QUAD = QuadratureSpec(32)
+NODES = 32
 GERM = hirzebruch_l_log_germ()
 
 
@@ -59,8 +58,8 @@ def test_criterion_01_reducible_vanishing():
         for tau in np.linspace(p.tau_min * 0.95, -1e-3, 8):
             worst_l4 = max(worst_l4, abs(skr.l4_coefficient(p, float(tau))))
         bd = skr.boundary_data(p)
-        closed = skr.transgression_pullback_closed(bd, QUAD).value
-        direct = skr.transgression_pullback_direct(bd, QUAD)
+        closed = skr.transgression_pullback_closed(bd, NODES).value
+        direct = skr.transgression_pullback_direct(bd, NODES)
         worst_tl3 = max(worst_tl3, abs(closed), abs(direct))
         sig = int(rng.integers(-3, 4))
         cfg = RunConfig(profile={}, topology=Topology(signature=sig))
@@ -85,8 +84,8 @@ def test_criterion_02_closed_vs_direct_transgression():
     for i in range(20):
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
-        closed = skr.transgression_pullback_closed(bd, QUAD).value
-        direct = skr.transgression_pullback_direct(bd, QUAD)
+        closed = skr.transgression_pullback_closed(bd, NODES).value
+        direct = skr.transgression_pullback_direct(bd, NODES)
         worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct)))
     elapsed = time.perf_counter() - t0
     report(2, "transgression-closed-vs-direct", worst <= 1e-8, f"rel<={worst:.2e}", elapsed, 10.0)
@@ -230,9 +229,9 @@ def test_criterion_07_transgression_equivalences():
     for dim in (3, 4):
         for _ in range(4):
             fam = _random_family(rng, dim)
-            t3 = transgression_degree3(GERM, fam, QUAD)
-            alt = transgression_degree3_alt(GERM, fam, QUAD)
-            full = degree_component(transgression(GERM, fam, QUAD), 3)
+            t3 = transgression_degree3(GERM, fam, NODES)
+            alt = transgression_degree3_alt(GERM, fam, NODES)
+            full = degree_component(transgression(GERM, fam, NODES), 3)
             scale = max(max_abs(t3), 1e-6)
             worst = max(worst, max_abs(t3 - alt) / scale, max_abs(t3 - full) / scale)
             # factorization and expansion identities at one interior time
@@ -260,13 +259,13 @@ def test_criterion_08_x_to_zero_limit():
     rng = np.random.default_rng(808)
     fam = _random_family(rng, 3)
     ref = integrate_per_node(
-        QUAD, lambda t: degree_component(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
+        NODES, lambda t: degree_component(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
     ) * GERM.second_derivative_at_zero()
     scales = (1e-1, 1e-2, 1e-3)
     errs = []
     for s in scales:
         fam_s = replace(fam, nabla_x=tuple(m * s for m in fam.nabla_x))
-        errs.append(max_abs(transgression_degree3(GERM, fam_s, QUAD) - ref))
+        errs.append(max_abs(transgression_degree3(GERM, fam_s, NODES) - ref))
     slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
     report(8, "x-to-zero-limit", slope >= 1.9, f"measured order {slope:.3f}", elapsed, 5.0)

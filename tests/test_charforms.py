@@ -12,13 +12,13 @@ from equichar.errors import ConvergenceRadiusError
 from equichar.exterior import _degree_masks, degree_component, exp_form, mask_of_indices, wedge
 from equichar.charforms import (
     ConnectionFamily,
-    QuadratureSpec,
     equivariant_curvature,
     gauss_legendre,
     l_form,
     transgression,
     transgression_degree3,
     transgression_degree3_alt,
+    weighted_sum,
 )
 from equichar.matforms import (
     apply_germ,
@@ -30,7 +30,7 @@ from equichar.matforms import (
 )
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
-QUAD = QuadratureSpec(32)
+NODES = 32
 GERM = hirzebruch_l_log_germ()
 
 
@@ -134,8 +134,8 @@ def test_l_form_classical_degree4(rng):
 def test_transgression_zero_theta(rng):
     fam = random_family(rng)
     fam0 = replace(fam, theta=np.zeros((4, 4, 8)))
-    assert max_abs(transgression(GERM, fam0, QUAD)) == 0.0
-    assert max_abs(transgression_degree3(GERM, fam0, QUAD)) == 0.0
+    assert max_abs(transgression(GERM, fam0, NODES)) == 0.0
+    assert max_abs(transgression_degree3(GERM, fam0, NODES)) == 0.0
 
 
 def test_transgression_constant_family_quadrature_exactness(rng):
@@ -149,14 +149,14 @@ def test_transgression_constant_family_quadrature_exactness(rng):
         exp_form(trace(apply_germ(GERM, rg))),
         trace(mat_mul(theta, apply_germ(GERM.derivative(), rg))),
     )
-    got = transgression(GERM, fam, QUAD)
+    got = transgression(GERM, fam, NODES)
     assert max_abs(got - integrand) < 1e-14
 
 
 def test_transgression_degree3_matches_full_on_boundary_family(worked_profile):
     fam = skr.boundary_family(skr.boundary_data(worked_profile))
-    full3 = degree_component(transgression(GERM, fam, QUAD), 3)
-    red = transgression_degree3(GERM, fam, QUAD)
+    full3 = degree_component(transgression(GERM, fam, NODES), 3)
+    red = transgression_degree3(GERM, fam, NODES)
     assert max_abs(full3 - red) < 1e-10
 
 
@@ -168,9 +168,9 @@ def test_transgression_degree3_x_zero_family(rng):
     curv = lambda t: a1 + a2 * t
     zero = np.zeros((4, 4, 8))
     fam = ConnectionFamily(theta=theta, nabla_x=(zero, zero), curvature=(a1, a2, zero))
-    got = transgression_degree3(GERM, fam, QUAD)
+    got = transgression_degree3(GERM, fam, NODES)
     want = integrate_per_node(
-        QUAD, lambda t: degree_component(trace(mat_mul(theta, curv(t))), 3)
+        NODES, lambda t: degree_component(trace(mat_mul(theta, curv(t))), 3)
     ) * GERM.second_derivative_at_zero()
     assert max_abs(got - want) < 1e-15
 
@@ -178,12 +178,12 @@ def test_transgression_degree3_x_zero_family(rng):
 def test_transgression_degree3_requires_even_germ(rng):
     fam = random_family(rng)
     with pytest.raises(ValueError):
-        transgression_degree3(GERM.derivative(), fam, QUAD)
+        transgression_degree3(GERM.derivative(), fam, NODES)
 
 
 def test_quadrature_node_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(1)
+        gauss_legendre(1, 0.0, 1.0)
 
 
 def test_gauss_legendre_unit_interval_mapping():
@@ -197,6 +197,26 @@ def test_gauss_legendre_unit_interval_mapping():
         xs[0] = 0.0
 
 
+@pytest.mark.parametrize("nodes", [2, 32, 64])
+def test_weighted_sum_of_floats_is_the_running_sum(rng, nodes):
+    """On floats, weighted_sum is bit-equal to the loop acc += float(w) * v
+    from 0.0 that the closed route and the check's integrand size used, and
+    returns a Python float."""
+    _, ws = gauss_legendre(nodes, 0.0, 1.0)
+    p = build_profile(load_config(EXAMPLES / "example_irreducible.json"))
+    scaled = rng.standard_normal(nodes) * 10.0 ** rng.uniform(-20.0, 20.0, nodes)
+    for values in (
+        skr.transgression_pullback_closed(skr.boundary_data(p), nodes).integrand,
+        scaled.tolist(),
+        [-0.0] * nodes,
+    ):
+        acc = 0.0
+        for w, v in zip(ws, values):
+            acc += float(w) * v
+        got = weighted_sum(ws, values)
+        assert type(got) is float and got.hex() == acc.hex()
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_route_agreement_randomized(dim):
     """Main equivalences: reduced formula == aesthetic variant == degree-3
@@ -204,9 +224,9 @@ def test_route_agreement_randomized(dim):
     rng = np.random.default_rng(101 + dim)
     for _ in range(5):
         fam = random_family(rng, dim)
-        t3 = transgression_degree3(GERM, fam, QUAD)
-        alt = transgression_degree3_alt(GERM, fam, QUAD)
-        full = degree_component(transgression(GERM, fam, QUAD), 3)
+        t3 = transgression_degree3(GERM, fam, NODES)
+        alt = transgression_degree3_alt(GERM, fam, NODES)
+        full = degree_component(transgression(GERM, fam, NODES), 3)
         scale = max(max_abs(t3), 1e-6)
         assert max_abs(t3 - alt) / scale < 1e-10
         assert max_abs(t3 - full) / scale < 1e-10
@@ -252,20 +272,20 @@ def test_x_to_zero_limit_order(rng):
     f''(0) * int Tr[Theta R^t] dt at measured order >= 1.9."""
     fam = random_family(rng)
     ref = integrate_per_node(
-        QUAD, lambda t: degree_component(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
+        NODES, lambda t: degree_component(trace(mat_mul(fam.theta, fam.at(t)[1])), 3)
     ) * GERM.second_derivative_at_zero()
     scales = (1e-1, 1e-2, 1e-3)
     errs = []
     for s in scales:
         fam_s = replace(fam, nabla_x=tuple(m * s for m in fam.nabla_x))
-        errs.append(max_abs(transgression_degree3(GERM, fam_s, QUAD) - ref))
+        errs.append(max_abs(transgression_degree3(GERM, fam_s, NODES) - ref))
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= 1.9
 
 
 # ----------------------------------------------------------------- node batching
 
-def _direct_per_node(germ, fam, quad):
+def _direct_per_node(germ, fam, nodes):
     """The direct route with one integrand evaluation per node."""
     d_germ = germ.derivative()
 
@@ -278,10 +298,10 @@ def _direct_per_node(germ, fam, quad):
         t3 = trace(mat_mul(star_second(germ, nx, fam.theta), rt))
         return degree_component(wedge(weight, wedge(t1, t2) + t3), 3)
 
-    return integrate_per_node(quad, integrand)
+    return integrate_per_node(nodes, integrand)
 
 
-def _alt_per_node(germ, fam, quad):
+def _alt_per_node(germ, fam, nodes):
     """The alternate route with one integrand evaluation per node."""
     d_germ = germ.derivative()
 
@@ -293,7 +313,7 @@ def _alt_per_node(germ, fam, quad):
         shifted = trace(mat_mul(apply_germ(d_germ, fam.theta + nx), rt))
         return degree_component(wedge(weight, wedge(one_plus, shifted)), 3)
 
-    return integrate_per_node(quad, integrand)
+    return integrate_per_node(nodes, integrand)
 
 
 ROUTES = [(transgression_degree3, _direct_per_node), (transgression_degree3_alt, _alt_per_node)]
@@ -304,8 +324,8 @@ ROUTES = [(transgression_degree3, _direct_per_node), (transgression_degree3_alt,
 @pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])
 def test_batched_routes_bit_equal_per_node_on_examples(example, route, per_node, nodes):
     p = build_profile(load_config(EXAMPLES / example))
-    fam, quad = skr.boundary_family(skr.boundary_data(p)), QuadratureSpec(nodes)
-    assert np.array_equal(route(GERM, fam, quad), per_node(GERM, fam, quad))
+    fam = skr.boundary_family(skr.boundary_data(p))
+    assert np.array_equal(route(GERM, fam, nodes), per_node(GERM, fam, nodes))
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -314,8 +334,8 @@ def test_batched_routes_match_per_node_randomized(route, per_node, dim):
     rng = np.random.default_rng(409 + dim)
     for _ in range(5):
         fam = random_family(rng, dim)
-        want = per_node(GERM, fam, QUAD)
-        got = route(GERM, fam, QUAD)
+        want = per_node(GERM, fam, NODES)
+        got = route(GERM, fam, NODES)
         assert max_abs(got - want) <= 1e-14 * max_abs(want)
 
 
@@ -325,10 +345,10 @@ def test_batched_routes_reject_late_nodes_past_germ_radius(route):
     germ's disk; the error names the first of them, as a node-by-node pass would."""
     p = skr.SKRProfile.irreducible_polynomial([0.5, 4.0], c_bar=-1.0, tau_min=-0.1)
     fam = skr.boundary_family(skr.boundary_data(p))
-    xs, _ = QUAD.rule()
+    xs, _ = gauss_legendre(NODES, 0.0, 1.0)
     first_bad = xs[xs > math.pi / 4.5][0]
     with pytest.raises(ConvergenceRadiusError) as err:
-        route(GERM, fam, QUAD)
+        route(GERM, fam, NODES)
     assert err.value.spectral_radius == pytest.approx(4.5 * first_bad, rel=1e-14)
 
 
@@ -386,7 +406,7 @@ def test_stacked_functions_bit_equal_per_matrix(which):
 
 def test_family_at_nodes_bit_equal_per_node(rng):
     fam = random_family(rng)
-    xs, _ = QUAD.rule()
+    xs, _ = gauss_legendre(NODES, 0.0, 1.0)
     nx, rt = fam.at(xs)
     for i, x in enumerate(xs):
         nx_i, rt_i = fam.at(float(x))

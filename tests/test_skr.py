@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from conftest import char_poly_forms, even_form, make_irreducible, make_reducible, max_abs
 from equichar import skr
-from equichar.charforms import QuadratureSpec, l_form, transgression_degree3
+from equichar.app import build_profile, load_config
+from equichar.charforms import gauss_legendre, l_form, transgression_degree3
 from equichar.errors import ConvergenceRadiusError, ProfileError
 from equichar.exterior import _degree_masks, degree_component, mask_of_indices, wedge
 from equichar.matforms import char_poly, hirzebruch_l_log_germ, l_log_at_angle, mat_mul, trace
@@ -17,7 +19,8 @@ from equichar.skr import SKRProfile
 def is_antisymmetric(m):
     return not np.any(m + m.transpose(1, 0, 2))
 
-QUAD = QuadratureSpec(32)
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts"
+NODES = 32
 GERM = hirzebruch_l_log_germ()
 
 
@@ -264,7 +267,7 @@ def test_closed_route_rejects_angles_past_germ_radius():
     with pytest.raises(ConvergenceRadiusError):
         skr.closed_transgression_integrand(bd, 0.5)
     with pytest.raises(ConvergenceRadiusError):
-        skr.transgression_pullback_direct(bd, QUAD)
+        skr.transgression_pullback_direct(bd, NODES)
 
 
 def test_l_form_double_route_small_killing(rng):
@@ -409,12 +412,38 @@ def test_boundary_reducible_structure(rng):
     assert max_abs(bd.theta[1, 3]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "example",
+    [
+        pytest.param(
+            "example_irreducible.json",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1(a): a1 breaks Gauss-Codazzi; a1_12 must be b(0) + k^2 "
+                "and a1_13 = a1_23 = r(0) + k l",
+            ),
+        ),
+        "example_reducible.json",
+    ],
+)
+def test_boundary_curvature_at_t1_is_the_pulled_back_curvature(example):
+    """Gauss-Codazzi: at t = 1 the family's curvature a1 + a2 + a3 is the
+    adapted-frame curvature at tau = 0 restricted to the boundary coframe
+    e^1, e^2, e^3, whose forms are the first 8 coefficients."""
+    p = build_profile(load_config(EXAMPLES / example))
+    bd = skr.boundary_data(p)
+    pulled_back = skr.curvature_matrix(
+        skr.curvature_components(p, skr.derived_functions(p, 0.0))
+    )[..., :8]
+    assert max_abs(bd.a1 + bd.a2 + bd.a3 - pulled_back) <= 1e-14
+
+
 # ----------------------------------------------------------------- transgression routes
 
 def test_transgression_worked_profile(worked_profile):
     bd = skr.boundary_data(worked_profile)
-    c3 = skr.transgression_pullback_closed(bd, QUAD).value
-    d3 = skr.transgression_pullback_direct(bd, QUAD)
+    c3 = skr.transgression_pullback_closed(bd, NODES).value
+    d3 = skr.transgression_pullback_direct(bd, NODES)
     assert abs(c3 - d3) / max(abs(c3), abs(d3)) < 1e-8
 
 
@@ -422,8 +451,8 @@ def test_transgression_sweep_closed_vs_direct(rng):
     for _ in range(8):
         p = make_irreducible(rng)
         bd = skr.boundary_data(p)
-        c3 = skr.transgression_pullback_closed(bd, QUAD).value
-        d3 = skr.transgression_pullback_direct(bd, QUAD)
+        c3 = skr.transgression_pullback_closed(bd, NODES).value
+        d3 = skr.transgression_pullback_direct(bd, NODES)
         assert abs(c3 - d3) / max(abs(c3), abs(d3), 1e-12) < 1e-8
 
 
@@ -431,8 +460,8 @@ def test_transgression_reducible_vanishes(rng):
     for _ in range(6):
         p = make_reducible(rng)
         bd = skr.boundary_data(p)
-        c3 = skr.transgression_pullback_closed(bd, QUAD).value
-        d3 = skr.transgression_pullback_direct(bd, QUAD)
+        c3 = skr.transgression_pullback_closed(bd, NODES).value
+        d3 = skr.transgression_pullback_direct(bd, NODES)
         assert abs(c3) < 1e-10
         assert abs(d3) < 1e-10
 
@@ -440,7 +469,7 @@ def test_transgression_reducible_vanishes(rng):
 def test_transgression_zero_theta_forced(worked_profile):
     """Forcing k = l = 0 kills the transgression entirely."""
     fam = replace(skr.boundary_family(skr.boundary_data(worked_profile)), theta=np.zeros((4, 4, 8)))
-    assert max_abs(transgression_degree3(GERM, fam, QUAD)) == 0.0
+    assert max_abs(transgression_degree3(GERM, fam, NODES)) == 0.0
 
 
 def test_closed_integrand_killing_scale_limit(worked_profile):
@@ -522,7 +551,7 @@ def test_closed_integrand_matches_exact_series(phi_coeffs, c_bar, base_curv):
     p = SKRProfile.irreducible_polynomial(phi_coeffs, c_bar, base_curv=base_curv, tau_min=-0.5)
     bd = skr.boundary_data(p)
     for nodes in (32, 64):
-        for t in QuadratureSpec(nodes).rule()[0]:
+        for t in gauss_legendre(nodes, 0.0, 1.0)[0]:
             want, size = _mp_closed_integrand(bd, float(t))
             got = skr.closed_transgression_integrand(bd, float(t))
             assert abs(got - want) <= 1e-13 * size
