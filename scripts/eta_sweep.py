@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from equichar.app import RunConfig, Topology, eta_invariant
+from equichar.app import RunConfig, eta_invariant
 from equichar.skr import SKRProfile
 
 
@@ -45,8 +45,7 @@ def main(argv=None):
         except Exception as exc:
             print(f"skip slope {slope:+.3f}: {exc}", file=sys.stderr)
             continue
-        cfg = RunConfig(profile={}, topology=Topology(signature=0))
-        rep = eta_invariant(cfg, profile=p)
+        rep = eta_invariant(RunConfig(profile=p))
         rows.append(
             {
                 "slope": slope,

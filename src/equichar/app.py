@@ -8,8 +8,10 @@ The command line exposes five subcommands over a single JSON config:
     equichar eta CONFIG -o DIR       write report.json (+ the two CSV tables)
     equichar oracle CONFIG           finite-difference chart validation
 
-Exit codes: 0 success, 1 numerical failure, 2 config error.  Outputs are
-byte-identical for identical configs.
+:func:`load_config` parses a config once, profile included, into the
+:class:`RunConfig` that every command reads; a library caller writes
+``RunConfig(profile=p)``.  Exit codes: 0 success, 1 numerical failure, 2 config
+error.  Outputs are byte-identical for identical configs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -69,10 +70,11 @@ class Topology:
 
 @dataclass(frozen=True)
 class RunConfig:
-    profile: dict
+    profile: SKRProfile  # the one owner of base_area and fiber_period
     numerics: Numerics = Numerics()
-    topology: Topology = Topology()
-    output_dir: Optional[str] = None
+    signature: int = 0
+    output_dir: str | None = None
+    profile_echo: dict = field(default_factory=dict)  # the profile keys read, as given
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -130,6 +132,8 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -154,9 +158,8 @@ def load_config(path) -> RunConfig:
     topology = _section(Topology, top)
     _require(topology.base_area > 0, "base_area must be positive")
     _require(topology.fiber_period > 0, "fiber_period must be positive")
-    return RunConfig(
-        profile=raw["profile"], numerics=numerics, topology=topology, output_dir=output_dir
-    )
+    profile, echo = build_profile(raw["profile"], topology)
+    return RunConfig(profile, numerics, topology.signature, output_dir, echo)
 
 
 def _interpolant(samples: dict, what: str, tau_min: float) -> skr.ProfileFunction:
@@ -183,31 +186,35 @@ def _interpolant(samples: dict, what: str, tau_min: float) -> skr.ProfileFunctio
     return skr.ProfileFunction.piecewise(pp.c[::-1, pieces].T, pp.x[pieces])
 
 
-def build_profile(cfg: RunConfig) -> SKRProfile:
-    """phi (irreducible) or Q (reducible), from coefficients or from samples."""
-    prof = cfg.profile
+def build_profile(prof: dict, topology: Topology) -> tuple:
+    """phi (irreducible) or Q (reducible), from coefficients or from samples,
+    with the profile keys read for the mode and their values as given, so
+    that a key it ignores leaves report.json as it is."""
     _require(isinstance(prof, dict), "'profile' must be an object")
     mode = prof.get("mode")
     _require(mode in ("irreducible", "reducible"), "profile.mode must be irreducible|reducible")
-    what = "phi" if mode == "irreducible" else "q"
+    irreducible = mode == "irreducible"
+    what = "phi" if irreducible else "q"
+    source = f"{what}_coeffs" if f"{what}_coeffs" in prof else f"{what}_samples"
+    read = ["mode", "label", "tau_min", "base_curv", source] + (["c_bar"] if irreducible else [])
+    echo = {key: prof[key] for key in read if key in prof}
     tau_min = _number(prof.get("tau_min", -0.5), "tau_min")
-    c_bar = _number(prof.get("c_bar", -1.0), "c_bar") if mode == "irreducible" else 1.0
+    c_bar = _number(prof.get("c_bar", -1.0), "c_bar") if irreducible else 1.0
+    _require(source in prof, f"{mode} profile needs {what}_coeffs or {what}_samples")
     try:
-        if f"{what}_coeffs" in prof:
-            fn = skr.ProfileFunction.piecewise([_numbers(prof[f"{what}_coeffs"], f"{what}_coeffs")])
-        elif f"{what}_samples" in prof:
-            fn = _interpolant(prof[f"{what}_samples"], what, tau_min)
+        if source == f"{what}_coeffs":
+            fn = skr.ProfileFunction.piecewise([_numbers(prof[source], source)])
         else:
-            raise ConfigError(f"{mode} profile needs {what}_coeffs or {what}_samples")
+            fn = _interpolant(prof[source], what, tau_min)
         return SKRProfile(
             mode,
             fn,
             c_bar=c_bar,
             base_curv=_number(prof.get("base_curv", 0.0), "base_curv"),
             tau_min=tau_min,
-            base_area=cfg.topology.base_area,
-            fiber_period=cfg.topology.fiber_period,
-        )
+            base_area=topology.base_area,
+            fiber_period=topology.fiber_period,
+        ), echo
     except ProfileError as exc:
         raise ConfigError(f"invalid profile: {exc}") from exc
 
@@ -237,6 +244,8 @@ class Report:
     eta: dict
     # closed integrand at the quadrature nodes, for transgression.csv
     closed_integrand: list
+    # the boundary the routes pulled back to, for check's further routes
+    boundary: skr.BoundaryData
 
     def to_json(self, lform_table: list) -> str:
         payload = {
@@ -254,21 +263,12 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _profile_echo(prof: dict) -> dict:
-    """The profile keys that :func:`build_profile` reads for the mode, with
-    their values as given, so that a key it ignores leaves report.json as it is."""
-    mode = prof.get("mode")
-    what = "phi" if mode == "irreducible" else "q"
-    read = ["mode", "label", "tau_min", "base_curv"] + (["c_bar"] if mode == "irreducible" else [])
-    read.append(f"{what}_coeffs" if f"{what}_coeffs" in prof else f"{what}_samples")
-    return {key: prof[key] for key in read if key in prof}
-
-
 def _config_echo(cfg: RunConfig) -> dict:
+    p = cfg.profile
     return {
-        "profile": _profile_echo(cfg.profile),
+        "profile": cfg.profile_echo,
         "numerics": asdict(cfg.numerics),
-        "topology": asdict(cfg.topology),
+        "topology": asdict(Topology(cfg.signature, p.base_area, p.fiber_period)),
     }
 
 
@@ -309,10 +309,10 @@ def _boundary_volume(p: SKRProfile, q0: float) -> float:
 
 def _eta_value(cfg: RunConfig, bulk: float, boundary: float) -> float:
     """eta = -(1/pi^2) [bulk - boundary] - signature."""
-    return -(bulk - boundary) / math.pi**2 - cfg.topology.signature
+    return -(bulk - boundary) / math.pi**2 - cfg.signature
 
 
-def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Report:
+def eta_invariant(cfg: RunConfig) -> Report:
     """Assemble the infinitesimal equivariant eta invariant of the boundary.
 
     eta = -(1/pi^2) [ bulk - boundary ] - signature, where bulk is the reduced
@@ -320,7 +320,7 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
     density and boundary is the closed transgression coefficient times the
     boundary 3-volume.
     """
-    p = profile if profile is not None else build_profile(cfg)
+    p = cfg.profile
     n = cfg.numerics.quad_nodes
 
     bulk = _bulk_integral(p, cfg)
@@ -344,6 +344,7 @@ def eta_invariant(cfg: RunConfig, profile: Optional[SKRProfile] = None) -> Repor
         boundary_integral=boundary,
         eta=_measured(_eta_value(cfg, bulk["value"], boundary["value"]), eta_err),
         closed_integrand=closed.integrand,
+        boundary=bd,
     )
 
 
@@ -375,11 +376,11 @@ def _fmt(x: float) -> str:
 
 def emit_tables(cfg: RunConfig, out_dir, which=("lform", "transgression", "report")) -> list:
     """Write the requested deterministic artifacts; returns the paths written."""
-    p = build_profile(cfg)
+    p = cfg.profile
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    report = eta_invariant(cfg, profile=p) if "report" in which else None
+    report = eta_invariant(cfg) if "report" in which else None
     rows = []
     if "lform" in which or "report" in which:
         rows = [_lform_row(p, t) for t in _lform_taus(p, cfg.numerics.tau_samples)]
@@ -436,7 +437,7 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
 def run_check(cfg: RunConfig) -> list:
     """Run the invariant suite, then the oracle suite, on the configured
     profile; print one line per check."""
-    p = build_profile(cfg)
+    p = cfg.profile
     n = cfg.numerics.quad_nodes
     results = []
 
@@ -481,14 +482,14 @@ def run_check(cfg: RunConfig) -> list:
     # transgression routes, as computed by the report at the configured nodes,
     # relative to the size sum_i w_i |f_i| of the closed integrand as well, which
     # stays put where TL3 itself crosses zero
-    report = eta_invariant(cfg, profile=p)
+    report = eta_invariant(cfg)
     closed = report.tl3_closed["value"]
     direct = report.tl3_direct["value"]
     size = weighted_sum(gauss_legendre(n, 0.0, 1.0)[1], map(abs, report.closed_integrand))
     scale = max(abs(closed), abs(direct), size, 1e-12)
     results.append(_check("transgression-closed-vs-direct", abs(closed - direct) / scale, 1e-8))
 
-    bd = skr.boundary_data(p)
+    bd = report.boundary
     alt = transgression_degree3_alt(hirzebruch_l_log_germ(), skr.boundary_family(bd), n)
     alt = float(alt[mask_of_indices((1, 2, 3), 3)])
     results.append(_check("transgression-alt-route", abs(direct - alt) / scale, 1e-10))
@@ -505,15 +506,10 @@ def run_check(cfg: RunConfig) -> list:
     eta_scale = max(abs(eta), abs(eta_fine), 1.0)
     results.append(_check("eta-quadrature-stability", abs(eta - eta_fine) / eta_scale, 1e-8))
 
-    results += _oracle_checks(_flat_base_variant(p), cfg.numerics.fd_step)
+    results += _oracle_checks(p, cfg.numerics.fd_step)
     for r in results:
         print(r.line())
     return results
-
-
-def _flat_base_variant(p: SKRProfile) -> SKRProfile:
-    """Copy of the profile with base curvature zero, as realized by the chart."""
-    return p if p.base_curv == 0.0 else replace(p, base_curv=0.0)
 
 
 # The comparison table of the oracle: a frame curvature entry R[i, j, k, l],
@@ -562,8 +558,9 @@ def _oracle_points(p: SKRProfile) -> np.ndarray:
 
 
 def _oracle_checks(p: SKRProfile, fd_step: float) -> list:
-    """The finite-difference chart checks of ``p``, which must have flat base:
-    each quantity is evaluated at all its points in one call."""
+    """The finite-difference chart checks of ``p`` with its base made flat, as
+    the chart realizes it: each quantity is evaluated at all its points in one call."""
+    p = p if p.base_curv == 0.0 else replace(p, base_curv=0.0)
     pts = _oracle_points(p)
     r_fd = oracle_mod.riemann_frame_fd(p, pts, fd_step)
     got = _entries(r_fd, [idx for idx, _, _ in _CURVATURE_TABLE])
@@ -597,7 +594,7 @@ def _oracle_checks(p: SKRProfile, fd_step: float) -> list:
 def run_oracle(cfg: RunConfig) -> list:
     """Finite-difference chart validation, the oracle suite that closes
     run_check; print one line per check."""
-    results = _oracle_checks(_flat_base_variant(build_profile(cfg)), cfg.numerics.fd_step)
+    results = _oracle_checks(cfg.profile, cfg.numerics.fd_step)
     for r in results:
         print(r.line())
     return results
@@ -621,15 +618,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = args.out or cfg.output_dir or "."
-    try:
         # a numpy overflow or NaN raises an ArithmeticError: one line, no warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cfg = load_config(args.config)
+            out_dir = args.out or cfg.output_dir or "."
             if args.command == "check":
                 results = run_check(cfg)
                 return 0 if all(r.passed for r in results) else 1

@@ -17,7 +17,7 @@ from conftest import (
     max_abs,
 )
 from equichar import oracle, skr
-from equichar.app import RunConfig, Topology, eta_invariant
+from equichar.app import RunConfig, eta_invariant
 from equichar.charforms import (
     ConnectionFamily,
     equivariant_curvature,
@@ -62,8 +62,7 @@ def test_criterion_01_reducible_vanishing():
         direct = skr.transgression_pullback_direct(bd, NODES)
         worst_tl3 = max(worst_tl3, abs(closed), abs(direct))
         sig = int(rng.integers(-3, 4))
-        cfg = RunConfig(profile={}, topology=Topology(signature=sig))
-        rep = eta_invariant(cfg, profile=p)
+        rep = eta_invariant(RunConfig(profile=p, signature=sig))
         eta_exact = eta_exact and (rep.eta["value"] == -float(sig))
     elapsed = time.perf_counter() - t0
     ok = worst_l4 < 1e-12 and worst_tl3 < 1e-10 and eta_exact

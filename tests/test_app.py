@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from equichar import app, matforms, skr
 from equichar.app import (
-    build_profile,
     emit_tables,
     eta_invariant,
     load_config,
@@ -65,11 +64,12 @@ RED = {
 def test_load_config_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, IRRED))
     assert cfg.numerics.quad_nodes == 32 and cfg.numerics.fd_step == 1e-4
-    assert cfg.topology.fiber_period == pytest.approx(2.0 * math.pi)
+    assert cfg.profile.fiber_period == pytest.approx(2.0 * math.pi)
     bare = load_config(write_cfg(tmp_path, {"profile": IRRED["profile"]}))
-    assert bare.numerics == app.Numerics() and bare.topology == app.Topology()
+    assert bare.numerics == app.Numerics() and bare.signature == app.Topology().signature
+    assert (bare.profile.base_area, bare.profile.fiber_period) == (1.0, 2.0 * math.pi)
     assert app.Numerics().fd_step == app.oracle_mod.DEFAULT_FD_STEP
-    assert type(bare.numerics.quad_nodes) is int and type(bare.topology.signature) is int
+    assert type(bare.numerics.quad_nodes) is int and type(bare.signature) is int
 
 
 def test_config_missing_file():
@@ -77,16 +77,25 @@ def test_config_missing_file():
         load_config("/nonexistent/equichar.json")
 
 
+@pytest.mark.parametrize("command", ["eta", "check", "oracle"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, command):
+    """A directory as the config is an OSError other than FileNotFoundError;
+    it printed an IsADirectoryError traceback."""
+    assert main([command, str(tmp_path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config:") and "Traceback" not in err
+
+
 def test_config_rejects_bad_profile(tmp_path):
     bad = {"profile": {"mode": "irreducible", "phi_coeffs": [0.5], "c_bar": -0.1, "tau_min": -0.5}}
     with pytest.raises(ConfigError):
-        build_profile(load_config(write_cfg(tmp_path, bad)))
+        load_config(write_cfg(tmp_path, bad))
 
 
 def test_config_rejects_nonpositive_q(tmp_path):
     bad = {"profile": {"mode": "reducible", "q_coeffs": [-1.0], "tau_min": -0.5}}
     with pytest.raises(ConfigError):
-        build_profile(load_config(write_cfg(tmp_path, bad)))
+        load_config(write_cfg(tmp_path, bad))
 
 
 @pytest.mark.parametrize("command", ["check", "oracle", "lform", "transgression", "eta"])
@@ -230,7 +239,7 @@ def test_tabulated_profile_round_trip(tmp_path):
             "tau_min": -0.5,
         }
     }
-    p = build_profile(load_config(write_cfg(tmp_path, payload)))
+    p = load_config(write_cfg(tmp_path, payload)).profile
     from equichar import skr
 
     d = skr.derived_functions(p, -0.2)
@@ -252,7 +261,7 @@ def _tabulated(tmp_path, order, mode="irreducible"):
             "tau_min": -0.5,
         }
     }
-    return build_profile(load_config(write_cfg(tmp_path, payload))), taus, vals
+    return load_config(write_cfg(tmp_path, payload)).profile, taus, vals
 
 
 @pytest.mark.parametrize("mode", ["irreducible", "reducible"])
@@ -354,6 +363,19 @@ def test_eta_signature_shift(tmp_path):
     assert eta1 == eta0 - 1.0
 
 
+def test_report_echoes_the_topology_the_run_used():
+    """A library run's report echoes the base_area and fiber_period of its
+    profile, which the boundary integral was computed with; it echoed the
+    topology defaults."""
+    p = SKRProfile.irreducible_polynomial([0.5, 0.25], -1.0, base_curv=2.0, tau_min=-0.5)
+    scaled = replace(p, base_area=2.0, fiber_period=3.0)
+    rep = eta_invariant(app.RunConfig(profile=scaled))
+    topology = rep.config_echo["topology"]
+    assert (topology["base_area"], topology["fiber_period"]) == (2.0, 3.0)
+    default = eta_invariant(app.RunConfig(profile=p)).boundary_integral["value"]
+    assert rep.boundary_integral["value"] != default
+
+
 def test_eta_quadrature_refinement(tmp_path):
     base = json.loads(json.dumps(IRRED))
     base["numerics"]["quad_nodes"] = 32
@@ -381,9 +403,9 @@ def test_eta_degenerate_endpoint_epsilon_path(tmp_path):
         "numerics": {"tau_samples": 9},
     }
     cfg = load_config(write_cfg(tmp_path, payload, "sing.json"))
-    p = build_profile(cfg)
+    p = cfg.profile
     assert p.fn.at(p.tau_min)[0] == 0.0
-    rep = eta_invariant(cfg, profile=p)
+    rep = eta_invariant(cfg)
     reference = app._bulk_quadrature(p, 400)
     assert abs(rep.bulk_integral["value"] - reference) <= 1e-13 * abs(reference)
     assert math.isfinite(rep.eta["value"])
@@ -435,7 +457,7 @@ def test_sampled_bulk_error_bounds_its_distance_from_a_per_piece_reference(tmp_p
     samples = {"tau": taus.tolist(), "phi": phis.tolist(), "interp_order": order}
     profile = {"mode": "irreducible", "phi_samples": samples, "c_bar": -1.0, "base_curv": 2.0}
     cfg = load_config(write_cfg(tmp_path, {"profile": {**profile, "tau_min": -0.5}}))
-    p = build_profile(cfg)
+    p = cfg.profile
     ends = [p.tau_min] + [k for k in p.fn.knots if p.tau_min < k < 0.0] + [0.0]
     assert len(ends) > 2
     reference = 0.0
@@ -445,8 +467,28 @@ def test_sampled_bulk_error_bounds_its_distance_from_a_per_piece_reference(tmp_p
             w * skr.l4_coefficient(p, t) * skr.volume_weight(p, t)
             for t, w in zip(xs.tolist(), ws.tolist())
         )
-    bulk = eta_invariant(cfg, profile=p).bulk_integral
+    bulk = eta_invariant(cfg).bulk_integral
     assert abs(bulk["value"] - reference) <= max(bulk["error"], 1e-14 * abs(bulk["value"]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: eta moves with the interior of the profile although "
+    "the boundary, its metric and its Killing field stay fixed",
+)
+def test_eta_invariant_under_a_bump_that_keeps_the_boundary():
+    """phi + eps tau (tau - tau_min)^2 keeps phi(0), phi(tau_min) and
+    phi'(tau_min) of the worked example, so the boundary invariant eta must
+    not move; it reads 0.0356967, 0.0371928 and 0.0420050 at eps = 0, 0.05
+    and 0.2, each with a reported error of at most 1.5e-16."""
+    base = load_config(EXAMPLES / "example_irreducible.json")
+    etas = []
+    for eps in (0.0, 0.05, 0.2):
+        phi = [0.5, 0.25 + 0.25 * eps, eps, eps]
+        p = replace(base.profile, fn=skr.ProfileFunction.piecewise([phi]))
+        etas.append(eta_invariant(replace(base, profile=p)).eta["value"])
+    tol = 1e-12 * max(abs(etas[0]), 1.0)
+    assert all(abs(eta - etas[0]) <= tol for eta in etas[1:]), etas
 
 
 def test_worked_example_bulk_and_eta():
@@ -827,17 +869,17 @@ def test_refined_eta_is_the_report_at_twice_the_nodes(example):
     """The eta that eta-quadrature-stability compares is, bit for bit, the eta
     of a report at twice the configured nodes."""
     cfg = load_config(EXAMPLES / example)
-    p = build_profile(cfg)
+    p = cfg.profile
     doubled = replace(cfg, numerics=replace(cfg.numerics, quad_nodes=2 * cfg.numerics.quad_nodes))
     refined = app._refined_eta(p, cfg, skr.boundary_data(p))
-    assert refined.hex() == eta_invariant(doubled, profile=p).eta["value"].hex()
+    assert refined.hex() == eta_invariant(doubled).eta["value"].hex()
 
 
-@pytest.mark.parametrize("command,calls", [("eta", 1), ("check", 2)])
+@pytest.mark.parametrize("command,calls", [("eta", 1), ("check", 1)])
 def test_boundary_data_built_once_per_report(tmp_path, monkeypatch, capsys, command, calls):
     """Each report builds the boundary once and hands it to every route; check
-    makes one report and builds the boundary once more for the alternate
-    route and the refined eta."""
+    makes one report and takes the alternate route and the refined eta from
+    the report's boundary."""
     seen = []
     original = skr.boundary_data
 
@@ -1121,7 +1163,8 @@ def test_eta_sweep_script_smoke(tmp_path, capsys):
 
 def test_output_digests_script_smoke(tmp_path):
     """scripts/output_digests.py gives one line per (example, command), the
-    same in two runs, and the eta lines name the three written files."""
+    same in two runs, and the eta lines name the three written files; a
+    failing config's lines pin its exit code and stderr, and name no file."""
     spec = importlib.util.spec_from_file_location("output_digests", EXAMPLES / "output_digests.py")
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
@@ -1134,3 +1177,10 @@ def test_output_digests_script_smoke(tmp_path):
     eta_lines = [line for line in first if line.split()[1] == "eta"]
     assert all(f" {name}=" in line for line in eta_lines for name in ("lform.csv", "report.json"))
     assert all(" transgression.csv=" in line for line in eta_lines)
+    name, payload = digests.FAILING[0]
+    failing = [(name, write_cfg(tmp_path, payload, f"{name}.json"))]
+    stderr = digests._sha(b"config error: 'profile' must be an object\n")
+    assert [line.split() for line in digests.digest_lines(failing, tmp_path / "failing")] == [
+        [name, command, "exit=2", f"stdout={digests._sha(b'')}", f"stderr={stderr}"]
+        for command in digests.COMMANDS
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import basis, integrate_per_node, max_abs
 from equichar import app, skr
-from equichar.app import build_profile, load_config
+from equichar.app import load_config
 from equichar.errors import ConvergenceRadiusError
 from equichar.exterior import _degree_masks, degree_component, exp_form, mask_of_indices, wedge
 from equichar.charforms import (
@@ -203,7 +203,7 @@ def test_weighted_sum_of_floats_is_the_running_sum(rng, nodes):
     from 0.0 that the closed route and the check's integrand size used, and
     returns a Python float."""
     _, ws = gauss_legendre(nodes, 0.0, 1.0)
-    p = build_profile(load_config(EXAMPLES / "example_irreducible.json"))
+    p = load_config(EXAMPLES / "example_irreducible.json").profile
     scaled = rng.standard_normal(nodes) * 10.0 ** rng.uniform(-20.0, 20.0, nodes)
     for values in (
         skr.transgression_pullback_closed(skr.boundary_data(p), nodes).integrand,
@@ -323,7 +323,7 @@ ROUTES = [(transgression_degree3, _direct_per_node), (transgression_degree3_alt,
 @pytest.mark.parametrize("route,per_node", ROUTES)
 @pytest.mark.parametrize("example", ["example_irreducible.json", "example_reducible.json"])
 def test_batched_routes_bit_equal_per_node_on_examples(example, route, per_node, nodes):
-    p = build_profile(load_config(EXAMPLES / example))
+    p = load_config(EXAMPLES / example).profile
     fam = skr.boundary_family(skr.boundary_data(p))
     assert np.array_equal(route(GERM, fam, nodes), per_node(GERM, fam, nodes))
 
@@ -355,7 +355,7 @@ def test_batched_routes_reject_late_nodes_past_germ_radius(route):
 def _example_curvature_stack(example):
     """The equivariant curvature matrices at the three taus that check's
     lform-closed-vs-generic compares, stacked."""
-    p = build_profile(load_config(EXAMPLES / example))
+    p = load_config(EXAMPLES / example).profile
     picks = app._lform_taus(p, 100)[::40]
     return np.stack([skr.equivariant_curvature_matrix(p, t) for t in picks])
 

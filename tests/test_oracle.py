@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +282,7 @@ def _pinned_profiles():
     out = []
     for name in ("example_irreducible.json", "example_reducible.json"):
         cfg = app.load_config(EXAMPLES / name)
-        out.append((app._flat_base_variant(app.build_profile(cfg)), cfg.numerics.fd_step))
+        out.append((replace(cfg.profile, base_curv=0.0), cfg.numerics.fd_step))
     return out + [(make_reducible(np.random.default_rng(41)), 1e-3)]
 
 
@@ -378,9 +379,7 @@ def test_one_metric_call_per_stencil(monkeypatch, worked_profile):
 
 def test_run_oracle_compares_mixed_entries(monkeypatch, capsys):
     """A defect confined to the mixed entry (1, 2, 0, 3) fails the curvature match."""
-    cfg = app.RunConfig(
-        profile={"mode": "irreducible", "phi_coeffs": [0.5, 0.25], "c_bar": -1.0, "tau_min": -0.5}
-    )
+    cfg = app.RunConfig(profile=SKRProfile.irreducible_polynomial([0.5, 0.25], -1.0))
     assert all(r.passed for r in app.run_oracle(cfg))
     original = oracle.riemann_frame_fd
 

@@ -35,7 +35,7 @@ def test_readme_library_example_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_cli_import_loads_neither_scipy_nor_mpmath():

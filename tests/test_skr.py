@@ -8,7 +8,7 @@ import pytest
 
 from conftest import char_poly_forms, even_form, make_irreducible, make_reducible, max_abs
 from equichar import skr
-from equichar.app import build_profile, load_config
+from equichar.app import load_config
 from equichar.charforms import gauss_legendre, l_form, transgression_degree3
 from equichar.errors import ConvergenceRadiusError, ProfileError
 from equichar.exterior import _degree_masks, degree_component, mask_of_indices, wedge
@@ -430,7 +430,7 @@ def test_boundary_curvature_at_t1_is_the_pulled_back_curvature(example):
     """Gauss-Codazzi: at t = 1 the family's curvature a1 + a2 + a3 is the
     adapted-frame curvature at tau = 0 restricted to the boundary coframe
     e^1, e^2, e^3, whose forms are the first 8 coefficients."""
-    p = build_profile(load_config(EXAMPLES / example))
+    p = load_config(EXAMPLES / example).profile
     bd = skr.boundary_data(p)
     pulled_back = skr.curvature_matrix(
         skr.curvature_components(p, skr.derived_functions(p, 0.0))
